@@ -292,8 +292,8 @@ def extract_components(q: SubMdp, solution: LpSolution) -> list[ComponentTriple]
     for comp in sorted(comps, key=min):
         members = sorted(support_states[v] for v in comp)
         member_set = set(members)
-        assert all(support_states[w] in member_set
-                   for v in comp for w in succ[v]), "x support SCC must be bottom"
+        if any(support_states[w] not in member_set for v in comp for w in succ[v]):
+            raise ValueError("x support SCC must be bottom")
         action_sets = {s: tuple(sorted(a for (t, a) in x if t == s)) for s in members}
         choices = {}
         for s in members:
@@ -316,16 +316,21 @@ def _certify(triple: ComponentTriple,
     """Re-solve on the snapshot with recurrence confined to the component.
 
     A global optimum need not witness per-initial-state maximality inside
-    each component; the restricted solve is cheap and, when it beats the
-    extracted scheduler, its own component replaces the triple.
+    each component. The program of the snapshot is solved again from the
+    component's first state with every recurrent frequency x[s|a] of a state
+    outside the component removed, i.e. fixed to 0. When the scheduler
+    extracted from that solution beats the triple's, its component replaces
+    the triple.
     """
     q = triple.snapshot
     lp = build_multi_mp_lp(q, triple.states[0], weights)
     inside = set(triple.states)
-    for s in q.members:
-        if s not in inside:
-            for a in q.enabled(s):
-                lp.add({_xv(q, s, a): Fraction(1)}, EQ, 0)
+    pinned = {_xv(q, s, a) for s in q.members if s not in inside for a in q.enabled(s)}
+    lp.variables = [v for v in lp.variables if v not in pinned]
+    lp.nonneg -= pinned
+    lp.objective = {v: c for v, c in lp.objective.items() if v not in pinned}
+    for con in lp.constraints:
+        con.coeffs = {v: c for v, c in con.coeffs.items() if v not in pinned}
     sol = solve(lp)
     if sol.status != OPTIMAL:
         return triple

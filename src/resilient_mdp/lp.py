@@ -1,10 +1,14 @@
 """Exact rational linear programming.
 
-A small dense two-phase simplex over ``fractions.Fraction`` with Bland's
-anti-cycling rule. Instances here are desk-scale (at most a few thousand
-variables), so no sparsity or factorization tricks are attempted; the payoff
-is that feasibility and optimality are exact, which the boundary cases of
-the resiliency constraints require (e.g. a threshold met with equality).
+A small two-phase simplex over ``fractions.Fraction`` with Bland's
+anti-cycling rule. The tableau is stored dense, but a pivot touches only the
+nonzero columns of the pivot row and only the rows with a nonzero entry in
+the pivot column; the programs built here are a few percent nonzero. The
+skipped entries are exactly the ones a full-row update would leave as they
+are, so Bland's rule sees the same tableau and makes the same pivots. There
+is no factorization. The payoff is that feasibility and optimality are
+exact, which the boundary cases of the resiliency constraints require (e.g.
+a threshold met with equality).
 
 Every returned optimal assignment is re-checked against all constraints
 before being handed back.
@@ -145,7 +149,8 @@ def solve_lexicographic(lp: LinearProgram, secondary: dict[str, Fraction],
         raise MalformedProgramError("lexicographic phase lost feasibility")
     primary_val = sum((Fraction(q) * second.assignment[v]
                        for v, q in lp.objective.items()), Fraction(0))
-    assert primary_val == first.objective_value
+    if primary_val != first.objective_value:
+        raise MalformedProgramError("lexicographic phase moved the primary optimum")
     return LpSolution(OPTIMAL, second.assignment, primary_val)
 
 
@@ -192,7 +197,7 @@ def _two_phase(rows, rhs, cost, ncols):
     phase1_cost = [Fraction(0)] * ncols + [Fraction(-1)] * m
     width = ncols + m
 
-    zrow = _reduced_costs(tab, basis, phase1_cost, width)
+    zrow = _reduced_costs(tab, basis, phase1_cost)
     if _optimize(tab, basis, zrow, width, allowed=width) == UNBOUNDED:
         raise AssertionError("phase 1 cannot be unbounded")
     total = sum((tab[i][width] for i in range(m) if basis[i] >= ncols), Fraction(0))
@@ -215,7 +220,7 @@ def _two_phase(rows, rhs, cost, ncols):
 
     # Phase 2 on structural + slack columns only.
     phase2_cost = list(cost) + [Fraction(0)] * (width - ncols)
-    zrow = _reduced_costs(tab, basis, phase2_cost, width)
+    zrow = _reduced_costs(tab, basis, phase2_cost)
     status = _optimize(tab, basis, zrow, width, allowed=ncols)
     if status == UNBOUNDED:
         return UNBOUNDED, None
@@ -226,15 +231,14 @@ def _two_phase(rows, rhs, cost, ncols):
     return OPTIMAL, values
 
 
-def _reduced_costs(tab, basis, cost, width):
-    zrow = [Fraction(0)] * (width + 1)
-    for j in range(width):
-        zrow[j] = -cost[j]
+def _reduced_costs(tab, basis, cost):
+    zrow = [-c for c in cost] + [Fraction(0)]
     for i, b in enumerate(basis):
         cb = cost[b]
-        if cb != 0:
-            for j in range(width + 1):
-                zrow[j] += cb * tab[i][j]
+        if cb:
+            for j, x in enumerate(tab[i]):
+                if x:
+                    zrow[j] += cb * x
     return zrow
 
 
@@ -256,20 +260,23 @@ def _optimize(tab, basis, zrow, width, allowed):
         if leave is None:
             return UNBOUNDED
         f = zrow[enter]
-        _pivot(tab, basis, leave, enter)
-        if f != 0:
-            row = tab[leave]
-            for j in range(width + 1):
-                zrow[j] -= f * row[j]
+        for j, p in _pivot(tab, basis, leave, enter):
+            zrow[j] -= f * p
 
 
 def _pivot(tab, basis, i, j):
+    """Pivot on entry (i, j) in place and return the scaled pivot row's
+    nonzero ``(column, value)`` pairs. Other rows change only in those
+    columns, and only where their column-j entry is nonzero."""
     row = tab[i]
     inv = 1 / row[j]
-    if inv != 1:
-        tab[i] = row = [x * inv for x in row]
+    nz = [(c, x * inv) for c, x in enumerate(row) if x]
+    for c, x in nz:
+        row[c] = x
     for k, other in enumerate(tab):
-        if k != i and other[j] != 0:
-            f = other[j]
-            tab[k] = [x - f * p for x, p in zip(other, row)]
+        f = other[j]
+        if k != i and f:
+            for c, p in nz:
+                other[c] -= f * p
     basis[i] = j
+    return nz

@@ -2,12 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from resilient_mdp import build_weights, compute_E, mec_decomposition, transform
 from resilient_mdp.analyze import induce_chain, long_run_value, mp_values
 from resilient_mdp.components import (build_multi_mp_lp, extract_components,
                                       full_sub_mdp, prune)
 from resilient_mdp.graph import strongly_connected_components
-from resilient_mdp.lp import OPTIMAL, solve
+from resilient_mdp.lp import OPTIMAL, LpSolution, solve
 
 from conftest import random_model
 
@@ -131,6 +133,17 @@ def test_extract_components_are_bottom_and_normalized(fig1):
     for t in triples:
         for s in t.states:
             assert sum(t.scheduler.dist(s).values(), Fraction(0)) == 1
+
+
+def test_extract_components_rejects_non_bottom_support(fig1):
+    # x charges rep#pending|α, which leaves for op1 and never comes back:
+    # no stationary measure has this support.
+    mt = transform(fig1, 2)
+    q = full_sub_mdp(mt)
+    sol = LpSolution(OPTIMAL, {"x[rep#pending|α]": Fraction(1, 2),
+                               "x[op1|a]": Fraction(1, 2)}, Fraction(0))
+    with pytest.raises(ValueError, match="must be bottom"):
+        extract_components(q, sol)
 
 
 def test_compute_E_fig1(fig1):

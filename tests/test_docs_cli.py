@@ -1,10 +1,11 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from resilient_mdp import cli, docs, synthesize, transform
+from resilient_mdp import cli, docs, make_mdp, synthesize, transform
 from resilient_mdp.docs import DocumentError
 
 from conftest import fig1_model, random_model
@@ -211,3 +212,59 @@ def test_cli_byte_identical_outputs(fig1_path, tmp_path, capsys):
         texts.append(text)
     assert texts[0] == texts[1]
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def chain_model(k, L):
+    """Op states up (reward 1) and deg (0); k errors, each starting an L-step
+    repair chain whose states offer safe (advance, from the last step to
+    deg) and gamble (to up or stay, 1/2 each)."""
+    errors = [f"e_{i}" for i in range(1, k + 1)]
+    states = [("up", "op", 1), ("deg", "op", 0)] + [(e, "err", 0) for e in errors]
+    transitions = []
+    for s in ("up", "deg"):
+        transitions.append((s, "run", [(s, Fraction(1, 2))]
+                            + [(e, Fraction(1, 2 * k)) for e in errors]))
+    for i in range(1, k + 1):
+        transitions.append((f"e_{i}", "go", [(f"r_{i}_1", 1)]))
+        for j in range(1, L + 1):
+            r = f"r_{i}_{j}"
+            states.append((r, "rep", 1))
+            transitions.append((r, "safe", [(f"r_{i}_{j + 1}" if j < L else "deg", 1)]))
+            transitions.append((r, "gamble", [("up", Fraction(1, 2)), (r, Fraction(1, 2))]))
+    return make_mdp(states, transitions, "up")
+
+
+def all_zero_model():
+    """Every operational reward is 0, so every resilient scheduler is optimal
+    and the document records whichever vertex the simplex pivots reach."""
+    return make_mdp(
+        [("o0", "op", 0), ("e0", "err", 0), ("r0", "rep", 3)],
+        [("o0", "a0", [("r0", Fraction(1, 3)), ("e0", Fraction(2, 3))]),
+         ("o0", "a1", [("o0", Fraction(1, 4)), ("e0", Fraction(3, 4))]),
+         ("e0", "a0", [("r0", 1)]),
+         ("e0", "a1", [("o0", 1)]),
+         ("r0", "a0", [("o0", Fraction(1, 3)), ("r0", Fraction(2, 3))]),
+         ("r0", "a1", [("o0", Fraction(1, 3)), ("r0", Fraction(2, 3))])],
+        "o0")
+
+
+# The scheduler documents written by `synthesize --out`. fig1 and the chain
+# have one optimal document; all-zero has many, so a change to the LP pivot
+# path shows up there even when the optimum stays the same.
+@pytest.mark.parametrize("model, threshold, bound, sha256", [
+    (fig1_model(), "4/5", "2",
+     "a59b37c910904b64b9e9e9571b18ece1ba01e65ec02735a3f6df593fc076d7c3"),
+    (chain_model(1, 3), "4/5", "3",
+     "391b9e2f744b54a029cfcabb69382724005a318a6006cd80deb3be23ccf3cf3a"),
+    (all_zero_model(), "9/10", "3",
+     "728463ee741bc69d8926472acd91f86acb491eb31cbb3606e04c75d5d18d909c"),
+], ids=["fig1", "chain-k1-L3", "all-zero"])
+def test_synthesized_document_golden_hash(tmp_path, capsys, model, threshold,
+                                          bound, sha256):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(docs.serialize_model(model), encoding="utf-8")
+    out = tmp_path / "sched.json"
+    assert cli.main(["synthesize", str(model_path), "--threshold", threshold,
+                     "--cost-bound", bound, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

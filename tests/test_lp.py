@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resilient_mdp.lp as lp_module
 from resilient_mdp.linsolve import SingularSystemError, solve_linear_system
 from resilient_mdp.lp import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED,
                               LinearProgram, MalformedProgramError, solve,
@@ -146,10 +147,7 @@ def _vertex_enumeration_optimum(prog):
     return feasible, best
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_matches_vertex_enumeration(data):
-    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+def _random_program(rng):
     n = rng.randint(1, 4)
     names = [f"v{k}" for k in range(n)]
     prog = lp(names, {v: Fraction(rng.randint(-3, 3)) for v in names})
@@ -158,6 +156,13 @@ def test_matches_vertex_enumeration(data):
         prog.add(coeffs, rng.choice([LE, GE, EQ]), Fraction(rng.randint(-2, 6)))
     # Keep the region bounded so the vertex oracle is complete.
     prog.add({v: Fraction(1) for v in names}, LE, 10)
+    return prog
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matches_vertex_enumeration(data):
+    prog = _random_program(random.Random(data.draw(st.integers(0, 10 ** 9))))
     sol = solve(prog)
     feasible, best = _vertex_enumeration_optimum(prog)
     if not feasible:
@@ -165,6 +170,42 @@ def test_matches_vertex_enumeration(data):
     else:
         assert sol.status == OPTIMAL
         assert sol.objective_value == best
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pinning_by_rows_equals_dropping_columns(data):
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    prog = _random_program(rng)
+    pinned = {v for v in prog.variables if rng.random() < 0.5}
+    by_rows = lp(prog.variables, prog.objective)
+    by_rows.constraints = list(prog.constraints)
+    for v in sorted(pinned):
+        by_rows.add({v: Fraction(1)}, EQ, 0)
+    dropped = lp([v for v in prog.variables if v not in pinned],
+                 {v: q for v, q in prog.objective.items() if v not in pinned})
+    for c in prog.constraints:
+        dropped.add({v: q for v, q in c.coeffs.items() if v not in pinned},
+                    c.relation, c.rhs)
+    a, b = solve(by_rows), solve(dropped)
+    assert a.status == b.status
+    assert a.objective_value == b.objective_value
+
+
+def test_lexicographic_raises_when_primary_value_moves(monkeypatch):
+    real_solve = lp_module.solve
+
+    def drifting_solve(prog):
+        sol = real_solve(prog)
+        if prog.objective == {"y": 1}:  # the secondary phase
+            sol.assignment = {"x": Fraction(0), "y": Fraction(0)}
+        return sol
+
+    monkeypatch.setattr(lp_module, "solve", drifting_solve)
+    p = lp(["x", "y"], {"x": 1, "y": 1})
+    p.add({"x": 1, "y": 1}, LE, 2)
+    with pytest.raises(MalformedProgramError, match="primary optimum"):
+        solve_lexicographic(p, {"y": Fraction(1)}, "min")
 
 
 def test_linear_system_golden():

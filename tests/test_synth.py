@@ -5,7 +5,8 @@ import pytest
 
 from resilient_mdp import (build_goal_mdp, build_resiliency_lp, compute_E,
                            make_mdp, synthesize, transform, verify_resilient)
-from resilient_mdp.analyze import expected_total_reward, induce_chain
+from resilient_mdp.analyze import (brute_force_optimum, expected_total_reward,
+                                   induce_chain)
 from resilient_mdp.lp import EQ, INFEASIBLE, OPTIMAL, solve
 from resilient_mdp.synth import (TAU, InvalidModelError, extract_scheduler,
                                  goal_mr_scheduler, solve_lexicographic)
@@ -237,3 +238,22 @@ def test_synthesized_schedulers_verify_on_random_models():
                 assert report.ok
                 assert report.availability == result.availability
         done += 1
+
+
+@pytest.mark.xfail(strict=True, reason="compute_E keeps only the zero-availability "
+                   "a1 self-loop at e0#r0#0 and prunes the repair cycle o0 -> e0 -> r0")
+def test_zero_availability_repair_cycle_is_found():
+    # Benchmark small-batch seed 12, job 87. Always playing a0 repairs with
+    # probability 1 at zero cost, so a resilient scheduler exists; its
+    # availability is 0 because every reward is 0.
+    m = make_mdp([("o0", "op", 0), ("e0", "err", 0), ("r0", "rep", 0)],
+                 [("o0", "a0", [("e0", 1)]),
+                  ("e0", "a0", [("r0", 1)]),
+                  ("r0", "a0", [("o0", Fraction(1, 4)), ("r0", Fraction(3, 4))]),
+                  ("r0", "a1", [("r0", 1)])],
+                 "o0")
+    oracle = brute_force_optimum(transform(m, 1), Fraction(3, 4))
+    assert oracle.best_availability == 0
+    result = synthesize(m, Fraction(3, 4), 1)
+    assert result.feasible
+    assert result.availability == oracle.best_availability
