@@ -14,7 +14,7 @@ from .analyze import (
     SimulationStats,
     VerificationReport,
     almost_sure_reach,
-    availability,
+    long_run_value,
     brute_force_optimum,
     expected_total_reward,
     induce_chain,

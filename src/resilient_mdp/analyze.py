@@ -1,11 +1,13 @@
 """Exact quantitative analysis of scheduler-induced Markov chains.
 
-Everything here is rational arithmetic: until-probabilities and expected
-rewards come from Gaussian elimination, long-run averages from stationary
-distributions of bottom strongly connected components, and the qualitative
-almost-sure checks from graph analysis. A seeded Monte Carlo simulator and a
-small brute-force optimum search double as independent cross-checks for the
-LP pipeline.
+Everything here is rational arithmetic. Until-probabilities, reach
+probabilities and expected rewards all solve one kind of system,
+(I - P restricted to a state set) X = B, with the sparse exact solver of
+``linsolve``; long-run averages combine those reach probabilities with the
+stationary distributions of the bottom strongly connected components, each
+computed once per chain; the qualitative almost-sure checks are graph
+analysis. A seeded Monte Carlo simulator and a small brute-force optimum
+search double as independent cross-checks for the LP pipeline.
 """
 
 from __future__ import annotations
@@ -73,6 +75,29 @@ def induce_chain(host, scheduler: MrScheduler, init: int) -> InducedChain:
     return InducedChain(states, rows, index)
 
 
+def _solve_restricted(c: InducedChain, unknown: list[int], rhs_of) -> dict[int, list[Fraction]]:
+    """Solve (I - P restricted to ``unknown``) X = B exactly.
+
+    ``unknown`` lists local states; B's row for state s is ``rhs_of(s)``.
+    Returns X's row per local state.
+    """
+    col = {s: k for k, s in enumerate(unknown)}
+    rows = []
+    for s in unknown:
+        row = {col[s]: Fraction(1)}
+        for t, p in c.rows[s].items():
+            if t in col:
+                row[col[t]] = row.get(col[t], 0) - p
+        rows.append(row)
+    return dict(zip(unknown, solve_linear_system(rows, [rhs_of(s) for s in unknown],
+                                                 len(unknown))))
+
+
+def _mass(c: InducedChain, s: int, members) -> Fraction:
+    """Probability of moving from local state s into ``members`` in one step."""
+    return sum((p for t, p in c.rows[s].items() if t in members), Fraction(0))
+
+
 def until_probability(c: InducedChain, stay: set[int], target: set[int]) -> dict[int, Fraction]:
     """Exact Pr(stay U target) per state, host-indexed.
 
@@ -96,30 +121,10 @@ def until_probability(c: InducedChain, stay: set[int], target: set[int]) -> dict
             if u not in possible:
                 possible.add(u)
                 frontier.append(u)
-    unknown = sorted(possible - loc_target)
-    col = {s: k for k, s in enumerate(unknown)}
-    rows_mat, rhs = [], []
-    for s in unknown:
-        row = [Fraction(0)] * len(unknown)
-        row[col[s]] = Fraction(1)
-        b = Fraction(0)
-        for t, p in c.rows[s].items():
-            if t in col:
-                row[col[t]] -= p
-            elif t in loc_target:
-                b += p
-        rows_mat.append(row)
-        rhs.append(b)
-    sol = solve_linear_system(rows_mat, rhs) if unknown else []
-    out = {}
-    for i, s in enumerate(c.states):
-        if i in loc_target:
-            out[s] = Fraction(1)
-        elif i in col:
-            out[s] = sol[col[i]]
-        else:
-            out[s] = Fraction(0)
-    return out
+    sol = _solve_restricted(c, sorted(possible - loc_target),
+                            lambda s: [_mass(c, s, loc_target)])
+    return {s: Fraction(1) if i in loc_target else sol[i][0] if i in sol else Fraction(0)
+            for i, s in enumerate(c.states)}
 
 
 def almost_sure_reach(c: InducedChain, target: set[int]) -> dict[int, bool]:
@@ -140,85 +145,52 @@ def almost_sure_reach(c: InducedChain, target: set[int]) -> dict[int, bool]:
     return out
 
 
-def _bsccs(c: InducedChain) -> list[list[int]]:
-    return bottom_sccs(c.succ_lists())
-
-
 def stationary_distribution(c: InducedChain, comp: list[int]) -> dict[int, Fraction]:
     """Stationary distribution of an irreducible BSCC, local-indexed."""
     col = {s: k for k, s in enumerate(comp)}
-    n = len(comp)
-    rows_mat = []
-    rhs = []
-    for s in comp:  # balance: pi(s) = sum_t pi(t) P(t, s)
-        row = [Fraction(0)] * n
-        row[col[s]] += 1
-        for t in comp:
-            p = c.rows[t].get(s)
-            if p:
-                row[col[t]] -= p
-        rows_mat.append(row)
-        rhs.append(Fraction(0))
-    rows_mat.append([Fraction(1)] * n)
-    rhs.append(Fraction(1))
-    sol = solve_linear_system(rows_mat, rhs)
-    return {s: sol[col[s]] for s in comp}
+    rows = [{k: Fraction(1)} for k in range(len(comp))]
+    for t in comp:  # balance: pi(s) - sum_t pi(t) P(t, s) = 0
+        for s, p in c.rows[t].items():
+            if s in col:
+                rows[col[s]][col[t]] = rows[col[s]].get(col[t], 0) - p
+    rows.append(dict.fromkeys(range(len(comp)), Fraction(1)))  # sum pi = 1
+    sol = solve_linear_system(rows, [[Fraction(0)]] * len(comp) + [[Fraction(1)]], len(comp))
+    return {s: x for s, (x,) in zip(comp, sol)}
 
 
-def reach_probabilities(c: InducedChain, absorbing: list[list[int]]) -> list[dict[int, Fraction]]:
-    """Probability, per state, of eventually entering each absorbing family member."""
-    in_some = {v for comp in absorbing for v in comp}
-    transient = [i for i in range(c.n) if i not in in_some]
-    col = {s: k for k, s in enumerate(transient)}
-    results = []
-    for comp in absorbing:
-        members = set(comp)
-        rows_mat, rhs = [], []
-        for s in transient:
-            row = [Fraction(0)] * len(transient)
-            row[col[s]] = Fraction(1)
-            b = Fraction(0)
-            for t, p in c.rows[s].items():
-                if t in col:
-                    row[col[t]] -= p
-                elif t in members:
-                    b += p
-            rows_mat.append(row)
-            rhs.append(b)
-        sol = solve_linear_system(rows_mat, rhs) if transient else []
-        probs = {}
-        for i in range(c.n):
-            if i in members:
-                probs[i] = Fraction(1)
-            elif i in in_some:
-                probs[i] = Fraction(0)
-            else:
-                probs[i] = sol[col[i]]
-        results.append(probs)
-    return results
+def long_run_values(c: InducedChain, value_fns) -> list[Fraction]:
+    """Expected mean of each value function from the initial state: the sum
+    over BSCCs of (reach probability) x (stationary mean).
+
+    The BSCCs, their reach probabilities (one system, one right-hand side per
+    BSCC) and their stationary distributions are computed once for all
+    functions.
+    """
+    comps = bottom_sccs(c.succ_lists())
+    members = [set(comp) for comp in comps]
+    if any(0 in m for m in members):
+        reach = [Fraction(0 in m) for m in members]
+    else:
+        transient = [i for i in range(c.n) if not any(i in m for m in members)]
+        reach = _solve_restricted(c, transient, lambda s: [_mass(c, s, m) for m in members])[0]
+    pis = [stationary_distribution(c, comp) for comp in comps]
+    return [sum((r * sum((pi[i] * Fraction(f(c.states[i])) for i in comp), Fraction(0))
+                 for r, comp, pi in zip(reach, comps, pis)), Fraction(0))
+            for f in value_fns]
 
 
 def long_run_value(c: InducedChain, value_of) -> Fraction:
-    """Expected mean value from the initial state: sum over BSCCs of
-    (reach probability) x (stationary mean of value_of)."""
-    comps = _bsccs(c)
-    reach = reach_probabilities(c, comps)
-    total = Fraction(0)
-    for comp, probs in zip(comps, reach):
-        pi = stationary_distribution(c, comp)
-        mean = sum((pi[i] * Fraction(value_of(c.states[i])) for i in comp), Fraction(0))
-        total += probs[0] * mean
-    return total
+    """Expected mean of value_of from the initial state."""
+    return long_run_values(c, [value_of])[0]
 
 
-def availability(c: InducedChain, payoff_of) -> Fraction:
-    return long_run_value(c, payoff_of)
+def _lookup(weight: dict[int, Fraction]):
+    return lambda s: weight.get(s, 0)
 
 
 def mp_values(c: InducedChain, weights: dict[int, dict[int, Fraction]]) -> dict[int, Fraction]:
     """Long-run average of each error's weight function; host-indexed errors."""
-    return {e: long_run_value(c, lambda s: wgt.get(s, Fraction(0)))
-            for e, wgt in weights.items()}
+    return dict(zip(weights, long_run_values(c, [_lookup(w) for w in weights.values()])))
 
 
 @dataclass
@@ -278,9 +250,8 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
                    for t, p in chain.rows[chain.index[e]].items()), Fraction(0))
         per_error[e] = ErrorCheck(res, res >= threshold, asrep_all[e])
 
-    avail = long_run_value(chain, mt.payoff)
-    mp = mp_values(chain, {e: weights[e] for e in per_error})
-    return VerificationReport(per_error, avail, mp)
+    avail, *means = long_run_values(chain, [mt.payoff] + [_lookup(weights[e]) for e in per_error])
+    return VerificationReport(per_error, avail, dict(zip(per_error, means)))
 
 
 def expected_total_reward(host, scheduler: MrScheduler, start: int) -> Fraction:
@@ -294,21 +265,11 @@ def expected_total_reward(host, scheduler: MrScheduler, start: int) -> Fraction:
     sure = almost_sure_reach(chain, {goal})
     if not sure[start]:
         raise ValueError("goal not reached almost surely; total reward diverges")
-    non_goal = [i for i in range(chain.n) if chain.states[i] != goal]
-    col = {i: k for k, i in enumerate(non_goal)}
-    rows_mat, rhs = [], []
-    for i in non_goal:
-        row = [Fraction(0)] * len(non_goal)
-        row[col[i]] = Fraction(1)
-        for t, p in chain.rows[i].items():
-            if t in col:
-                row[col[t]] -= p
-        rows_mat.append(row)
-        rhs.append(Fraction(host.reward(chain.states[i])))
-    sol = solve_linear_system(rows_mat, rhs) if non_goal else []
     if chain.states[0] == goal:
         return Fraction(0)
-    return sol[col[0]]
+    non_goal = [i for i in range(chain.n) if chain.states[i] != goal]
+    return _solve_restricted(chain, non_goal,
+                             lambda i: [Fraction(host.reward(chain.states[i]))])[0][0]
 
 
 @dataclass
@@ -379,7 +340,7 @@ class SimulationStats:
         return Fraction(self.episodes_within_budget, self.repair_episodes)
 
     def render(self) -> str:
-        if self.trials == 0:
+        if self.mean_payoff_per_step is None:
             return "no trials"
         lines = [
             f"trials: {self.trials}, steps per trial: {self.steps}",

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import analyze, docs
 from .model import validate_repair_assumption, validate_structure
-from .synth import FiniteMemoryScheduler, InvalidModelError, synthesize
+from .synth import FiniteMemoryScheduler, InvalidModelError, VerificationFailedError, synthesize
 from .transform import transform
 
 EXIT_OK = 0
@@ -151,6 +151,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_simulate(args, out) -> int:
+    if args.steps < 1 or args.trials < 1:
+        raise UsageError("--steps and --trials must be positive")
     m = _validated_model(args.model)
     doc = docs.load_scheduler(args.scheduler)
     mt = transform(m, doc.cost_bound)
@@ -189,6 +191,9 @@ def main(argv=None, out=None) -> int:
     except InvalidModelError as exc:
         print(f"invalid model:\n{exc}", file=sys.stderr)
         return EXIT_INVALID
+    except VerificationFailedError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

@@ -59,24 +59,12 @@ class SubMdp:
     members: tuple[int, ...]
     enabled_map: dict[int, tuple[str, ...]]
 
-    @property
-    def actions(self):
-        return _RestrictedActions(self)
-
     def enabled(self, i: int) -> tuple[str, ...]:
         return self.enabled_map[i]
 
     @property
     def empty(self) -> bool:
         return not self.members
-
-
-class _RestrictedActions:
-    def __init__(self, q: SubMdp):
-        self._q = q
-
-    def __getitem__(self, i: int) -> dict[str, list[tuple[int, Fraction]]]:
-        return {a: self._q.mt.actions[i][a] for a in self._q.enabled_map[i]}
 
 
 def full_sub_mdp(mt: TransformedMdp) -> SubMdp:

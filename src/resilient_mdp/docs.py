@@ -9,7 +9,7 @@ accepted and converted exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import MdpWithRepair, make_mdp
@@ -40,21 +40,28 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _require_list(data: dict, key: str, where: str) -> list:
+    value = _require(data, key, where)
+    if not isinstance(value, list):
+        raise DocumentError(f"{key!r} in {where} must be a list")
+    return value
+
+
 def parse_model(data) -> MdpWithRepair:
     if _require(data, "format", "model document") != MODEL_FORMAT:
         raise DocumentError(f"expected format {MODEL_FORMAT!r}")
     states = []
-    for entry in _require(data, "states", "model document"):
+    for entry in _require_list(data, "states", "model document"):
         reward = _require(entry, "reward", "state entry")
         if not isinstance(reward, int) or isinstance(reward, bool):
             raise DocumentError(f"reward must be an integer, got {reward!r}")
         states.append((str(_require(entry, "id", "state entry")),
                        str(_require(entry, "kind", "state entry")), reward))
     transitions = []
-    for entry in _require(data, "transitions", "model document"):
+    for entry in _require_list(data, "transitions", "model document"):
         dist = [(str(_require(t, "target", "transition target")),
                  parse_fraction(_require(t, "prob", "transition target")))
-                for t in _require(entry, "to", "transition entry")]
+                for t in _require_list(entry, "to", "transition entry")]
         transitions.append((str(_require(entry, "from", "transition entry")),
                             str(_require(entry, "action", "transition entry")), dist))
     try:
@@ -115,7 +122,6 @@ class SchedulerDocument:
     availability: Fraction | None
     transient: dict[str, dict[str, Fraction]]
     components: list[dict]  # {"states": [ids], "choice": {id: dist}, "availability": Fraction}
-    memory_rules: list[dict] = field(default_factory=list)
 
     def to_mr(self, mt: TransformedMdp) -> MrScheduler:
         """Decisions as a memoryless scheduler on a transformed MDP.
@@ -141,14 +147,15 @@ def parse_scheduler(data) -> SchedulerDocument:
     cost_bound = _require(data, "costBound", "scheduler document")
     if not isinstance(cost_bound, int) or isinstance(cost_bound, bool) or cost_bound < 0:
         raise DocumentError(f"costBound must be a nonnegative integer, got {cost_bound!r}")
-    transient = {str(e["state"]): _dist_from_data(e.get("choice"), "transient rule")
-                 for e in _require(data, "transient", "scheduler document")}
+    transient = _rules(_require_list(data, "transient", "scheduler document"), "transient rule")
+    listed = (_require_list(data, "components", "scheduler document")
+              if "components" in data else [])
     components = []
-    for entry in data.get("components", []):
+    for entry in listed:
         components.append({
-            "states": [str(s) for s in _require(entry, "states", "component entry")],
-            "choice": {str(e["state"]): _dist_from_data(e.get("choice"), "component rule")
-                       for e in _require(entry, "choice", "component entry")},
+            "states": [str(s) for s in _require_list(entry, "states", "component entry")],
+            "choice": _rules(_require_list(entry, "choice", "component entry"),
+                             "component rule"),
             "availability": parse_fraction(_require(entry, "availability", "component entry")),
         })
     avail = data.get("availability")
@@ -158,8 +165,12 @@ def parse_scheduler(data) -> SchedulerDocument:
         availability=None if avail is None else parse_fraction(avail),
         transient=transient,
         components=components,
-        memory_rules=list(data.get("memory", {}).get("rules", [])),
     )
+
+
+def _rules(entries: list, where: str) -> dict[str, dict[str, Fraction]]:
+    return {str(_require(e, "state", where)): _dist_from_data(e.get("choice"), where)
+            for e in entries}
 
 
 def scheduler_to_data(composed: ComposedScheduler, threshold: Fraction,

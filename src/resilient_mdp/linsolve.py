@@ -1,8 +1,10 @@
-"""Exact linear-system solving over rationals.
+"""Exact sparse linear-system solving over rationals.
 
-Gaussian elimination with partial pivoting on the magnitude of the entry's
-numerator. Everything is a ``fractions.Fraction``, so the solutions are
-exact; determinism follows from the fixed pivoting rule.
+Rows are ``{column: coefficient}`` maps, so elimination only touches the
+nonzero entries, and several right-hand sides share one elimination. The
+pivot row is always the remaining row with the fewest entries (ties to the
+lowest row) and its pivot column the lowest one, so the work done is fixed
+by the input. Everything is a ``fractions.Fraction``: the solutions are exact.
 """
 
 from __future__ import annotations
@@ -14,46 +16,47 @@ class SingularSystemError(ValueError):
     """Raised when a system has no solution or no unique solution."""
 
 
-def solve_linear_system(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve A x = b exactly for a (possibly overdetermined) consistent system.
+def solve_linear_system(rows: list[dict[int, Fraction]], rhs: list[list[Fraction]],
+                        n: int) -> list[list[Fraction]]:
+    """Solve A X = B exactly for unknowns 0..n-1; returns X row by row.
 
-    ``rows`` may contain more equations than unknowns; the system must be
-    consistent and of full column rank, otherwise SingularSystemError is
-    raised.
+    ``rows[i]`` holds the nonzero entries of row i of A and ``rhs[i]`` row i
+    of B, one value per right-hand side. There may be more equations than
+    unknowns; the system must be consistent and of full column rank,
+    otherwise SingularSystemError is raised.
     """
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    a = [list(row) + [b] for row, b in zip(rows, rhs)]
-    piv_row = 0
+    a = [{j: q for j, q in row.items() if q} for row in rows]
+    b = [list(values) for values in rhs]
+    live = list(range(len(a)))
     pivots: list[tuple[int, int]] = []
-    for col in range(n):
-        best, best_mag = -1, -1
-        for r in range(piv_row, m):
-            mag = abs(a[r][col].numerator) * (1 if a[r][col] else 0)
-            if a[r][col] != 0 and mag > best_mag:
-                best, best_mag = r, mag
-        if best == -1:
-            raise SingularSystemError(f"no pivot in column {col}")
-        a[piv_row], a[best] = a[best], a[piv_row]
-        inv = 1 / a[piv_row][col]
-        a[piv_row] = [v * inv for v in a[piv_row]]
-        for r in range(m):
-            if r != piv_row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * p for v, p in zip(a[r], a[piv_row])]
-        pivots.append((piv_row, col))
-        piv_row += 1
-        if piv_row == m:
-            break
-    if piv_row < n:
+    while live:
+        r = min(live, key=lambda i: (len(a[i]), i))
+        live.remove(r)
+        if not a[r]:
+            if any(b[r]):
+                raise SingularSystemError("inconsistent system")
+            continue
+        c = min(a[r])
+        inv = Fraction(1) / a[r][c]
+        a[r] = {j: q * inv for j, q in a[r].items()}
+        b[r] = [v * inv for v in b[r]]
+        for i in live:
+            f = a[i].pop(c, 0)
+            if not f:
+                continue
+            for j, q in a[r].items():
+                if j != c:
+                    v = a[i].get(j, 0) - f * q
+                    if v:
+                        a[i][j] = v
+                    else:
+                        a[i].pop(j, None)
+            b[i] = [v - f * p for v, p in zip(b[i], b[r])]
+        pivots.append((r, c))
+    if len(pivots) < n:
         raise SingularSystemError("rank deficient system")
-    # leftover rows must have reduced to 0 = 0
-    for r in range(piv_row, m):
-        if a[r][n] != 0:
-            raise SingularSystemError("inconsistent system")
-    x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = a[r][n]
+    x: list[list[Fraction]] = [[]] * n
+    for r, c in reversed(pivots):  # later pivots never involve earlier columns
+        x[c] = [v - sum((q * x[j][k] for j, q in a[r].items() if j != c), Fraction(0))
+                for k, v in enumerate(b[r])]
     return x

@@ -2,16 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilient_mdp import (MrScheduler, brute_force_optimum, induce_chain,
                            make_mdp, simulate, transform, verify_resilient)
-from resilient_mdp.analyze import (SchedulerDomainError, almost_sure_reach,
-                                   availability, expected_total_reward,
-                                   long_run_value, mp_values,
+from resilient_mdp.analyze import (InducedChain, SchedulerDomainError, almost_sure_reach,
+                                   expected_total_reward, long_run_value,
+                                   long_run_values, mp_values,
                                    stationary_distribution, until_probability)
 from resilient_mdp.components import build_weights
+from resilient_mdp.graph import bottom_sccs
 
 from conftest import beta_always, random_model
+from test_docs_cli import chain_model
 
 
 def alpha_always(mt):
@@ -81,15 +85,15 @@ def test_stationary_distribution_two_cycle():
     chain = induce_chain(m, sched, 0)
     pi = stationary_distribution(chain, [0, 1])
     assert pi == {0: Fraction(1, 4), 1: Fraction(3, 4)}
-    assert availability(chain, m.payoff) == Fraction(1, 4)
+    assert long_run_value(chain, m.payoff) == Fraction(1, 4)
 
 
 def test_availability_goldens(fig1):
     mt = transform(fig1, 2)
     chain_b = induce_chain(mt, beta_always(mt), mt.initial)
-    assert availability(chain_b, mt.payoff) == 1
+    assert long_run_value(chain_b, mt.payoff) == 1
     chain_a = induce_chain(mt, alpha_always(mt), mt.initial)
-    assert availability(chain_a, mt.payoff) == 0
+    assert long_run_value(chain_a, mt.payoff) == 0
 
 
 def test_availability_ignores_transient_payoff():
@@ -97,7 +101,7 @@ def test_availability_ignores_transient_payoff():
     m = make_mdp([("s", "op", 3), ("t", "op", 1)],
                  [("s", "a", [("t", 1)]), ("t", "a", [("t", 1)])], "s")
     sched = MrScheduler({0: {"a": Fraction(1)}, 1: {"a": Fraction(1)}})
-    assert availability(induce_chain(m, sched, 0), m.payoff) == 1
+    assert long_run_value(induce_chain(m, sched, 0), m.payoff) == 1
 
 
 def test_mp_values_beta_always(fig1):
@@ -107,6 +111,92 @@ def test_mp_values_beta_always(fig1):
     mp = mp_values(chain, weights)
     assert mp[mt.index["error"]] == 0  # long run sits on a zero-weight state
 
+
+
+def _random_chain(rng: random.Random) -> InducedChain:
+    """Transient states 0..t-1 (0 initial, each able to move on to the next),
+    then two or three irreducible blocks, each entered from some transient
+    state, so every state is reachable and every block is a BSCC."""
+    t = rng.randint(1, 4)
+    blocks, start = [], t
+    for _ in range(rng.randint(2, 3)):
+        size = rng.randint(1, 3)
+        blocks.append(list(range(start, start + size)))
+        start += size
+    succ: list[set[int]] = [set() for _ in range(start)]
+    for i in range(t):
+        succ[i].update(rng.sample(range(start), rng.randint(1, 3)))
+        if i + 1 < t:
+            succ[i].add(i + 1)
+    for block in blocks:
+        succ[rng.randrange(t)].add(block[0])
+        for k, s in enumerate(block):  # a cycle through the block, plus extras
+            succ[s].add(block[(k + 1) % len(block)])
+            succ[s].update(rng.sample(block, rng.randint(0, len(block))))
+    rows = []
+    for targets in succ:
+        weights = {j: rng.randint(1, 4) for j in sorted(targets)}
+        total = sum(weights.values())
+        rows.append({j: Fraction(w, total) for j, w in weights.items()})
+    return InducedChain(list(range(start)), rows, {i: i for i in range(start)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_long_run_values_on_random_chains(seed):
+    rng = random.Random(seed)
+    c = _random_chain(rng)
+    comps = bottom_sccs(c.succ_lists())
+    assert len(comps) >= 2 and not any(0 in comp for comp in comps)
+    for comp in comps:
+        pi = stationary_distribution(c, comp)
+        assert sum(pi.values()) == 1
+        for s in comp:  # pi P = pi, exactly
+            assert sum((pi[t] * c.rows[t].get(s, 0) for t in comp), Fraction(0)) == pi[s]
+    f = {s: rng.randint(-3, 3) for s in range(c.n)}
+    g = {s: Fraction(rng.randint(0, 5), rng.randint(1, 3)) for s in range(c.n)}
+    assert long_run_values(c, [f.get, g.get]) == [long_run_value(c, f.get),
+                                                  long_run_value(c, g.get)]
+    assert long_run_value(c, lambda s: 1) == 1
+    # Independent check of the reach probabilities: started from each state,
+    # the long-run time share of a BSCC is harmonic on the transient states.
+    owner = {s: k for k, comp in enumerate(comps) for s in comp}
+    transient = [s for s in range(c.n) if s not in owner]
+    shares = {s: long_run_values(_rerooted(c, s), [lambda t, k=k: owner.get(t) == k
+                                                   for k in range(len(comps))])
+              for s in transient}
+    shares.update({s: [Fraction(owner[s] == k) for k in range(len(comps))] for s in owner})
+    for s in transient:
+        for k in range(len(comps)):
+            assert shares[s][k] == sum((p * shares[t][k] for t, p in c.rows[s].items()),
+                                       Fraction(0))
+
+
+def _rerooted(c: InducedChain, s: int) -> InducedChain:
+    """The same chain with local state s swapped into the initial position."""
+    order = list(range(c.n))
+    order[0], order[s] = s, 0
+    rows = [{order[t]: p for t, p in c.rows[old].items()} for old in order]
+    return InducedChain([c.states[old] for old in order], rows,
+                        {c.states[old]: new for new, old in enumerate(order)})
+
+
+def test_verify_chain_golden():
+    # The chain family at k = 2, L = 3, R = 4 under gamble 3/4, safe 1/4;
+    # values recorded from the dense-elimination implementation.
+    mt = transform(chain_model(2, 3), 4)
+    choices = {}
+    for i in range(mt.n):
+        acts = mt.enabled(i)
+        choices[i] = ({"gamble": Fraction(3, 4), "safe": Fraction(1, 4)}
+                      if acts == ["gamble", "safe"] else {acts[0]: Fraction(1)})
+    report = verify_resilient(mt, MrScheduler(choices), Fraction(4, 5))
+    assert report.availability == Fraction(78, 229)
+    assert sorted(mt.ids[e] for e in report.per_error) == ["e_1", "e_2"]
+    for e, check in report.per_error.items():
+        assert check.res_probability == Fraction(3583, 4096)
+        assert report.mp[e] == Fraction(38275, 5627904)
+    assert report.ok
 
 def test_verify_beta_always_fails_at_four_fifths(fig1):
     mt = transform(fig1, 2)

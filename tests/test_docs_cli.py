@@ -1,12 +1,18 @@
+import copy
+import functools
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from resilient_mdp import cli, docs, make_mdp, synthesize, transform
 from resilient_mdp.docs import DocumentError
+from resilient_mdp.synth import VerificationFailedError
 
 from conftest import fig1_model, random_model
 
@@ -203,6 +209,27 @@ def test_cli_simulate_deterministic(fig1_path, tmp_path, capsys):
     assert other != runs[0]
 
 
+@pytest.mark.parametrize("flags", [["--steps", "-5"], ["--trials", "-2"], ["--steps", "0"],
+                                   ["--trials", "0"]])
+def test_cli_simulate_rejects_nonpositive_counts(fig1_path, tmp_path, capsys, flags):
+    sched = tmp_path / "sched.json"
+    _run(["synthesize", fig1_path, "--threshold", "4/5", "--cost-bound", "2",
+          "--out", str(sched)], capsys)
+    code, out, err = _run(["simulate", fig1_path, str(sched)] + flags, capsys)
+    assert code == 3 and out == ""
+    assert "usage error" in err
+
+
+def test_cli_synthesize_verification_failure(fig1_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise VerificationFailedError("availability mismatch")
+
+    monkeypatch.setattr(cli, "synthesize", failing)
+    code, _, err = _run(["synthesize", fig1_path, "--threshold", "4/5",
+                         "--cost-bound", "2"], capsys)
+    assert code == 1
+    assert err == "verification failed: availability mismatch\n"
+
 def test_cli_byte_identical_outputs(fig1_path, tmp_path, capsys):
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     texts = []
@@ -268,3 +295,86 @@ def test_synthesized_document_golden_hash(tmp_path, capsys, model, threshold,
                      "--cost-bound", bound, "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@functools.cache
+def _fig1_documents() -> tuple[dict, dict]:
+    """The fig1 model document and its synthesized scheduler document (4/5, R = 2)."""
+    result = synthesize(fig1_model(), Fraction(4, 5), 2)
+    return (docs.model_to_data(fig1_model()),
+            json.loads(docs.serialize_scheduler(result.scheduler, Fraction(4, 5),
+                                                result.availability)))
+
+
+def _verify_documents(directory, model: dict, scheduler: dict, command: str) -> int:
+    model_path, sched_path = directory / "model.json", directory / "sched.json"
+    model_path.write_text(json.dumps(model), encoding="utf-8")
+    sched_path.write_text(json.dumps(scheduler), encoding="utf-8")
+    argv = [command, str(model_path)] + ([str(sched_path)] if command == "verify" else [])
+    return cli.main(argv, out=io.StringIO())
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m, s: s["transient"][0].pop("state"), "missing key 'state'"),
+    (lambda m, s: s.update(transient=7), "'transient' in scheduler document must be a list"),
+    (lambda m, s: s.update(components=7), "'components' in scheduler document must be a list"),
+    (lambda m, s: m.update(states=7), "'states' in model document must be a list"),
+    (lambda m, s: m["transitions"][0].update(to=7), "'to' in transition entry must be a list"),
+], ids=["rule-without-state", "transient-not-list", "components-not-list",
+        "states-not-list", "to-not-list"])
+def test_cli_malformed_documents_are_parse_errors(tmp_path, capsys, edit, message):
+    model, scheduler = copy.deepcopy(_fig1_documents())
+    edit(model, scheduler)
+    assert _verify_documents(tmp_path, model, scheduler, "verify") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and message in err
+
+
+def test_cli_ignores_scheduler_memory_block(tmp_path):
+    model, scheduler = copy.deepcopy(_fig1_documents())
+    scheduler["memory"] = 7  # the finite-memory rendering is output only
+    assert _verify_documents(tmp_path, model, scheduler, "verify") == 0
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into a JSON value, the root excluded."""
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+OTHER_JSON = [None, True, 0, 7, -1, 1.5, "", "x", "1/2", [], {}, [{}], {"state": "x"}]
+
+
+@st.composite
+def _mutated(draw, document: dict) -> dict:
+    """``document`` with one key or list item deleted, or one value replaced
+    by a value of some JSON type, at a random path."""
+    out = copy.deepcopy(document)
+    path = draw(st.sampled_from(list(_paths(out))))
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], out)
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(OTHER_JSON))
+    return out
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(["validate", "verify"]))
+def test_fuzz_model_documents_exit_with_contract_codes(tmp_path, data, command):
+    model, scheduler = _fig1_documents()
+    model = data.draw(_mutated(model))
+    assert _verify_documents(tmp_path, model, scheduler, command) in (0, 1, 2, 3)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_scheduler_documents_exit_with_contract_codes(tmp_path, data):
+    model, scheduler = _fig1_documents()
+    scheduler = data.draw(_mutated(scheduler))
+    assert _verify_documents(tmp_path, model, scheduler, "verify") in (0, 1, 2, 3)

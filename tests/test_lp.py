@@ -124,7 +124,8 @@ def _vertex_enumeration_optimum(prog):
         rows = [planes[i][0] for i in combo]
         rhs = [planes[i][1] for i in combo]
         try:
-            point = solve_linear_system([list(r) for r in rows], list(rhs))
+            point = [v for (v,) in solve_linear_system(
+                [dict(enumerate(r)) for r in rows], [[b] for b in rhs], n)]
         except SingularSystemError:
             continue
         assignment = dict(zip(names, point))
@@ -210,23 +211,23 @@ def test_lexicographic_raises_when_primary_value_moves(monkeypatch):
 
 def test_linear_system_golden():
     sol = solve_linear_system(
-        [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]],
-        [Fraction(5), Fraction(10)])
-    assert sol == [Fraction(1), Fraction(3)]
+        [{0: Fraction(2), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}],
+        [[Fraction(5)], [Fraction(10)]], 2)
+    assert sol == [[Fraction(1)], [Fraction(3)]]
 
 
 def test_linear_system_overdetermined_consistent():
     sol = solve_linear_system(
-        [[Fraction(1)], [Fraction(2)]], [Fraction(3), Fraction(6)])
-    assert sol == [Fraction(3)]
+        [{0: Fraction(1)}, {0: Fraction(2)}], [[Fraction(3)], [Fraction(6)]], 1)
+    assert sol == [[Fraction(3)]]
 
 
 def test_linear_system_singular():
     with pytest.raises(SingularSystemError):
-        solve_linear_system([[Fraction(1), Fraction(1)]], [Fraction(0)])
+        solve_linear_system([{0: Fraction(1), 1: Fraction(1)}], [[Fraction(0)]], 2)
     with pytest.raises(SingularSystemError):
-        solve_linear_system([[Fraction(1)], [Fraction(1)]],
-                            [Fraction(1), Fraction(2)])
+        solve_linear_system([{0: Fraction(1)}, {0: Fraction(1)}],
+                            [[Fraction(1)], [Fraction(2)]], 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -234,11 +235,26 @@ def test_linear_system_singular():
 def test_linear_system_random_roundtrip(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 5)
-    x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+    xs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
+          for _ in range(n)]
     rows = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-    rhs = [sum((rows[i][j] * x[j] for j in range(n)), Fraction(0)) for i in range(n)]
+    rhs = [[sum((rows[i][j] * xs[j][k] for j in range(n)), Fraction(0)) for k in range(2)]
+           for i in range(n)]
     try:
-        sol = solve_linear_system([list(r) for r in rows], list(rhs))
+        sol = solve_linear_system([dict(enumerate(r)) for r in rows], rhs, n)
     except SingularSystemError:
-        return  # randomly singular matrix; nothing to check
-    assert sol == x
+        assert _determinant(rows) == 0  # only a singular matrix may be refused
+        return
+    assert sol == xs
+
+
+def _determinant(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
