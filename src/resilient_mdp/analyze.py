@@ -13,13 +13,14 @@ search double as independent cross-checks for the LP pipeline.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import bottom_sccs, reachable_from
 from .linsolve import solve_linear_system
-from .model import ERROR
+from .model import ERROR, OPERATIONAL
 from .sched import MrScheduler
 from .transform import TransformedMdp
 
@@ -361,47 +362,99 @@ def simulate(m, policy, steps: int, trials: int, seed: int,
     Trial i draws from a stream derived from (seed, i), so results do not
     depend on execution order. ``policy`` must provide ``initial_memory``,
     ``decide(state, memory) -> {action: prob}`` and
-    ``update(state, memory, action, next_state) -> memory``.
+    ``update(state, memory, action, next_state) -> memory``. Both must be pure
+    functions of their arguments: within one call each decision, transition
+    and memory update is computed once, as a draw table or successor, and
+    reused. A step does only integer work; the mean payoff is formed once,
+    from the visit counts.
     """
-    total_payoff = Fraction(0)
-    episodes = 0
-    within = 0
+    visits = [0] * m.n
+    episodes = within = 0
     traces: list[list[str]] | None = [] if keep_traces else None
+    nodes: dict = {}
+    transitions: dict = {}
+
+    def node(s: int, mem) -> _Node:
+        found = nodes.get((s, mem))
+        if found is None:
+            found = nodes[s, mem] = _Node(s, mem)
+        return found
+
     for trial in range(trials):
-        rng = random.Random(f"{seed}:{trial}")
-        s = m.initial
-        mem = policy.initial_memory
+        draw = random.Random(f"{seed}:{trial}").getrandbits
+        at = node(m.initial, policy.initial_memory)
         episode_cost = None
-        trace = [m.ids[s]] if keep_traces else None
+        trace = [m.ids[at.state]] if keep_traces else None
         for _ in range(steps):
-            total_payoff += m.payoff(s)
-            if m.kinds[s] == ERROR and episode_cost is None:
-                episode_cost = 0
-            if episode_cost is not None:
+            s = at.state
+            visits[s] += 1
+            if episode_cost is None:
+                if m.kinds[s] == ERROR:
+                    episode_cost = m.cost(s)
+            else:
                 episode_cost += m.cost(s)
-                if m.kinds[s] == "op":
+                if m.kinds[s] == OPERATIONAL:
                     episodes += 1
                     if episode_cost <= cost_bound:
                         within += 1
                     episode_cost = None
-            act = _sample(rng, policy.decide(s, mem))
-            nxt = _sample(rng, {t: p for t, p in m.actions[s][act]})
-            mem = policy.update(s, mem, act, nxt)
+            if at.bounds is None:
+                at.actions, at.bounds = _draw_table(policy.decide(s, at.memory).items())
+                at.moves = [None] * len(at.actions)
+            i = bisect_right(at.bounds, draw(64))
+            act = at.actions[i]
+            move = at.moves[i]
+            if move is None:
+                table = transitions.get((s, act))
+                if table is None:
+                    table = transitions[s, act] = _draw_table(m.actions[s][act])
+                move = at.moves[i] = (*table, [None] * len(table[0]))
+            targets, bounds, successors = move
+            j = bisect_right(bounds, draw(64))
+            nxt = successors[j]
+            if nxt is None:
+                t = targets[j]
+                nxt = successors[j] = node(t, policy.update(s, at.memory, act, t))
             if keep_traces:
-                trace.extend([act, m.ids[nxt]])
-            s = nxt
+                trace.extend([act, m.ids[nxt.state]])
+            at = nxt
         if keep_traces:
             traces.append(trace)
-    mean = total_payoff / (trials * steps) if trials and steps else None
+    total_payoff = sum(visits[s] * m.payoff(s) for s in range(m.n))
+    mean = Fraction(total_payoff, trials * steps) if trials and steps else None
     return SimulationStats(trials, steps, mean, episodes, within, traces)
 
 
-def _sample(rng: random.Random, dist: dict):
-    u = Fraction(rng.getrandbits(64), 2 ** 64)
+class _Node:
+    """A (state, memory) pair reached by ``simulate``. Its decision table and
+    per-action successors are filled on first use, so a pair that only the
+    last step reaches is never decided."""
+
+    __slots__ = ("state", "memory", "actions", "bounds", "moves")
+
+    def __init__(self, state: int, memory):
+        self.state = state
+        self.memory = memory
+        self.bounds = None
+
+
+def _draw_table(pairs) -> tuple[list, list[int]]:
+    """Keys in ``str`` order with the integer bounds ceil(cumulative · 2**64).
+
+    Probabilities of a repeated key are summed, and must be nonnegative so
+    the bounds never decrease. A 64-bit draw r picks the first key whose
+    bound exceeds r, i.e. the first key whose cumulative probability exceeds
+    r / 2**64, exactly; the last bound is raised to at least 2**64 so that
+    the last key takes every draw past a total below one.
+    """
+    dist: dict = {}
+    for key, p in pairs:
+        dist[key] = dist.get(key, 0) + Fraction(p)
+    keys = sorted(dist, key=str)
+    bounds = []
     acc = Fraction(0)
-    items = sorted(dist.items(), key=lambda kv: str(kv[0]))
-    for key, p in items:
-        acc += Fraction(p)
-        if u < acc:
-            return key
-    return items[-1][0]
+    for key in keys:
+        acc += dist[key]
+        bounds.append(-((-acc.numerator << 64) // acc.denominator))
+    bounds[-1] = max(bounds[-1], 1 << 64)
+    return keys, bounds

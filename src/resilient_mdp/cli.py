@@ -27,6 +27,16 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error as a ``UsageError`` (exit 3) instead of
+    argparse's ``SystemExit(2)``, which would read as "invalid model".
+    Subcommand parsers inherit this class; ``--help`` still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _threshold(text: str) -> Fraction:
     value = docs.parse_fraction(text)
     if not 0 < value <= 1:
@@ -45,7 +55,7 @@ def _cost_bound(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="resilient-mdp",
         description="Synthesis and verification of resilient schedulers "
                     "for MDPs with repair.")
@@ -176,12 +186,11 @@ def cmd_simulate(args, out) -> int:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = {"validate": cmd_validate, "synthesize": cmd_synthesize,
-               "verify": cmd_verify, "simulate": cmd_simulate}[args.command]
+    handlers = {"validate": cmd_validate, "synthesize": cmd_synthesize,
+                "verify": cmd_verify, "simulate": cmd_simulate}
     try:
-        return handler(args, out)
+        args = _build_parser().parse_args(argv)
+        return handlers[args.command](args, out)
     except docs.DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 
 from resilient_mdp import (MrScheduler, brute_force_optimum, induce_chain,
                            make_mdp, simulate, transform, verify_resilient)
-from resilient_mdp.analyze import (InducedChain, SchedulerDomainError, almost_sure_reach,
+from resilient_mdp.analyze import (InducedChain, SchedulerDomainError, SimulationStats,
+                                   almost_sure_reach,
                                    expected_total_reward, long_run_value,
                                    long_run_values, mp_values,
                                    stationary_distribution, until_probability)
+from resilient_mdp.analyze import _draw_table
 from resilient_mdp.components import build_weights
 from resilient_mdp.graph import bottom_sccs
+from resilient_mdp.model import ERROR, OPERATIONAL
+from resilient_mdp.synth import FiniteMemoryScheduler
 
 from conftest import beta_always, random_model
-from test_docs_cli import chain_model
+from test_docs_cli import chain_model, gamble_scheduler
 
 
 def alpha_always(mt):
@@ -185,12 +189,7 @@ def test_verify_chain_golden():
     # The chain family at k = 2, L = 3, R = 4 under gamble 3/4, safe 1/4;
     # values recorded from the dense-elimination implementation.
     mt = transform(chain_model(2, 3), 4)
-    choices = {}
-    for i in range(mt.n):
-        acts = mt.enabled(i)
-        choices[i] = ({"gamble": Fraction(3, 4), "safe": Fraction(1, 4)}
-                      if acts == ["gamble", "safe"] else {acts[0]: Fraction(1)})
-    report = verify_resilient(mt, MrScheduler(choices), Fraction(4, 5))
+    report = verify_resilient(mt, gamble_scheduler(mt), Fraction(4, 5))
     assert report.availability == Fraction(78, 229)
     assert sorted(mt.ids[e] for e in report.per_error) == ["e_1", "e_2"]
     for e, check in report.per_error.items():
@@ -381,3 +380,106 @@ def test_simulate_counts_repair_budget(fig1):
     stats = simulate(fig1, policy, steps=100, trials=3, seed=0, cost_bound=1)
     assert stats.repair_episodes == 3
     assert stats.budget_fraction == 1
+
+
+def _reference_simulate(m, policy, steps, trials, seed, cost_bound, keep_traces=False):
+    """The step-by-step Fraction simulator that ``simulate`` replaced, kept as
+    the specification of its random stream: one uniform u = r / 2**64 per
+    choice, keys in ``str`` order, the first key whose cumulative probability
+    exceeds u (the last key as fallback)."""
+    def sample(rng, dist):
+        u = Fraction(rng.getrandbits(64), 2 ** 64)
+        acc = Fraction(0)
+        items = sorted(dist.items(), key=lambda kv: str(kv[0]))
+        for key, p in items:
+            acc += Fraction(p)
+            if u < acc:
+                return key
+        return items[-1][0]
+
+    total_payoff = Fraction(0)
+    episodes = within = 0
+    traces = [] if keep_traces else None
+    for trial in range(trials):
+        rng = random.Random(f"{seed}:{trial}")
+        s, mem, episode_cost = m.initial, policy.initial_memory, None
+        trace = [m.ids[s]] if keep_traces else None
+        for _ in range(steps):
+            total_payoff += m.payoff(s)
+            if m.kinds[s] == ERROR and episode_cost is None:
+                episode_cost = 0
+            if episode_cost is not None:
+                episode_cost += m.cost(s)
+                if m.kinds[s] == OPERATIONAL:
+                    episodes += 1
+                    if episode_cost <= cost_bound:
+                        within += 1
+                    episode_cost = None
+            act = sample(rng, policy.decide(s, mem))
+            nxt = sample(rng, {t: p for t, p in m.actions[s][act]})
+            mem = policy.update(s, mem, act, nxt)
+            if keep_traces:
+                trace.extend([act, m.ids[nxt]])
+            s = nxt
+        if keep_traces:
+            traces.append(trace)
+    mean = total_payoff / (trials * steps) if trials and steps else None
+    return SimulationStats(trials, steps, mean, episodes, within, traces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_seed=st.integers(0, 10 ** 6), chain=st.booleans(), bound=st.integers(0, 3),
+       steps=st.integers(1, 60), trials=st.integers(1, 3),
+       seed=st.integers(-5, 10 ** 9), keep_traces=st.booleans())
+def test_simulate_matches_fraction_reference(model_seed, chain, bound, steps, trials, seed,
+                                             keep_traces):
+    # Random valid models (no duplicated targets) under a random finite-memory
+    # scheduler with non-dyadic probabilities: the integer draw tables must
+    # reproduce the Fraction loop exactly, traces included. Chain models have
+    # up to 17 states; listed in random order, their successor indices often
+    # sort differently as strings than as numbers.
+    rng = random.Random(model_seed)
+    m = chain_model(rng.randint(1, 3), rng.randint(1, 4)) if chain else random_model(rng)
+    order = rng.sample(range(m.n), m.n)
+    m = make_mdp([(m.ids[i], m.kinds[i], m.rewards[i]) for i in order],
+                 [(m.ids[i], a, [(m.ids[t], p) for t, p in dist])
+                  for i in range(m.n) for a, dist in m.actions[i].items()],
+                 m.ids[m.initial])
+    mt = transform(m, bound)
+    choices = {}
+    for i in range(mt.n):
+        weights = {a: rng.randint(1, 6) for a in mt.enabled(i)}
+        total = sum(weights.values())
+        choices[i] = {a: Fraction(w, total) for a, w in weights.items()}
+    policy = FiniteMemoryScheduler(mt, MrScheduler(choices))
+    args = (m, policy, steps, trials, seed, bound, keep_traces)
+    assert simulate(*args) == _reference_simulate(*args)
+
+
+def test_simulate_sums_duplicated_targets():
+    # "up" lists itself twice (1/4 + 1/4), so both states are visited half
+    # the time, as the exact analysis says; keeping only the last entry made
+    # the simulated mean about 0.4.
+    m = make_mdp([("up", "op", 1), ("down", "op", 0)],
+                 [("up", "a", [("up", Fraction(1, 4)), ("down", Fraction(1, 2)),
+                               ("up", Fraction(1, 4))]),
+                  ("down", "a", [("up", Fraction(1, 2)), ("down", Fraction(1, 2))])],
+                 "up")
+    mt = transform(m, 1)
+    scheduler = MrScheduler({i: {"a": Fraction(1)} for i in range(mt.n)})
+    assert verify_resilient(mt, scheduler, Fraction(1, 2)).availability == Fraction(1, 2)
+    stats = simulate(m, FiniteMemoryScheduler(mt, scheduler), steps=20000, trials=2,
+                     seed=1, cost_bound=1)
+    assert abs(stats.mean_payoff_per_step - Fraction(1, 2)) < Fraction(1, 20)
+
+
+def test_draw_table_bounds_are_exact():
+    # Targets sort by str ("10" before "2"), the repeated target 2 sums to
+    # 2/3, and the bound ceil(2**64 / 3) splits the draws exactly where
+    # r / 2**64 < 1/3 stops holding.
+    keys, bounds = _draw_table([(2, Fraction(1, 3)), (10, Fraction(1, 3)), (2, Fraction(1, 3))])
+    assert keys == [10, 2]
+    assert bounds == [6148914691236517206, 2 ** 64]
+    assert Fraction(bounds[0] - 1, 2 ** 64) < Fraction(1, 3) <= Fraction(bounds[0], 2 ** 64)
+    # A total below one leaves the excess draws to the last key.
+    assert _draw_table({"x": Fraction(1, 4), "y": Fraction(1, 4)}.items())[1] == [2 ** 62, 2 ** 64]

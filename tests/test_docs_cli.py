@@ -10,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from resilient_mdp import cli, docs, make_mdp, synthesize, transform
+from resilient_mdp import MrScheduler, cli, docs, make_mdp, synthesize, transform
 from resilient_mdp.docs import DocumentError
-from resilient_mdp.synth import VerificationFailedError
+from resilient_mdp.synth import ComposedScheduler, VerificationFailedError
 
 from conftest import fig1_model, random_model
 
@@ -209,6 +209,47 @@ def test_cli_simulate_deterministic(fig1_path, tmp_path, capsys):
     assert other != runs[0]
 
 
+_CHAIN_SIMULATE_GOLDEN = """\
+trials: 2, steps per trial: 2000
+mean payoff per step: 1313/4000 (~0.32825)
+repair episodes: 708, completed within budget: 620 (fraction 0.875706)
+"""
+
+_FIG1_SIMULATE_GOLDEN = """\
+trials: 6, steps per trial: 10
+mean payoff per step: 13/30 (~0.433333)
+repair episodes: 6, completed within budget: 6 (fraction 1)
+trial 0: s_init a error a rep β op2 a op2 a op2 a op2 a op2 a op2 a op2 a op2
+trial 1: s_init a error a rep β rep α op1 a op1 a op1 a op1 a op1 a op1 a op1
+trial 2: s_init a error a rep β op2 a op2 a op2 a op2 a op2 a op2 a op2 a op2
+trial 3: s_init a error a rep β rep α op1 a op1 a op1 a op1 a op1 a op1 a op1
+trial 4: s_init a error a rep β rep β op2 a op2 a op2 a op2 a op2 a op2 a op2
+trial 5: s_init a error a rep β rep β op2 a op2 a op2 a op2 a op2 a op2 a op2
+"""
+
+
+def test_cli_simulate_golden_reports(fig1_path, tmp_path, capsys):
+    # Seed-0 reports recorded from the step-by-step Fraction simulator: the
+    # chain family at k = 2, L = 3, R = 4 under the memoryless gamble 3/4 /
+    # safe 1/4 scheduler, and fig1's synthesized (finite-memory) scheduler
+    # with traces.
+    m = chain_model(2, 3)
+    model = tmp_path / "chain.json"
+    model.write_text(docs.serialize_model(m), encoding="utf-8")
+    mt = transform(m, 4)
+    sched = tmp_path / "chain.sched.json"
+    sched.write_text(docs.serialize_scheduler(ComposedScheduler(mt, gamble_scheduler(mt), []),
+                                              Fraction(4, 5), None), encoding="utf-8")
+    assert _run(["simulate", str(model), str(sched), "--steps", "2000", "--trials", "2",
+                 "--seed", "0"], capsys) == (0, _CHAIN_SIMULATE_GOLDEN, "")
+
+    sched = tmp_path / "fig1.sched.json"
+    _run(["synthesize", fig1_path, "--threshold", "4/5", "--cost-bound", "2",
+          "--out", str(sched)], capsys)
+    assert _run(["simulate", fig1_path, str(sched), "--steps", "10", "--trials", "6",
+                 "--seed", "0", "--traces"], capsys) == (0, _FIG1_SIMULATE_GOLDEN, "")
+
+
 @pytest.mark.parametrize("flags", [["--steps", "-5"], ["--trials", "-2"], ["--steps", "0"],
                                    ["--trials", "0"]])
 def test_cli_simulate_rejects_nonpositive_counts(fig1_path, tmp_path, capsys, flags):
@@ -218,6 +259,28 @@ def test_cli_simulate_rejects_nonpositive_counts(fig1_path, tmp_path, capsys, fl
     code, out, err = _run(["simulate", fig1_path, str(sched)] + flags, capsys)
     assert code == 3 and out == ""
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [["simulate", "{model}", "{sched}", "--steps", "abc"],
+                                  ["verify", "{model}"], []])
+def test_cli_argparse_errors_are_usage_errors(fig1_path, tmp_path, capsys, argv):
+    # A bad option value or a missing argument is a usage error (exit 3),
+    # not argparse's exit 2, which means "invalid model or scheduler".
+    sched = tmp_path / "sched.json"
+    _run(["synthesize", fig1_path, "--threshold", "4/5", "--cost-bound", "2",
+          "--out", str(sched)], capsys)
+    argv = [a.format(model=fig1_path, sched=sched) for a in argv]
+    code, out, err = _run(argv, capsys)
+    assert code == 3 and out == ""
+    assert "usage error: resilient-mdp" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["verify", "-h"]])
+def test_cli_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage: resilient-mdp" in capsys.readouterr().out
 
 
 def test_cli_synthesize_verification_failure(fig1_path, capsys, monkeypatch):
@@ -259,6 +322,16 @@ def chain_model(k, L):
             transitions.append((r, "safe", [(f"r_{i}_{j + 1}" if j < L else "deg", 1)]))
             transitions.append((r, "gamble", [("up", Fraction(1, 2)), (r, Fraction(1, 2))]))
     return make_mdp(states, transitions, "up")
+
+
+def gamble_scheduler(mt):
+    """Memoryless: gamble 3/4, safe 1/4 at every repair copy, else the only action."""
+    choices = {}
+    for i in range(mt.n):
+        acts = mt.enabled(i)
+        choices[i] = ({"gamble": Fraction(3, 4), "safe": Fraction(1, 4)}
+                      if acts == ["gamble", "safe"] else {acts[0]: Fraction(1)})
+    return MrScheduler(choices)
 
 
 def all_zero_model():
