@@ -2,7 +2,8 @@
 
 Subcommands: validate, synthesize, verify, simulate. Exit codes:
 0 success / resilient, 1 no resilient scheduler or verification failure,
-2 invalid model or scheduler, 3 parse or usage error. Successful runs write
+2 invalid model or scheduler (or a cost bound whose transformed model
+exceeds ``transform.MAX_STATES``), 3 parse or usage error. Successful runs write
 nothing to standard error.
 """
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 from . import analyze, docs
 from .model import validate_repair_assumption, validate_structure
 from .synth import FiniteMemoryScheduler, InvalidModelError, VerificationFailedError, synthesize
-from .transform import transform
+from .transform import TransformTooLargeError, transform
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -199,6 +200,9 @@ def main(argv=None, out=None) -> int:
         return EXIT_PARSE
     except InvalidModelError as exc:
         print(f"invalid model:\n{exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except TransformTooLargeError as exc:
+        print(f"model too large: {exc}; lower the cost bound", file=sys.stderr)
         return EXIT_INVALID
     except VerificationFailedError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

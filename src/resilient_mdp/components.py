@@ -141,6 +141,23 @@ def mec_decomposition(q: SubMdp) -> list[tuple[list[int], dict[int, list[str]]]]
     return mecs
 
 
+def flow_balance(states, enabled, actions, var) -> dict[int, dict[str, Fraction]]:
+    """Outflow minus inflow of each state, over action variables ``var(s, a)``.
+
+    The row of s has +1 per enabled action of s, then -p per transition of
+    probability p into s, in the order of ``states``, ``enabled`` and the
+    distributions. A target outside ``states`` gets a row of its inflow alone.
+    """
+    rows = {s: {var(s, a): Fraction(1) for a in enabled(s)} for s in states}
+    for s in states:
+        for a in enabled(s):
+            v = var(s, a)
+            for t, p in actions[s][a]:
+                row = rows.setdefault(t, {})
+                row[v] = row.get(v, Fraction(0)) - p
+    return rows
+
+
 def _yv(q: SubMdp, s: int, a: str) -> str:
     return f"y[{q.mt.ids[s]}|{a}]"
 
@@ -181,33 +198,17 @@ def build_multi_mp_lp(q: SubMdp, init: int,
 
     lp = LinearProgram(variables=variables, nonneg=set(variables))
 
-    inflow_y: dict[int, dict[str, Fraction]] = {s: {} for s in q.members}
-    inflow_x: dict[int, dict[str, Fraction]] = {s: {} for s in q.members}
-    for s in q.members:
-        for a in q.enabled(s):
-            for t, p in q.mt.actions[s][a]:
-                inflow_y[t][_yv(q, s, a)] = inflow_y[t].get(_yv(q, s, a), Fraction(0)) + p
-                inflow_x[t][_xv(q, s, a)] = inflow_x[t].get(_xv(q, s, a), Fraction(0)) + p
-
+    flow_y = flow_balance(q.members, q.enabled, q.mt.actions, lambda s, a: _yv(q, s, a))
     for s in q.members:  # transient flow: outflow + switch = source + inflow
-        coeffs: dict[str, Fraction] = {}
-        for a in q.enabled(s):
-            coeffs[_yv(q, s, a)] = coeffs.get(_yv(q, s, a), Fraction(0)) + 1
         if s in mec_states:
-            coeffs[_ys(q, s)] = Fraction(1)
-        for var, p in inflow_y[s].items():
-            coeffs[var] = coeffs.get(var, Fraction(0)) - p
-        lp.add(coeffs, EQ, Fraction(1 if s == init else 0))
+            flow_y[s][_ys(q, s)] = Fraction(1)
+        lp.add(flow_y[s], EQ, Fraction(1 if s == init else 0))
 
     lp.add({_ys(q, s): Fraction(1) for s in sorted(mec_states)}, EQ, 1)
 
+    flow_x = flow_balance(q.members, q.enabled, q.mt.actions, lambda s, a: _xv(q, s, a))
     for s in q.members:  # recurrent flow conservation
-        coeffs = {}
-        for a in q.enabled(s):
-            coeffs[_xv(q, s, a)] = coeffs.get(_xv(q, s, a), Fraction(0)) + 1
-        for var, p in inflow_x[s].items():
-            coeffs[var] = coeffs.get(var, Fraction(0)) - p
-        lp.add(coeffs, EQ, 0)
+        lp.add(flow_x[s], EQ, 0)
 
     for members, acts in mecs:  # recurrent mass appears where switching happened
         coeffs = {}
@@ -246,9 +247,6 @@ class ComponentTriple:
     scheduler: MrScheduler
     avail: Fraction
     snapshot: SubMdp
-
-
-ComponentSet = list  # of ComponentTriple
 
 
 def extract_components(q: SubMdp, solution: LpSolution) -> list[ComponentTriple]:

@@ -180,13 +180,9 @@ def scheduler_to_data(composed: ComposedScheduler, threshold: Fraction,
     mr = composed.as_mr()
     rules = []
     for i in range(mt.n):
-        t = mt.triple[i]
-        if t is not None:
-            memory = {"error": m.ids[t[0]], "cost": t[2]}
-        elif mt.pending[i]:
-            memory = "pending"
-        else:
-            memory = None
+        memory = mt.memory(i)
+        if isinstance(memory, tuple):
+            memory = {"error": m.ids[memory[0]], "cost": memory[1]}
         rules.append({"state": m.ids[mt.back[i]], "memory": memory,
                       "choice": _dist_to_data(mr.dist(i))})
     return {
@@ -205,10 +201,8 @@ def scheduler_to_data(composed: ComposedScheduler, threshold: Fraction,
              "availability": str(comp.avail)}
             for comp in composed.components
         ],
-        # Finite-memory rendering on the base model. Memory semantics:
-        # entering error e sets (e, cost(e)); leaving a non-operational state
-        # s adds cost(s); exceeding the cost bound switches to "pending";
-        # entering an operational state clears the memory.
+        # Finite-memory rendering on the base model: one rule per transformed
+        # state, its memory as ``TransformedMdp.memory`` labels it.
         "memory": {"initial": None, "rules": rules},
     }
 

@@ -8,7 +8,8 @@ one extra inequality per error bounding the repair-success frequency from
 below, yields the optimal switch probabilities; its solution is decomposed
 into a memoryless transient scheduler plus the per-component schedulers, and
 rendered as a finite-memory scheduler of the original model whose memory is
-the pair (current error, repair cost so far).
+the current transformed state; on the base model it reads as the pair
+(current error, repair cost so far), "pending" or nothing.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analyze
-from .components import ComponentTriple, compute_E
+from .components import ComponentTriple, compute_E, flow_balance
 from .lp import EQ, GE, INFEASIBLE, OPTIMAL, LinearProgram, LpSolution, solve_lexicographic
-from .model import ERROR, OPERATIONAL, MdpWithRepair, validate_repair_assumption, validate_structure
+from .model import MdpWithRepair, validate_repair_assumption, validate_structure
 from .sched import MrScheduler
 from .transform import TransformedMdp, transform
 
@@ -74,8 +75,7 @@ def build_goal_mdp(mt: TransformedMdp, comps: list[ComponentTriple]) -> GoalMdp:
         goal_k = len(ids)
         ids.append(f"goal[{mt.ids[comp.states[0]]}]")
         switch_states = [s for s in comp.states if mt.is_op(s)]
-        if not switch_states and all(mt.triple[s] is None and not mt.pending[s]
-                                     for s in comp.states):
+        if not switch_states and all(mt.memory(s) is None for s in comp.states):
             # Repair-only component of plain base states: those are entered
             # with no repair underway, so settling there (availability 0) is
             # allowed from any of them. Components of repair copies or
@@ -111,20 +111,11 @@ def build_resiliency_lp(n: GoalMdp, threshold: Fraction) -> LinearProgram:
     variables = [_var(n, s, a) for s in non_goal for a in n.enabled(s)]
     lp = LinearProgram(variables=variables, nonneg=set(variables))
 
-    inflow: dict[int, dict[str, Fraction]] = {s: {} for s in range(n.n)}
+    balance = flow_balance(non_goal, n.enabled, n.actions, lambda s, a: _var(n, s, a))
     for s in non_goal:
-        for a in n.enabled(s):
-            for t, p in n.actions[s][a]:
-                v = _var(n, s, a)
-                inflow[t][v] = inflow[t].get(v, Fraction(0)) + p
-
-    for s in non_goal:
-        coeffs = {_var(n, s, a): Fraction(1) for a in n.enabled(s)}
-        for v, p in inflow[s].items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) - p
-        lp.add(coeffs, EQ, Fraction(1 if s == mt.initial else 0))
-
-    lp.add(dict(inflow[n.goal_index]), GE, 1)
+        lp.add(balance[s], EQ, Fraction(1 if s == mt.initial else 0))
+    # With no usable component nothing flows into goal: the row reads 0 >= 1.
+    lp.add({v: -c for v, c in balance.get(n.goal_index, {}).items()}, GE, 1)
 
     for e in mt.errors():
         coeffs: dict[str, Fraction] = {}
@@ -141,65 +132,31 @@ def build_resiliency_lp(n: GoalMdp, threshold: Fraction) -> LinearProgram:
     return lp
 
 
-PENDING = "pending"
-
-
 class FiniteMemoryScheduler:
     """Finite-memory rendering on the original model.
 
-    Memory is None outside repair phases, (error index, accumulated cost)
-    within budget and the marker "pending" after a budget overrun until the
-    next operational state, mirroring the cost-tracking transformation:
-    decisions are those of the memoryless transformed-MDP scheduler at the
-    corresponding state.
+    The memory is the current transformed state, so the cost-tracking rules
+    stay in the transformation: the update is the successor ``transform``
+    computed, the decision that of the memoryless transformed-MDP scheduler
+    there. ``mt.memory`` reads it as (error, cost so far), "pending" or None.
     """
-
-    initial_memory = None
 
     def __init__(self, mt: TransformedMdp, mr: MrScheduler):
         self.mt = mt
         self.mr = mr
-        self._triple_index = {t: i for i, t in enumerate(mt.triple) if t is not None}
-        self._pending_index = {mt.back[i]: i for i in range(mt.n) if mt.pending[i]}
+        self.initial_memory = mt.initial
 
-    def state_for(self, s: int, mem) -> int:
-        if mem == PENDING:
-            idx = self._pending_index.get(s)
-            if idx is not None:
-                return idx
-        elif mem is not None:
-            idx = self._triple_index.get((mem[0], s, mem[1]))
-            if idx is not None:
-                return idx
-        return self.mt.index[self.mt.base.ids[s]]
+    def decide(self, s: int, mem: int) -> dict[str, Fraction]:
+        return self.mr.dist(mem)
 
-    def decide(self, s: int, mem) -> dict[str, Fraction]:
-        return self.mr.dist(self.state_for(s, mem))
-
-    def update(self, s: int, mem, act: str, nxt: int):
-        m = self.mt.base
-        bound = self.mt.cost_bound
-        if m.kinds[nxt] == ERROR:
-            return (nxt, m.cost(nxt)) if m.cost(nxt) <= bound else PENDING
-        if mem is None:
-            return None
-        if mem == PENDING:
-            return None if m.kinds[nxt] == OPERATIONAL else PENDING
-        if m.kinds[s] == ERROR:
-            return mem
-        if m.kinds[s] == OPERATIONAL:
-            return None
-        r = mem[1] + m.cost(s)
-        if r <= bound:
-            return (mem[0], r)
-        return None if m.kinds[nxt] == OPERATIONAL else PENDING
+    def update(self, s: int, mem: int, act: str, nxt: int) -> int:
+        return self.mt.successor(mem, act, nxt)
 
     def memory_values(self) -> list:
-        """Reachable memory values, derived from the transformed copies."""
-        values: list = sorted({(t[0], t[2]) for t in self._triple_index})
-        if self._pending_index:
-            values.append(PENDING)
-        return values
+        """The distinct memory labels of the transformed states other than
+        None: the (error, cost) pairs in order, then "pending" if reachable."""
+        labels = {self.mt.memory(i) for i in range(self.mt.n)} - {None}
+        return sorted(labels, key=lambda v: (isinstance(v, str), v))
 
 
 @dataclass
@@ -240,36 +197,29 @@ def extract_scheduler(n: GoalMdp, solution: LpSolution,
     for s in range(mt.n):
         if s in in_component:
             continue
-        mass = {a: y[_var(n, s, a)] for a in mt.enabled(s)}
-        total = sum(mass.values(), Fraction(0))
-        if total > 0:
-            if TAU in n.actions[s] and y[_var(n, s, TAU)] != 0:
-                raise VerificationFailedError(
-                    f"switch mass at {mt.ids[s]} outside selected components")
-            choices[s] = {a: v / total for a, v in mass.items()}
-        else:
-            acts = mt.enabled(s)
-            choices[s] = {a: Fraction(1, len(acts)) for a in acts}
+        if TAU in n.actions[s] and y[_var(n, s, TAU)] != 0:
+            raise VerificationFailedError(
+                f"switch mass at {mt.ids[s]} outside selected components")
+        choices[s] = _flow_policy(n, y, s, mt.enabled(s))
     return ComposedScheduler(mt, MrScheduler(choices), selected)
+
+
+def _flow_policy(n: GoalMdp, y: dict[str, Fraction], s: int,
+                 acts: list[str]) -> dict[str, Fraction]:
+    """Flow-proportional over ``acts`` where s has positive flow, uniform otherwise."""
+    mass = {a: y[_var(n, s, a)] for a in acts}
+    total = sum(mass.values(), Fraction(0))
+    if total > 0:
+        return {a: v / total for a, v in mass.items()}
+    return {a: Fraction(1, len(acts)) for a in acts}
 
 
 def goal_mr_scheduler(n: GoalMdp, solution: LpSolution) -> MrScheduler:
     """The goal-MDP scheduler induced by a flow solution (for total-reward
     analysis): flow-proportional where visited, uniform elsewhere."""
-    choices: dict[int, dict[str, Fraction]] = {}
-    y = solution.assignment
-    for s in range(n.n):
-        acts = n.enabled(s)
-        if s == n.goal_index:
-            choices[s] = {TAU: Fraction(1)}
-            continue
-        mass = {a: y[_var(n, s, a)] for a in acts}
-        total = sum(mass.values(), Fraction(0))
-        if total > 0:
-            choices[s] = {a: v / total for a, v in mass.items()}
-        else:
-            choices[s] = {a: Fraction(1, len(acts)) for a in acts}
-    return MrScheduler(choices)
+    return MrScheduler({s: {TAU: Fraction(1)} if s == n.goal_index
+                        else _flow_policy(n, solution.assignment, s, n.enabled(s))
+                        for s in range(n.n)})
 
 
 @dataclass

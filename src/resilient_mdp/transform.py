@@ -10,7 +10,9 @@ therefore only visited with no repair underway. Only the fragment reachable
 from the initial state is materialized.
 
 Repair copies are rendered as "e#s#r" in state ids, pending copies as
-"s#pending".
+"s#pending". These rules live only here: the finite-memory rendering on the
+base model walks ``TransformedMdp.successor``. One copy is made per reachable
+cost value, so the fragment is capped at ``MAX_STATES`` states.
 """
 
 from __future__ import annotations
@@ -20,6 +22,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import ERROR, OPERATIONAL, REPAIR, MdpWithRepair
+
+MAX_STATES = 100_000
+
+
+class TransformTooLargeError(ValueError):
+    """The reachable transformed model has more than ``MAX_STATES`` states."""
 
 
 @dataclass(frozen=True)
@@ -63,9 +71,19 @@ class TransformedMdp:
         return [i for i, t in enumerate(self.triple)
                 if t is not None and t[0] == base_e and self.base.kinds[t[1]] == OPERATIONAL]
 
+    def memory(self, i: int) -> tuple[int, int] | str | None:
+        """Memory label of state i on the base model: (error, cost so far) for
+        a repair copy, "pending" for a pending copy, None for a base state."""
+        t = self.triple[i]
+        if t is not None:
+            return t[0], t[2]
+        return "pending" if self.pending[i] else None
 
-def _triple_id(m: MdpWithRepair, e: int, s: int, r: int) -> str:
-    return f"{m.ids[e]}#{m.ids[s]}#{r}"
+    def successor(self, i: int, act: str, target: int) -> int:
+        """The state entered from i by ``act`` when the base move lands in
+        ``target``; ``transform`` keeps the order of the base distribution."""
+        base = self.base.actions[self.back[i]][act]
+        return {t: j for (t, _), (j, _) in zip(base, self.actions[i][act])}[target]
 
 
 def _pending_successor(m: MdpWithRepair, target: int):
@@ -99,7 +117,8 @@ def _successor_key(m: MdpWithRepair, bound: int, src, target: int):
 
 
 def transform(m: MdpWithRepair, cost_bound: int) -> TransformedMdp:
-    """Build the reachable fragment of the cost-annotated MDP."""
+    """Build the reachable fragment of the cost-annotated MDP, or raise
+    ``TransformTooLargeError`` once it would exceed ``MAX_STATES`` states."""
     if cost_bound < 0:
         raise ValueError("cost bound must be nonnegative")
     keys = [m.initial]
@@ -115,6 +134,10 @@ def transform(m: MdpWithRepair, cost_bound: int) -> TransformedMdp:
             for target, prob in m.actions[base][act]:
                 succ = _successor_key(m, cost_bound, key, target)
                 if succ not in index:
+                    if len(keys) == MAX_STATES:
+                        raise TransformTooLargeError(
+                            f"the transformed model exceeds {MAX_STATES} states "
+                            f"at cost bound {cost_bound}")
                     index[succ] = len(keys)
                     keys.append(succ)
                     queue.append(succ)
@@ -122,31 +145,19 @@ def transform(m: MdpWithRepair, cost_bound: int) -> TransformedMdp:
             acts[act] = dist
         out_actions.append(acts)
 
-    ids, kinds, back, triples, pending = [], [], [], [], []
+    states = []  # (id, kind, base state, triple, pending) per key
     for key in keys:
         if isinstance(key, tuple) and key[0] == "!":
-            s = key[1]
-            ids.append(f"{m.ids[s]}#pending")
-            kinds.append(REPAIR)
-            back.append(s)
-            triples.append(None)
-            pending.append(True)
+            states.append((f"{m.ids[key[1]]}#pending", REPAIR, key[1], None, True))
         elif isinstance(key, tuple):
             e, s, r = key
-            ids.append(_triple_id(m, e, s, r))
-            kinds.append(OPERATIONAL if m.kinds[s] == OPERATIONAL else REPAIR)
-            back.append(s)
-            triples.append(key)
-            pending.append(False)
+            kind = OPERATIONAL if m.kinds[s] == OPERATIONAL else REPAIR
+            states.append((f"{m.ids[e]}#{m.ids[s]}#{r}", kind, s, key, False))
         else:
-            ids.append(m.ids[key])
-            kinds.append(m.kinds[key])
-            back.append(key)
-            triples.append(None)
-            pending.append(False)
-    return TransformedMdp(m, cost_bound, tuple(ids), tuple(kinds),
-                          tuple(out_actions), tuple(back), tuple(triples),
-                          tuple(pending), 0)
+            states.append((m.ids[key], m.kinds[key], key, None, False))
+    ids, kinds, back, triples, pending = zip(*states)
+    return TransformedMdp(m, cost_bound, ids, kinds, tuple(out_actions), back,
+                          triples, pending, 0)
 
 
 @dataclass(frozen=True)
@@ -209,18 +220,11 @@ def lift_path(mt: TransformedMdp, p: PathRecord) -> PathRecord:
     states = p.states()
     if m.index[states[0]] != m.initial:
         raise InvalidPathError("lifted paths must start in the initial state")
-    key = m.initial
-    out = [mt.ids[0]]
-    acts = p.actions()
-    for a, nxt in zip(acts, states[1:]):
-        key = _successor_key(m, mt.cost_bound, key, m.index[nxt])
-        out.append(a)
-        if isinstance(key, tuple) and key[0] == "!":
-            out.append(f"{m.ids[key[1]]}#pending")
-        elif isinstance(key, tuple):
-            out.append(_triple_id(m, *key))
-        else:
-            out.append(m.ids[key])
+    i = mt.initial
+    out = [mt.ids[i]]
+    for a, nxt in zip(p.actions(), states[1:]):
+        i = mt.successor(i, a, m.index[nxt])
+        out += [a, mt.ids[i]]
     lifted = PathRecord(tuple(out))
     _check_path(mt.index, mt.actions, lifted)
     return lifted

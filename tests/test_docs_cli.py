@@ -1,6 +1,7 @@
 import copy
 import functools
 import hashlib
+import importlib
 import io
 import json
 import random
@@ -293,6 +294,17 @@ def test_cli_synthesize_verification_failure(fig1_path, capsys, monkeypatch):
     assert code == 1
     assert err == "verification failed: availability mismatch\n"
 
+
+def test_cli_dump_lp_golden_hash(fig1_path, capsys):
+    # stdout of `synthesize --dump-lp` prints the resiliency program term by
+    # term, so it also pins the order of terms within each row.
+    code, out, _ = _run(["synthesize", fig1_path, "--threshold", "4/5",
+                         "--cost-bound", "2", "--dump-lp"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "df3d8617f72c0d13217417dfa004613bf8629b447507f6626f52417724218ef6")
+
+
 def test_cli_byte_identical_outputs(fig1_path, tmp_path, capsys):
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     texts = []
@@ -401,6 +413,27 @@ def test_cli_malformed_documents_are_parse_errors(tmp_path, capsys, edit, messag
     assert _verify_documents(tmp_path, model, scheduler, "verify") == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and message in err
+
+
+@pytest.mark.parametrize("command", ["synthesize", "verify", "simulate"])
+def test_cli_rejects_oversized_transform(tmp_path, capsys, monkeypatch, command):
+    # fig1 makes one repair copy per cost value, so R = 10**11 would need
+    # about 3 * 10**11 states; with the cap lowered to 50 the guard trips
+    # before anything large is built.
+    monkeypatch.setattr(importlib.import_module("resilient_mdp.transform"), "MAX_STATES", 50)
+    model, scheduler = copy.deepcopy(_fig1_documents())
+    scheduler["costBound"] = 10 ** 11
+    model_path, sched_path = tmp_path / "model.json", tmp_path / "sched.json"
+    model_path.write_text(json.dumps(model), encoding="utf-8")
+    sched_path.write_text(json.dumps(scheduler), encoding="utf-8")
+    argv = {"synthesize": ["synthesize", str(model_path), "--threshold", "4/5",
+                           "--cost-bound", str(10 ** 11)],
+            "verify": ["verify", str(model_path), str(sched_path)],
+            "simulate": ["simulate", str(model_path), str(sched_path)]}[command]
+    code, out, err = _run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == ("model too large: the transformed model exceeds 50 states "
+                   "at cost bound 100000000000; lower the cost bound\n")
 
 
 def test_cli_ignores_scheduler_memory_block(tmp_path):

@@ -1,17 +1,22 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from resilient_mdp import (build_goal_mdp, build_resiliency_lp, compute_E,
-                           make_mdp, synthesize, transform, verify_resilient)
+from resilient_mdp import (MrScheduler, build_goal_mdp, build_resiliency_lp, build_weights,
+                           compute_E, make_mdp, synthesize, transform, verify_resilient)
 from resilient_mdp.analyze import (brute_force_optimum, expected_total_reward,
-                                   induce_chain)
+                                   induce_chain, simulate)
+from resilient_mdp.components import build_multi_mp_lp, full_sub_mdp
 from resilient_mdp.lp import EQ, INFEASIBLE, OPTIMAL, solve
-from resilient_mdp.synth import (TAU, InvalidModelError, extract_scheduler,
-                                 goal_mr_scheduler, solve_lexicographic)
+from resilient_mdp.synth import (TAU, FiniteMemoryScheduler, InvalidModelError,
+                                 extract_scheduler, goal_mr_scheduler, solve_lexicographic)
+from resilient_mdp.transform import lift_path
 
-from conftest import random_model
+from conftest import fig1_model, random_model
+from test_docs_cli import chain_model
+from test_transform import _random_base_path
 
 
 def _pipeline(m, threshold, bound):
@@ -63,6 +68,42 @@ def test_resiliency_lp_goldens(fig1):
     assert solve(lp1).objective_value == Fraction(1, 2)
     _, _, _, lp0 = _pipeline(fig1, Fraction(1, 2), 0)
     assert solve(lp0).status == INFEASIBLE
+
+
+def _lp_digest(lp) -> str:
+    """sha256 of a program up to the order of terms within a row."""
+    rendering = (lp.variables,
+                 [(sorted(c.coeffs.items()), c.relation, c.rhs) for c in lp.constraints],
+                 sorted(lp.objective.items()), lp.direction, sorted(lp.nonneg))
+    return hashlib.sha256(repr(rendering).encode()).hexdigest()
+
+
+# Variable order, row order, coefficients and relations all feed Bland's
+# rule, so every scheduler document depends on them. "fig1-none" is
+# the resiliency program with no usable component, whose goal row has no
+# inflow and must still read 0 >= 1.
+@pytest.mark.parametrize("model, threshold, bound, multi_mp, resiliency", [
+    (fig1_model(), Fraction(4, 5), 2,
+     "a14abbabc2633a0b1f9ca0d607fdda28b98d6a8a6ba7c49466226c1e471be495",
+     "6f83f6ccda4a6915502985af3f909cc5e87866632739a2b178f0cbdfa35e1041"),
+    (chain_model(1, 3), Fraction(4, 5), 3,
+     "f862e5da50fb766a56272d1952e2917f223b9106363e0c4de5c9486fe370f398",
+     "e570f35b8f94ee9302bcacdc3ebd20c7bdc7f891f316b32d5c07c806b5414c1f"),
+    (chain_model(2, 3), Fraction(4, 5), 3,
+     "9f80875522d47bd999639c40ddbf4c6910ab3166f1d555dfeb2a4ad99ffdab04",
+     "b113d396a91f367cf338bb538530766c90906dba6edd6cf92d8c0c6d9ce1e4ae"),
+    (fig1_model(), Fraction(4, 5), 2, None,
+     "b346a8e0c0f6a0360eccab93c8e6b0268a7eb036654b83884538f7509cab7743"),
+], ids=["fig1", "chain-1-3-3", "chain-2-3-3", "fig1-none"])
+def test_lp_golden_hashes(model, threshold, bound, multi_mp, resiliency):
+    mt = transform(model, bound)
+    if multi_mp is None:
+        comps = []
+    else:
+        lp = build_multi_mp_lp(full_sub_mdp(mt), mt.initial, build_weights(mt, threshold))
+        assert _lp_digest(lp) == multi_mp
+        comps = compute_E(mt, threshold)
+    assert _lp_digest(build_resiliency_lp(build_goal_mdp(mt, comps), threshold)) == resiliency
 
 
 def test_flow_conservation_and_goal_inflow(fig1):
@@ -150,6 +191,7 @@ def test_rendered_memory_matches_annotated_walk(fig1):
     result = synthesize(fig1, Fraction(4, 5), 2)
     fm = result.scheduler.render()
     mt = result.scheduler.mt
+    mr = result.scheduler.as_mr()
     m = fig1
     # (error, cost) pairs plus at most the single pending marker.
     assert len(fm.memory_values()) <= sum(
@@ -160,13 +202,68 @@ def test_rendered_memory_matches_annotated_walk(fig1):
         s = mt.back[mt.initial]
         mem = fm.initial_memory
         for _ in range(15):
-            assert fm.state_for(s, mem) == state_t
+            assert mem == state_t
+            assert fm.decide(s, mem) == mr.dist(state_t)
             acts = mt.enabled(state_t)
             a = rng.choice(acts)
             succ_t = rng.choice([t for t, p in mt.actions[state_t][a] if p > 0])
             nxt = mt.back[succ_t]
             mem = fm.update(s, mem, a, nxt)
             s, state_t = nxt, succ_t
+
+
+def test_memory_updates_follow_lifted_paths():
+    # Random models, some starting in an error or repair state, and random
+    # base paths: the memories FiniteMemoryScheduler.update produces are the
+    # states of the lifted path, each a copy of the base state it labels.
+    rng = random.Random(11)
+    for _ in range(150):
+        m = random_model(rng)
+        m = make_mdp([(m.ids[i], m.kinds[i], m.rewards[i]) for i in range(m.n)],
+                     [(m.ids[i], a, [(m.ids[t], p) for t, p in dist])
+                      for i in range(m.n) for a, dist in m.actions[i].items()],
+                     rng.choice(m.ids))
+        mt = transform(m, rng.randint(0, 3))
+        fm = FiniteMemoryScheduler(mt, MrScheduler({}))
+        for _ in range(10):
+            p = _random_base_path(rng, m, 20)
+            mem = fm.initial_memory
+            memories = [mem]
+            for s, a, nxt in zip(p.steps[0::2], p.steps[1::2], p.steps[2::2]):
+                mem = fm.update(m.index[s], mem, a, m.index[nxt])
+                memories.append(mem)
+            assert [mt.ids[i] for i in memories] == lift_path(mt, p).states()
+            assert [m.ids[mt.back[i]] for i in memories] == p.states()
+
+
+def test_rendered_scheduler_runs_from_an_initial_error():
+    # The run starts inside a repair, so after e the memory is the repair
+    # copy e#r#0, not the plain state r, which is unreachable and has no
+    # decision in the synthesized scheduler.
+    m = make_mdp([("e", "err", 0), ("r", "rep", 1), ("up", "op", 1), ("down", "op", 0)],
+                 [("e", "a", [("r", 1)]), ("r", "safe", [("down", 1)]),
+                  ("r", "gamble", [("up", Fraction(1, 2)), ("r", Fraction(1, 2))]),
+                  ("up", "a", [("up", 1)]), ("down", "a", [("down", 1)])],
+                 "e")
+    result = synthesize(m, Fraction(1, 2), 1)
+    assert result.availability == 1
+    stats = simulate(m, result.scheduler.render(), steps=50, trials=4, seed=0, cost_bound=1)
+    assert stats.repair_episodes == 4
+
+
+def test_zero_cost_repairs_synthesize_at_any_budget():
+    # With free repairs every copy has cost 0, so the transformed model stays
+    # at its R = 0 size and a budget far past the state cap is no problem.
+    m = make_mdp([("s_init", "op", 0), ("error", "err", 0), ("rep", "rep", 0),
+                  ("op1", "op", 0), ("op2", "op", 1)],
+                 [("s_init", "a", [("error", 1)]), ("error", "a", [("rep", 1)]),
+                  ("rep", "α", [("op1", 1)]),
+                  ("rep", "β", [("rep", Fraction(1, 2)), ("op2", Fraction(1, 2))]),
+                  ("op1", "a", [("op1", 1)]), ("op2", "a", [("op2", 1)])],
+                 "s_init")
+    result = synthesize(m, Fraction(4, 5), 10 ** 11)
+    assert result.feasible and result.availability == 1
+    assert result.scheduler.mt.n == transform(m, 0).n
 
 
 def test_parking_in_clean_repair_component_is_feasible():
