@@ -58,14 +58,14 @@ def induce_chain(host, scheduler: MrScheduler, init: int) -> InducedChain:
     while queue:
         s = queue.popleft()
         if s not in scheduler.choices:
-            raise SchedulerDomainError(f"scheduler undefined on reachable state {s}")
+            raise SchedulerDomainError(f"scheduler undefined on reachable state {host.ids[s]}")
         row: dict[int, Fraction] = {}
         for act, prob_a in sorted(scheduler.dist(s).items()):
             if prob_a == 0:
                 continue
             dist = host.actions[s].get(act)
             if dist is None:
-                raise SchedulerDomainError(f"action {act!r} not enabled in state {s}")
+                raise SchedulerDomainError(f"action {act!r} not enabled in state {host.ids[s]}")
             for t, p in dist:
                 if t not in index:
                     index[t] = len(states)
@@ -407,6 +407,9 @@ def simulate(m, policy, steps: int, trials: int, seed: int,
             if move is None:
                 table = transitions.get((s, act))
                 if table is None:
+                    if act not in m.actions[s]:
+                        raise SchedulerDomainError(
+                            f"action {act!r} not enabled in state {m.ids[s]}")
                     table = transitions[s, act] = _draw_table(m.actions[s][act])
                 move = at.moves[i] = (*table, [None] * len(table[0]))
             targets, bounds, successors = move

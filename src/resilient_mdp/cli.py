@@ -175,9 +175,6 @@ def cmd_simulate(args, out) -> int:
     except analyze.SchedulerDomainError as exc:
         print(f"invalid scheduler: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except KeyError as exc:
-        print(f"invalid scheduler: no decision for state {exc}", file=sys.stderr)
-        return EXIT_INVALID
     print(stats.render(), file=out)
     if args.traces and stats.traces:
         for k, trace in enumerate(stats.traces):

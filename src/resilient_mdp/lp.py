@@ -10,6 +10,17 @@ is no factorization. The payoff is that feasibility and optimality are
 exact, which the boundary cases of the resiliency constraints require (e.g.
 a threshold met with equality).
 
+Phase 1 adds one artificial column per row. Once they are driven out of the
+basis and the redundant rows deleted, phase 2 could never enter them again,
+so every row is cut down to the structural and slack columns and the
+right-hand side before phase 2 starts; the pivots are the same.
+
+A secondary objective is optimized in the same tableau (the lexicographic
+rule of Dantzig, Orden and Wolfe, 1955): at the primary optimum, the columns
+with a nonzero primary reduced cost are barred, which leaves exactly the
+optimal face, and Bland's rule continues on the secondary reduced costs over
+the other columns. The primary value cannot move; that is checked.
+
 Every returned optimal assignment is re-checked against all constraints
 before being handed back.
 """
@@ -70,9 +81,15 @@ class LpSolution:
     objective_value: Fraction | None = None
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Exact optimum of ``lp`` via two-phase simplex with Bland's rule."""
-    _check_well_formed(lp)
+def solve(lp: LinearProgram, secondary: dict[str, Fraction] | None = None,
+          secondary_direction: str = "min") -> LpSolution:
+    """Exact optimum of ``lp`` via two-phase simplex with Bland's rule.
+
+    With ``secondary``, the optimum returned is one that also optimizes
+    ``secondary`` in ``secondary_direction`` among all primary optima; the
+    objective value reported is still the primary one.
+    """
+    _check_well_formed(lp, secondary, secondary_direction)
 
     # Column layout: one column per nonnegative variable, two (x+ , x-) per
     # free variable, then one slack/surplus column per inequality.
@@ -104,15 +121,19 @@ def solve(lp: LinearProgram) -> LpSolution:
         rows.append(row)
         rhs.append(b)
 
-    sign = 1 if lp.direction == "max" else -1
-    cost = [Fraction(0)] * ncols
-    for v, q in lp.objective.items():
-        base = base_of[v]
-        cost[base] += sign * Fraction(q)
-        if v not in lp.nonneg:
-            cost[base + 1] -= sign * Fraction(q)
+    def cost_row(objective, direction):
+        sign = 1 if direction == "max" else -1
+        cost = [Fraction(0)] * ncols
+        for v, q in objective.items():
+            base = base_of[v]
+            cost[base] += sign * Fraction(q)
+            if v not in lp.nonneg:
+                cost[base + 1] -= sign * Fraction(q)
+        return cost
 
-    status, values = _two_phase(rows, rhs, cost, ncols)
+    status, values = _two_phase(
+        rows, rhs, cost_row(lp.objective, lp.direction), ncols,
+        None if secondary is None else cost_row(secondary, secondary_direction))
     if status != OPTIMAL:
         return LpSolution(status)
 
@@ -132,35 +153,26 @@ def solve(lp: LinearProgram) -> LpSolution:
 
 def solve_lexicographic(lp: LinearProgram, secondary: dict[str, Fraction],
                         secondary_direction: str = "min") -> LpSolution:
-    """Optimize ``secondary`` subject to the primary objective held at its optimum."""
-    first = solve(lp)
-    if first.status != OPTIMAL:
-        return first
-    refined = LinearProgram(
-        variables=list(lp.variables),
-        constraints=list(lp.constraints),
-        objective=dict(secondary),
-        direction=secondary_direction,
-        nonneg=set(lp.nonneg),
-    )
-    refined.add(dict(lp.objective), EQ, first.objective_value)
-    second = solve(refined)
-    if second.status != OPTIMAL:
-        raise MalformedProgramError("lexicographic phase lost feasibility")
-    primary_val = sum((Fraction(q) * second.assignment[v]
-                       for v, q in lp.objective.items()), Fraction(0))
-    if primary_val != first.objective_value:
-        raise MalformedProgramError("lexicographic phase moved the primary optimum")
-    return LpSolution(OPTIMAL, second.assignment, primary_val)
+    """Optimize ``secondary`` subject to the primary objective held at its optimum.
+
+    One simplex run: ``solve`` reaches the primary optimum, then continues in
+    the same tableau on the columns whose primary reduced cost is zero, so
+    no second program is built and phase 1 is not repeated. The status and
+    ``objective_value`` are the primary ones. A secondary objective that is
+    unbounded over the primary optima, or a secondary phase that moves the
+    primary value, raises ``MalformedProgramError``.
+    """
+    return solve(lp, secondary, secondary_direction)
 
 
-def _check_well_formed(lp: LinearProgram) -> None:
+def _check_well_formed(lp: LinearProgram, secondary, secondary_direction) -> None:
     declared = set(lp.variables)
     if len(declared) != len(lp.variables):
         raise MalformedProgramError("duplicate variable ids")
-    if lp.direction not in ("max", "min"):
-        raise MalformedProgramError(f"bad direction {lp.direction!r}")
-    for v in lp.objective:
+    for direction in (lp.direction, secondary_direction):
+        if direction not in ("max", "min"):
+            raise MalformedProgramError(f"bad direction {direction!r}")
+    for v in [*lp.objective, *(secondary or ())]:
         if v not in declared:
             raise MalformedProgramError(f"objective references unknown variable {v!r}")
     for c in lp.constraints:
@@ -186,8 +198,9 @@ def _verify(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
             raise AssertionError(f"nonnegativity violated for {v}")
 
 
-def _two_phase(rows, rhs, cost, ncols):
-    """Maximize cost.x over rows.x == rhs (rhs >= 0), x >= 0."""
+def _two_phase(rows, rhs, cost, ncols, secondary=None):
+    """Maximize cost.x over rows.x == rhs (rhs >= 0), x >= 0, then, if given,
+    secondary.x over the optimal face."""
     m = len(rows)
     # Phase 1: artificial variable per row, minimize their sum.
     tab = [list(rows[i]) + [Fraction(0)] * m + [rhs[i]] for i in range(m)]
@@ -198,7 +211,7 @@ def _two_phase(rows, rhs, cost, ncols):
     width = ncols + m
 
     zrow = _reduced_costs(tab, basis, phase1_cost)
-    if _optimize(tab, basis, zrow, width, allowed=width) == UNBOUNDED:
+    if _optimize(tab, basis, zrow, width, range(width)) == UNBOUNDED:
         raise AssertionError("phase 1 cannot be unbounded")
     total = sum((tab[i][width] for i in range(m) if basis[i] >= ncols), Fraction(0))
     if total != 0:
@@ -216,19 +229,32 @@ def _two_phase(rows, rhs, cost, ncols):
     for i in sorted(drop_rows, reverse=True):
         del tab[i]
         del basis[i]
-    m = len(tab)
 
-    # Phase 2 on structural + slack columns only.
-    phase2_cost = list(cost) + [Fraction(0)] * (width - ncols)
-    zrow = _reduced_costs(tab, basis, phase2_cost)
-    status = _optimize(tab, basis, zrow, width, allowed=ncols)
-    if status == UNBOUNDED:
+    # Phase 2 on structural + slack columns only. No artificial is basic and
+    # none may enter, so their entries are never read again: cut them off,
+    # leaving the right-hand side at column ncols.
+    tab = [row[:ncols] + [row[width]] for row in tab]
+    zrow = _reduced_costs(tab, basis, cost)
+    if _optimize(tab, basis, zrow, ncols, range(ncols)) == UNBOUNDED:
         return UNBOUNDED, None
+    if secondary is not None:
+        # Columns with a nonzero (hence positive) primary reduced cost would
+        # lower the primary value; barring them leaves the optimal face.
+        face = [j for j in range(ncols) if zrow[j] == 0]
+        value = _basic_value(tab, basis, cost)
+        zrow = _reduced_costs(tab, basis, secondary)
+        if _optimize(tab, basis, zrow, ncols, face) == UNBOUNDED:
+            raise MalformedProgramError("secondary objective unbounded on the primary optima")
+        if _basic_value(tab, basis, cost) != value:
+            raise MalformedProgramError("lexicographic phase moved the primary optimum")
     values = [Fraction(0)] * ncols
     for i, b in enumerate(basis):
-        if b < ncols:
-            values[b] = tab[i][width]
+        values[b] = tab[i][ncols]
     return OPTIMAL, values
+
+
+def _basic_value(tab, basis, cost):
+    return sum((cost[b] * row[-1] for b, row in zip(basis, tab)), Fraction(0))
 
 
 def _reduced_costs(tab, basis, cost):
@@ -243,10 +269,12 @@ def _reduced_costs(tab, basis, cost):
 
 
 def _optimize(tab, basis, zrow, width, allowed):
-    """Primal simplex iterations with Bland's rule; columns >= ``allowed`` are barred."""
+    """Primal simplex iterations with Bland's rule over the increasing
+    columns ``allowed``; the others are barred. Column ``width`` is the
+    right-hand side."""
     m = len(tab)
     while True:
-        enter = next((j for j in range(allowed) if zrow[j] < 0), None)
+        enter = next((j for j in allowed if zrow[j] < 0), None)
         if enter is None:
             return OPTIMAL
         leave, best_ratio = None, None

@@ -147,6 +147,8 @@ class FiniteMemoryScheduler:
         self.initial_memory = mt.initial
 
     def decide(self, s: int, mem: int) -> dict[str, Fraction]:
+        if mem not in self.mr.choices:
+            raise analyze.SchedulerDomainError(f"no decision for state {self.mt.ids[mem]}")
         return self.mr.dist(mem)
 
     def update(self, s: int, mem: int, act: str, nxt: int) -> int:
@@ -182,8 +184,7 @@ class ComposedScheduler:
         return FiniteMemoryScheduler(self.mt, self.as_mr())
 
 
-def extract_scheduler(n: GoalMdp, solution: LpSolution,
-                      threshold: Fraction) -> ComposedScheduler:
+def extract_scheduler(n: GoalMdp, solution: LpSolution) -> ComposedScheduler:
     """Decompose an optimal flow into transient and component parts."""
     if solution.status != OPTIMAL:
         raise ValueError("need an optimal solution")
@@ -262,7 +263,7 @@ def synthesize(m: MdpWithRepair, threshold: Fraction, cost_bound: int) -> Synthe
     if solution.status != OPTIMAL:
         raise VerificationFailedError(f"unexpected LP status {solution.status}")
 
-    scheduler = extract_scheduler(n, solution, threshold)
+    scheduler = extract_scheduler(n, solution)
     report = analyze.verify_resilient(mt, scheduler.as_mr(), threshold)
     if not report.ok:
         raise VerificationFailedError("synthesized scheduler failed verification:\n"

@@ -395,8 +395,32 @@ def _verify_documents(directory, model: dict, scheduler: dict, command: str) -> 
     model_path, sched_path = directory / "model.json", directory / "sched.json"
     model_path.write_text(json.dumps(model), encoding="utf-8")
     sched_path.write_text(json.dumps(scheduler), encoding="utf-8")
-    argv = [command, str(model_path)] + ([str(sched_path)] if command == "verify" else [])
+    argv = [command, str(model_path)] + ([str(sched_path)] if command != "validate" else [])
     return cli.main(argv, out=io.StringIO())
+
+
+def _without_rep0_rule(scheduler):
+    scheduler["transient"] = [rule for rule in scheduler["transient"]
+                              if rule["state"] != "error#rep#0"]
+
+
+def _bogus_action_at_error(scheduler):
+    rule = next(r for r in scheduler["transient"] if r["state"] == "error")
+    rule["choice"] = {"bogus": "1"}
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("verify", _without_rep0_rule,
+     "scheduler undefined on reachable state error#rep#0"),
+    ("simulate", _without_rep0_rule, "no decision for state error#rep#0"),
+    ("verify", _bogus_action_at_error, "action 'bogus' not enabled in state error"),
+    ("simulate", _bogus_action_at_error, "action 'bogus' not enabled in state error"),
+], ids=["verify-missing", "simulate-missing", "verify-not-enabled", "simulate-not-enabled"])
+def test_cli_bad_decision_names_the_state(tmp_path, capsys, command, edit, message):
+    model, scheduler = copy.deepcopy(_fig1_documents())
+    edit(scheduler)
+    assert _verify_documents(tmp_path, model, scheduler, command) == 2
+    assert capsys.readouterr().err == f"invalid scheduler: {message}\n"
 
 
 @pytest.mark.parametrize("edit, message", [

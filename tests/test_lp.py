@@ -194,19 +194,61 @@ def test_pinning_by_rows_equals_dropping_columns(data):
 
 
 def test_lexicographic_raises_when_primary_value_moves(monkeypatch):
-    real_solve = lp_module.solve
+    # max x s.t. x <= 2, then min x: only the slack column, barred because its
+    # primary reduced cost is 1, could lower x. A simplex that ignores the bar
+    # takes it, moves the primary value to 0, and must be caught.
+    real_optimize = lp_module._optimize
 
-    def drifting_solve(prog):
-        sol = real_solve(prog)
-        if prog.objective == {"y": 1}:  # the secondary phase
-            sol.assignment = {"x": Fraction(0), "y": Fraction(0)}
-        return sol
+    def unbarred(tab, basis, zrow, width, allowed):
+        return real_optimize(tab, basis, zrow, width, range(width))
 
-    monkeypatch.setattr(lp_module, "solve", drifting_solve)
-    p = lp(["x", "y"], {"x": 1, "y": 1})
-    p.add({"x": 1, "y": 1}, LE, 2)
+    monkeypatch.setattr(lp_module, "_optimize", unbarred)
+    p = lp(["x"], {"x": 1})
+    p.add({"x": 1}, LE, 2)
     with pytest.raises(MalformedProgramError, match="primary optimum"):
-        solve_lexicographic(p, {"y": Fraction(1)}, "min")
+        solve_lexicographic(p, {"x": Fraction(1)}, "min")
+
+
+def test_lexicographic_raises_when_secondary_unbounded_on_face():
+    p = lp(["x", "y"], {"x": 1})
+    p.add({"x": 1}, LE, 2)
+    with pytest.raises(MalformedProgramError, match="unbounded"):
+        solve_lexicographic(p, {"y": Fraction(1)}, "max")
+
+
+def _two_solve_lexicographic(prog, secondary, direction):
+    """The former lexicographic method: solve, then solve again from scratch
+    with the secondary objective and the primary optimum as an equality row."""
+    first = solve(prog)
+    if first.status != OPTIMAL:
+        return first.status, None, None
+    refined = lp(prog.variables, secondary, direction)
+    refined.constraints = list(prog.constraints)
+    refined.add(dict(prog.objective), EQ, first.objective_value)
+    second = solve(refined)
+    if second.status != OPTIMAL:
+        raise MalformedProgramError("lexicographic phase lost feasibility")
+    return OPTIMAL, first.objective_value, second.objective_value
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lexicographic_matches_two_solves(data):
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    prog = _random_program(rng)
+    if rng.random() < 0.5:
+        # 0/1 weights tie the primary optimum along a face far more often,
+        # so the secondary phase has pivots to make.
+        prog.objective = {v: Fraction(rng.randint(0, 1)) for v in prog.variables}
+    secondary = {v: Fraction(rng.randint(-3, 3)) for v in prog.variables}
+    direction = rng.choice(["min", "max"])
+    status, primary, second = _two_solve_lexicographic(prog, secondary, direction)
+    sol = solve_lexicographic(prog, secondary, direction)
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert sol.objective_value == primary
+        assert sum((q * sol.assignment[v] for v, q in secondary.items()),
+                   Fraction(0)) == second
 
 
 def test_linear_system_golden():

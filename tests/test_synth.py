@@ -318,7 +318,7 @@ def test_extract_requires_optimal(fig1):
     mt, comps, n, lp = _pipeline(fig1, Fraction(1, 2), 0)
     sol = solve(lp)
     with pytest.raises(ValueError):
-        extract_scheduler(n, sol, Fraction(1, 2))
+        extract_scheduler(n, sol)
 
 
 def test_synthesized_schedulers_verify_on_random_models():
