@@ -16,7 +16,6 @@ from .analyze import (
     almost_sure_reach,
     long_run_value,
     brute_force_optimum,
-    expected_total_reward,
     induce_chain,
     mp_values,
     simulate,
@@ -24,7 +23,7 @@ from .analyze import (
     until_probability,
     verify_resilient,
 )
-from .components import ComponentTriple, build_weights, compute_E, mec_decomposition
+from .components import ComponentTriple, compute_E, mec_decomposition
 from .docs import (
     DocumentError,
     load_model,
@@ -46,7 +45,7 @@ from .model import (
     validate_repair_assumption,
     validate_structure,
 )
-from .sched import MrScheduler, dirac
+from .sched import MrScheduler
 from .synth import (
     ComposedScheduler,
     FiniteMemoryScheduler,
@@ -59,7 +58,7 @@ from .synth import (
     extract_scheduler,
     synthesize,
 )
-from .transform import PathRecord, TransformedMdp, lift_path, project_path, transform
+from .transform import TransformedMdp, build_weights, transform
 
 __version__ = "0.1.0"
 

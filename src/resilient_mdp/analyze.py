@@ -1,13 +1,18 @@
 """Exact quantitative analysis of scheduler-induced Markov chains.
 
-Everything here is rational arithmetic. Until-probabilities, reach
-probabilities and expected rewards all solve one kind of system,
-(I - P restricted to a state set) X = B, with the sparse exact solver of
-``linsolve``; long-run averages combine those reach probabilities with the
-stationary distributions of the bottom strongly connected components, each
-computed once per chain; the qualitative almost-sure checks are graph
-analysis. A seeded Monte Carlo simulator and a small brute-force optimum
-search double as independent cross-checks for the LP pipeline.
+Everything here is rational arithmetic. Until-probabilities and reach
+probabilities solve one kind of system, (I - P restricted to a state set)
+X = B, with the sparse exact solver of ``linsolve``; long-run averages
+combine those reach probabilities with the stationary distributions of the
+bottom strongly connected components, each computed once per chain; the
+qualitative almost-sure checks are graph analysis. A seeded Monte Carlo
+simulator and a small brute-force optimum search double as independent
+cross-checks for the LP pipeline.
+
+Synthesis values its end components without this module: ``components``
+reads each availability off the program's own recurrent frequencies. The
+chain availability computed here is therefore an independent check of the
+program's objective in ``synth.synthesize``, and the verdict of ``verify``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .graph import bottom_sccs, reachable_from
 from .linsolve import solve_linear_system
 from .model import ERROR, OPERATIONAL
 from .sched import MrScheduler
-from .transform import TransformedMdp
+from .transform import TransformedMdp, build_weights
 
 
 class SchedulerDomainError(ValueError):
@@ -107,21 +112,12 @@ def until_probability(c: InducedChain, stay: set[int], target: set[int]) -> dict
     """
     loc_stay = {c.index[s] for s in stay if s in c.index}
     loc_target = {c.index[s] for s in target if s in c.index}
-    # Backward reachability of target through stay-states.
+    # Backward search from target; only stay\target states continue a path.
     pred: list[list[int]] = [[] for _ in range(c.n)]
-    for i, row in enumerate(c.rows):
-        if i in loc_target or i not in loc_stay:
-            continue  # only stay\target states may continue the until path
-        for j in row:
+    for i in loc_stay - loc_target:
+        for j in c.rows[i]:
             pred[j].append(i)
-    possible = set(loc_target)
-    frontier = list(loc_target)
-    while frontier:
-        v = frontier.pop()
-        for u in pred[v]:
-            if u not in possible:
-                possible.add(u)
-                frontier.append(u)
+    possible = reachable_from(pred, loc_target)
     sol = _solve_restricted(c, sorted(possible - loc_target),
                             lambda s: [_mass(c, s, loc_target)])
     return {s: Fraction(1) if i in loc_target else sol[i][0] if i in sol else Fraction(0)
@@ -132,18 +128,18 @@ def almost_sure_reach(c: InducedChain, target: set[int]) -> dict[int, bool]:
     """Pr(eventually target) = 1, per state, by BSCC analysis.
 
     With target states made absorbing, reaching target almost surely is
-    equivalent to not being able to reach a bottom SCC disjoint from target.
+    equivalent to not being able to reach a bottom SCC disjoint from target;
+    one backward search from those BSCCs finds every state that can.
     """
     loc_target = {c.index[s] for s in target if s in c.index}
     succ = [[] if i in loc_target else sorted(row) for i, row in enumerate(c.rows)]
-    bad = set()
-    for comp in bottom_sccs(succ):
-        if not any(v in loc_target for v in comp):
-            bad.update(comp)
-    out = {}
-    for i, s in enumerate(c.states):
-        out[s] = not (reachable_from(succ, i) & bad)
-    return out
+    bad = [v for comp in bottom_sccs(succ) if loc_target.isdisjoint(comp) for v in comp]
+    pred: list[list[int]] = [[] for _ in range(c.n)]
+    for i, row in enumerate(succ):
+        for j in row:
+            pred[j].append(i)
+    doomed = reachable_from(pred, bad)
+    return {s: i not in doomed for i, s in enumerate(c.states)}
 
 
 def stationary_distribution(c: InducedChain, comp: list[int]) -> dict[int, Fraction]:
@@ -233,8 +229,6 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
     schedulers after any history then coincide with the scheduler itself, so
     per-state checks at each reachable error are sound and complete.
     """
-    from .components import build_weights  # deferred: components builds on analyze
-
     chain = induce_chain(mt, scheduler, mt.initial)
     triples = {i for i in range(mt.n) if mt.triple[i] is not None}
     op_states = {i for i in range(mt.n) if mt.is_op(i)}
@@ -253,24 +247,6 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
 
     avail, *means = long_run_values(chain, [mt.payoff] + [_lookup(weights[e]) for e in per_error])
     return VerificationReport(per_error, avail, dict(zip(per_error, means)))
-
-
-def expected_total_reward(host, scheduler: MrScheduler, start: int) -> Fraction:
-    """Expected accumulated reward before absorption in the goal state.
-
-    ``host`` must expose ``actions``, ``reward`` and ``goal_index``. Raises if
-    the goal is not reached almost surely from ``start``.
-    """
-    chain = induce_chain(host, scheduler, start)
-    goal = host.goal_index
-    sure = almost_sure_reach(chain, {goal})
-    if not sure[start]:
-        raise ValueError("goal not reached almost surely; total reward diverges")
-    if chain.states[0] == goal:
-        return Fraction(0)
-    non_goal = [i for i in range(chain.n) if chain.states[i] != goal]
-    return _solve_restricted(chain, non_goal,
-                             lambda i: [Fraction(host.reward(chain.states[i]))])[0][0]
 
 
 @dataclass

@@ -148,8 +148,6 @@ def cmd_verify(args, out) -> int:
     doc = docs.load_scheduler(args.scheduler)
     threshold = _threshold(args.threshold) if args.threshold else doc.threshold
     cost_bound = _cost_bound(args.cost_bound) if args.cost_bound else doc.cost_bound
-    if not 0 < threshold <= 1:
-        raise UsageError(f"threshold must be in (0, 1], got {threshold}")
     mt = transform(m, cost_bound)
     mr = doc.to_mr(mt)
     try:

@@ -6,9 +6,11 @@ weight function nonnegative: repair successes within budget earn 1 - p,
 budget overruns pay -p, everything else is neutral. Maximizing availability
 under these mean constraints is an occupation-measure linear program; its
 recurrent frequencies are extracted into component triples (state set,
-action sets, memoryless scheduler, availability). An elimination loop then
-re-runs the program on ever smaller sub-MDPs so that components unreachable
-for the global optimum are still discovered.
+action sets, memoryless scheduler, availability). The availability is read
+off those frequencies, not computed by a chain analysis, so the exact chain
+analysis of ``analyze`` stays an independent check of the final result. An
+elimination loop then re-runs the program on ever smaller sub-MDPs so that
+components unreachable for the global optimum are still discovered.
 """
 
 from __future__ import annotations
@@ -16,38 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import analyze
 from .graph import strongly_connected_components
 from .lp import EQ, GE, OPTIMAL, LinearProgram, LpSolution, solve
-from .model import OPERATIONAL
 from .sched import MrScheduler
-from .transform import TransformedMdp
-
-
-def build_weights(mt: TransformedMdp, threshold: Fraction) -> dict[int, dict[int, Fraction]]:
-    """Per-error weight function over transformed states (sparse, zero omitted)."""
-    threshold = Fraction(threshold)
-    out: dict[int, dict[int, Fraction]] = {}
-    for e in mt.errors():
-        base_e = mt.back[e]
-        wgt: dict[int, Fraction] = {}
-        for i in range(mt.n):
-            t = mt.triple[i]
-            if t is None:
-                continue
-            te, ts, r = t
-            if te != base_e:
-                continue
-            if mt.base.kinds[ts] == OPERATIONAL:
-                wgt[i] = 1 - threshold
-            elif r + mt.base.cost(ts) > mt.cost_bound:
-                wgt[i] = -threshold
-        if mt.base.cost(base_e) > mt.cost_bound:
-            # Repair can never succeed within budget; the error state itself
-            # carries the penalty so no end component may contain it.
-            wgt[e] = -threshold
-        out[e] = wgt
-    return out
+from .transform import TransformedMdp, build_weights
 
 
 @dataclass(frozen=True)
@@ -254,7 +228,9 @@ def extract_components(q: SubMdp, solution: LpSolution) -> list[ComponentTriple]
 
     The support of x is a union of bottom SCCs (a stationary measure only
     charges closed recurrent classes); each such SCC yields a triple with the
-    frequency-proportional scheduler and its exact stationary availability.
+    frequency-proportional scheduler. That scheduler's chain is irreducible
+    on the SCC and x restricted to it is stationary, so the availability is
+    sum payoff(s) x_s / sum x_s over the SCC, with x_s = sum_a x[s|a].
     """
     if solution.status != OPTIMAL:
         raise ValueError("need an optimal solution")
@@ -281,20 +257,12 @@ def extract_components(q: SubMdp, solution: LpSolution) -> list[ComponentTriple]
         if any(support_states[w] not in member_set for v in comp for w in succ[v]):
             raise ValueError("x support SCC must be bottom")
         action_sets = {s: tuple(sorted(a for (t, a) in x if t == s)) for s in members}
-        choices = {}
-        for s in members:
-            total = sum((x[(s, a)] for a in action_sets[s]), Fraction(0))
-            choices[s] = {a: x[(s, a)] / total for a in action_sets[s]}
-        sched = MrScheduler(choices)
-        triples.append(ComponentTriple(tuple(members), action_sets, sched,
-                                       _component_availability(q.mt, sched, members[0]),
-                                       q))
+        mass = {s: sum((x[(s, a)] for a in action_sets[s]), Fraction(0)) for s in members}
+        choices = {s: {a: x[(s, a)] / mass[s] for a in action_sets[s]} for s in members}
+        payoff = sum((q.mt.payoff(s) * xs for s, xs in mass.items()), Fraction(0))
+        triples.append(ComponentTriple(tuple(members), action_sets, MrScheduler(choices),
+                                       payoff / sum(mass.values()), q))
     return triples
-
-
-def _component_availability(mt: TransformedMdp, sched: MrScheduler, start: int) -> Fraction:
-    chain = analyze.induce_chain(mt, sched, start)
-    return analyze.long_run_value(chain, mt.payoff)
 
 
 def _certify(triple: ComponentTriple,

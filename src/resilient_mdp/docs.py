@@ -158,9 +158,12 @@ def parse_scheduler(data) -> SchedulerDocument:
                              "component rule"),
             "availability": parse_fraction(_require(entry, "availability", "component entry")),
         })
+    threshold = parse_fraction(_require(data, "threshold", "scheduler document"))
+    if not 0 < threshold <= 1:
+        raise DocumentError(f"threshold must be in (0, 1], got {threshold}")
     avail = data.get("availability")
     return SchedulerDocument(
-        threshold=parse_fraction(_require(data, "threshold", "scheduler document")),
+        threshold=threshold,
         cost_bound=cost_bound,
         availability=None if avail is None else parse_fraction(avail),
         transient=transient,

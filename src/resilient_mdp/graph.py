@@ -70,9 +70,11 @@ def bottom_sccs(succ: list[list[int]]) -> list[list[int]]:
     return result
 
 
-def reachable_from(succ: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    frontier = [start]
+def reachable_from(succ: list[list[int]], sources) -> set[int]:
+    """Nodes reachable from any node of ``sources``, the sources included.
+    Run it on predecessor lists to get the nodes that can reach ``sources``."""
+    seen = set(sources)
+    frontier = list(seen)
     while frontier:
         v = frontier.pop()
         for w in succ[v]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .graph import reachable_from
+
 OPERATIONAL = "op"
 ERROR = "err"
 REPAIR = "rep"
@@ -144,27 +146,25 @@ def validate_repair_assumption(m: MdpWithRepair) -> ValidationReport:
     """Check that no new error can occur before a successful repair.
 
     The violating set V is the least fixpoint of
-    V = Err  U  { s not in Op u Err : some action of s reaches V }.
-    Any positive-probability transition from an error into V is a violation:
-    from that successor, some path hits Err before Op.
+    V = Err  U  { s not in Op u Err : some action of s reaches V },
+    found by one backward search from Err along the edges that leave states
+    outside Op u Err. Any positive-probability transition from an error into
+    V is a violation: from that successor, some path hits Err before Op.
     """
-    bad = [m.kinds[i] == ERROR for i in range(m.n)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(m.n):
-            if bad[i] or m.kinds[i] in (OPERATIONAL, ERROR):
-                continue
-            if any(bad[t] for act in m.actions[i] for t, _ in m.actions[i][act]):
-                bad[i] = True
-                changed = True
+    pred: list[list[int]] = [[] for _ in range(m.n)]
+    for i in range(m.n):
+        if m.kinds[i] not in (OPERATIONAL, ERROR):
+            for dist in m.actions[i].values():
+                for t, _ in dist:
+                    pred[t].append(i)
+    bad = reachable_from(pred, [i for i in range(m.n) if m.kinds[i] == ERROR])
     out = []
     for e in range(m.n):
         if m.kinds[e] != ERROR:
             continue
         for act in m.enabled(e):
             for t, p in m.actions[e][act]:
-                if p > 0 and bad[t]:
+                if p > 0 and t in bad:
                     out.append(Violation(
                         "repair-assumption", f"{m.ids[e]}/{act}",
                         f"successor {m.ids[t]} can reach an error before an operational state"))

@@ -20,16 +20,6 @@ class MrScheduler:
             if any(p < 0 for p in dist.values()):
                 raise ValueError(f"negative probability at state {s}")
 
-    @property
-    def domain(self) -> set[int]:
-        return set(self.choices)
-
     def dist(self, s: int) -> dict[str, Fraction]:
         return self.choices[s]
 
-    def support(self, s: int) -> list[str]:
-        return sorted(a for a, p in self.choices[s].items() if p > 0)
-
-
-def dirac(mapping: dict[int, str]) -> MrScheduler:
-    return MrScheduler({s: {a: Fraction(1)} for s, a in mapping.items()})

@@ -215,14 +215,6 @@ def _flow_policy(n: GoalMdp, y: dict[str, Fraction], s: int,
     return {a: Fraction(1, len(acts)) for a in acts}
 
 
-def goal_mr_scheduler(n: GoalMdp, solution: LpSolution) -> MrScheduler:
-    """The goal-MDP scheduler induced by a flow solution (for total-reward
-    analysis): flow-proportional where visited, uniform elsewhere."""
-    return MrScheduler({s: {TAU: Fraction(1)} if s == n.goal_index
-                        else _flow_policy(n, solution.assignment, s, n.enabled(s))
-                        for s in range(n.n)})
-
-
 @dataclass
 class SynthesisResult:
     feasible: bool

@@ -11,8 +11,10 @@ from the initial state is materialized.
 
 Repair copies are rendered as "e#s#r" in state ids, pending copies as
 "s#pending". These rules live only here: the finite-memory rendering on the
-base model walks ``TransformedMdp.successor``. One copy is made per reachable
-cost value, so the fragment is capped at ``MAX_STATES`` states.
+base model walks ``TransformedMdp.successor``, and ``op_copies_of`` and
+``build_weights`` read repair success and budget overrun off the copies.
+One copy is made per reachable cost value, so the fragment is capped at
+``MAX_STATES`` states.
 """
 
 from __future__ import annotations
@@ -84,6 +86,32 @@ class TransformedMdp:
         ``target``; ``transform`` keeps the order of the base distribution."""
         base = self.base.actions[self.back[i]][act]
         return {t: j for (t, _), (j, _) in zip(base, self.actions[i][act])}[target]
+
+
+def build_weights(mt: TransformedMdp, threshold: Fraction) -> dict[int, dict[int, Fraction]]:
+    """Per-error weight function over transformed states (sparse, zero omitted)."""
+    threshold = Fraction(threshold)
+    out: dict[int, dict[int, Fraction]] = {}
+    for e in mt.errors():
+        base_e = mt.back[e]
+        wgt: dict[int, Fraction] = {}
+        for i in range(mt.n):
+            t = mt.triple[i]
+            if t is None:
+                continue
+            te, ts, r = t
+            if te != base_e:
+                continue
+            if mt.base.kinds[ts] == OPERATIONAL:
+                wgt[i] = 1 - threshold
+            elif r + mt.base.cost(ts) > mt.cost_bound:
+                wgt[i] = -threshold
+        if mt.base.cost(base_e) > mt.cost_bound:
+            # Repair can never succeed within budget; the error state itself
+            # carries the penalty so no end component may contain it.
+            wgt[e] = -threshold
+        out[e] = wgt
+    return out
 
 
 def _pending_successor(m: MdpWithRepair, target: int):
@@ -158,73 +186,3 @@ def transform(m: MdpWithRepair, cost_bound: int) -> TransformedMdp:
     ids, kinds, back, triples, pending = zip(*states)
     return TransformedMdp(m, cost_bound, ids, kinds, tuple(out_actions), back,
                           triples, pending, 0)
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """Alternating state/action id sequence: s0 a0 s1 a1 ... sn."""
-    steps: tuple[str, ...]
-
-    def states(self) -> list[str]:
-        return list(self.steps[0::2])
-
-    def actions(self) -> list[str]:
-        return list(self.steps[1::2])
-
-
-class InvalidPathError(ValueError):
-    pass
-
-
-def _check_path(ids_index, actions, p: PathRecord) -> None:
-    if len(p.steps) % 2 == 0 or not p.steps:
-        raise InvalidPathError("path must be s0 a0 s1 ... sn")
-    for k in range(0, len(p.steps) - 1, 2):
-        s, a, t = p.steps[k], p.steps[k + 1], p.steps[k + 2]
-        if s not in ids_index or t not in ids_index:
-            raise InvalidPathError(f"unknown state in path: {s} or {t}")
-        dist = actions[ids_index[s]].get(a)
-        if dist is None:
-            raise InvalidPathError(f"action {a} not enabled in {s}")
-        if not any(j == ids_index[t] and prob > 0 for j, prob in dist):
-            raise InvalidPathError(f"no transition {s} -{a}-> {t}")
-
-
-def path_cost(mt_or_m, p: PathRecord) -> int:
-    return sum(mt_or_m.cost(mt_or_m.index[s]) for s in p.states())
-
-
-def path_payoff(mt_or_m, p: PathRecord) -> int:
-    return sum(mt_or_m.payoff(mt_or_m.index[s]) for s in p.states())
-
-
-def project_path(mt: TransformedMdp, p: PathRecord) -> PathRecord:
-    """Replace each repair copy by its base state; the result is a base path."""
-    _check_path(mt.index, mt.actions, p)
-    m = mt.base
-    out = []
-    for k, step in enumerate(p.steps):
-        if k % 2:
-            out.append(step)
-        else:
-            out.append(m.ids[mt.back[mt.index[step]]])
-    projected = PathRecord(tuple(out))
-    _check_path(m.index, m.actions, projected)
-    return projected
-
-
-def lift_path(mt: TransformedMdp, p: PathRecord) -> PathRecord:
-    """Lift a base path starting in the initial state into the transformed MDP."""
-    m = mt.base
-    _check_path(m.index, m.actions, p)
-    states = p.states()
-    if m.index[states[0]] != m.initial:
-        raise InvalidPathError("lifted paths must start in the initial state")
-    i = mt.initial
-    out = [mt.ids[i]]
-    for a, nxt in zip(p.actions(), states[1:]):
-        i = mt.successor(i, a, m.index[nxt])
-        out += [a, mt.ids[i]]
-    lifted = PathRecord(tuple(out))
-    _check_path(mt.index, mt.actions, lifted)
-    return lifted

@@ -3,7 +3,8 @@
 The example is the five-state model with one error, one repair state offering
 a safe zero-payoff action and a coin-flip action toward the payoff-1 state.
 Random models are built so the repair-assumption holds by construction:
-error and repair states only move to repair or operational states.
+error and repair states only move to repair or operational states, unless
+asked to let them move anywhere.
 """
 
 import random
@@ -58,9 +59,10 @@ _PROB_SPLITS = [
 ]
 
 
-def random_model(rng: random.Random) -> MdpWithRepair:
+def random_model(rng: random.Random, any_target: bool = False) -> MdpWithRepair:
     """A small valid model: errors and repairs never move back into errors,
-    so the repair assumption holds by construction."""
+    so the repair assumption holds by construction. With ``any_target`` they
+    may move to any state, so the assumption may fail."""
     n_op = rng.randint(1, 3)
     n_err = rng.randint(1, 2)
     n_rep = rng.randint(1, 2)
@@ -76,7 +78,7 @@ def random_model(rng: random.Random) -> MdpWithRepair:
 
     transitions = []
     for sid, kind, _ in states:
-        pool = all_ids if kind == "op" else safe_ids
+        pool = all_ids if kind == "op" or any_target else safe_ids
         for a in range(rng.randint(1, 2)):
             split = rng.choice(_PROB_SPLITS)
             targets = rng.sample(pool, min(len(split), len(pool)))

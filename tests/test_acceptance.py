@@ -13,14 +13,13 @@ import pytest
 
 from resilient_mdp import (brute_force_optimum, build_weights, cli, compute_E,
                            docs, synthesize, transform, verify_resilient)
-from resilient_mdp.analyze import expected_total_reward, induce_chain, mp_values
+from resilient_mdp.analyze import induce_chain, mp_values, until_probability
 from resilient_mdp.graph import strongly_connected_components
 from resilient_mdp.lp import INFEASIBLE
-from resilient_mdp.synth import goal_mr_scheduler
-from resilient_mdp.transform import (lift_path, path_cost, path_payoff,
-                                     project_path)
 
 from conftest import beta_always, fig1_model, random_model
+from helpers import (expected_total_reward, goal_mr_scheduler, lift_path, path_cost,
+                     path_payoff, project_path)
 from test_transform import _random_base_path
 
 
@@ -182,7 +181,6 @@ def test_criterion_8_structural_lemma_suite(capsys):
         chain = induce_chain(mt, sched, mt.initial)
         weights = build_weights(mt, threshold)
         for e, check in report.per_error.items():
-            from resilient_mdp.analyze import until_probability
             stay = {i for i in range(mt.n)
                     if mt.triple[i] is not None and not mt.is_op(i)}
             pr = until_probability(chain, stay, set(mt.op_copies_of(e)))

@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 from resilient_mdp import (MrScheduler, brute_force_optimum, induce_chain,
                            make_mdp, simulate, transform, verify_resilient)
 from resilient_mdp.analyze import (InducedChain, SchedulerDomainError, SimulationStats,
-                                   almost_sure_reach,
-                                   expected_total_reward, long_run_value,
+                                   almost_sure_reach, long_run_value,
                                    long_run_values, mp_values,
                                    stationary_distribution, until_probability)
 from resilient_mdp.analyze import _draw_table
-from resilient_mdp.components import build_weights
-from resilient_mdp.graph import bottom_sccs
+from resilient_mdp.graph import bottom_sccs, reachable_from
 from resilient_mdp.model import ERROR, OPERATIONAL
 from resilient_mdp.synth import FiniteMemoryScheduler
+from resilient_mdp.transform import build_weights
 
 from conftest import beta_always, random_model
+from helpers import expected_total_reward
 from test_docs_cli import chain_model, gamble_scheduler
 
 
@@ -143,6 +143,31 @@ def _random_chain(rng: random.Random) -> InducedChain:
         total = sum(weights.values())
         rows.append({j: Fraction(w, total) for j, w in weights.items()})
     return InducedChain(list(range(start)), rows, {i: i for i in range(start)})
+
+
+def _almost_sure_reach_per_state(c: InducedChain, target: set[int]) -> dict[int, bool]:
+    """Reference: one forward search per state, looking for a bottom SCC
+    disjoint from target once target states are made absorbing."""
+    loc_target = {c.index[s] for s in target if s in c.index}
+    succ = [[] if i in loc_target else sorted(row) for i, row in enumerate(c.rows)]
+    bad = set()
+    for comp in bottom_sccs(succ):
+        if not any(v in loc_target for v in comp):
+            bad.update(comp)
+    return {s: not (reachable_from(succ, {i}) & bad) for i, s in enumerate(c.states)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9), st.data())
+def test_almost_sure_reach_matches_per_state_search(seed, data):
+    c = _random_chain(random.Random(seed))
+    recurrent = sorted(v for comp in bottom_sccs(c.succ_lists()) for v in comp)
+    targets = [set(),  # every state ends in some BSCC, so nothing is sure
+               data.draw(st.sets(st.sampled_from(recurrent), min_size=1)),
+               data.draw(st.sets(st.sampled_from(range(c.n))))]
+    for target in targets:
+        assert almost_sure_reach(c, target) == _almost_sure_reach_per_state(c, target)
+    assert not any(almost_sure_reach(c, set()).values())
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,6 +12,7 @@ from resilient_mdp.graph import strongly_connected_components
 from resilient_mdp.lp import OPTIMAL, LpSolution, solve
 
 from conftest import random_model
+from test_docs_cli import chain_model
 
 
 def test_weights_fig1(fig1):
@@ -199,23 +200,33 @@ def test_compute_E_disjoint_strongly_connected_end_components():
                         succ[pos[s]].append(pos[t])
             if len(c.states) > 1:
                 assert len(strongly_connected_components(succ)) == 1
-            assert set(c.scheduler.domain) == inside
+            assert set(c.scheduler.choices) == inside
         done += 1
 
 
-def test_component_availability_and_weight_means_recompute():
+def _recompute_components(mt, threshold) -> int:
+    """Check each triple of compute_E against the exact chain analysis of its
+    own scheduler, which is the reference for the availability that
+    extract_components reads off the LP frequencies. Returns the count."""
+    weights = build_weights(mt, threshold)
+    comps = compute_E(mt, threshold)
+    for c in comps:
+        chain = induce_chain(mt, c.scheduler, c.states[0])
+        assert set(chain.states) <= set(c.states)
+        assert long_run_value(chain, mt.payoff) == c.avail
+        for e, mean in mp_values(chain, weights).items():
+            assert mean >= 0
+    return len(comps)
+
+
+def test_component_availability_and_weight_means_recompute(fig1):
+    assert _recompute_components(transform(fig1, 2), Fraction(4, 5)) > 0
+    assert _recompute_components(transform(chain_model(2, 3), 3), Fraction(4, 5)) > 0
     rng = random.Random(37)
     done = 0
     while done < 25:
         mt = transform(random_model(rng), rng.randint(0, 3))
         if mt.n > 16:
             continue
-        threshold = Fraction(2, 3)
-        weights = build_weights(mt, threshold)
-        for c in compute_E(mt, threshold):
-            chain = induce_chain(mt, c.scheduler, c.states[0])
-            assert set(chain.states) <= set(c.states)
-            assert long_run_value(chain, mt.payoff) == c.avail
-            for e, mean in mp_values(chain, weights).items():
-                assert mean >= 0
+        _recompute_components(mt, Fraction(2, 3))
         done += 1

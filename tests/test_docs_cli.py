@@ -429,14 +429,17 @@ def test_cli_bad_decision_names_the_state(tmp_path, capsys, command, edit, messa
     (lambda m, s: s.update(components=7), "'components' in scheduler document must be a list"),
     (lambda m, s: m.update(states=7), "'states' in model document must be a list"),
     (lambda m, s: m["transitions"][0].update(to=7), "'to' in transition entry must be a list"),
+    (lambda m, s: s.update(threshold="0"), "threshold must be in (0, 1], got 0"),
+    (lambda m, s: s.update(threshold="3/2"), "threshold must be in (0, 1], got 3/2"),
 ], ids=["rule-without-state", "transient-not-list", "components-not-list",
-        "states-not-list", "to-not-list"])
+        "states-not-list", "to-not-list", "threshold-zero", "threshold-above-one"])
 def test_cli_malformed_documents_are_parse_errors(tmp_path, capsys, edit, message):
     model, scheduler = copy.deepcopy(_fig1_documents())
     edit(model, scheduler)
-    assert _verify_documents(tmp_path, model, scheduler, "verify") == 3
-    err = capsys.readouterr().err
-    assert err.startswith("parse error:") and message in err
+    for command in ("verify", "simulate"):
+        assert _verify_documents(tmp_path, model, scheduler, command) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and message in err
 
 
 @pytest.mark.parametrize("command", ["synthesize", "verify", "simulate"])

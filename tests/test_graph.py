@@ -23,13 +23,15 @@ def test_bottom_sccs():
 
 def test_reachable_from():
     succ = [[1], [2], [], [0]]
-    assert reachable_from(succ, 0) == {0, 1, 2}
-    assert reachable_from(succ, 3) == {0, 1, 2, 3}
+    assert reachable_from(succ, {0}) == {0, 1, 2}
+    assert reachable_from(succ, {3}) == {0, 1, 2, 3}
+    assert reachable_from(succ, {1, 3}) == {0, 1, 2, 3}
+    assert reachable_from(succ, set()) == set()
 
 
 def _brute_scc(succ):
     n = len(succ)
-    reach = [reachable_from(succ, v) for v in range(n)]
+    reach = [reachable_from(succ, {v}) for v in range(n)]
     comps = {}
     for v in range(n):
         key = frozenset(w for w in range(n) if v in reach[w] and w in reach[v])

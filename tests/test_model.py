@@ -110,14 +110,23 @@ def _first_hit_ok(m, start: int, limit: int) -> bool:
 
 
 def test_repair_assumption_matches_path_enumeration():
-    rng = random.Random(7)
-    for _ in range(60):
-        m = random_model(rng)
-        expected = all(
-            _first_hit_ok(m, t, m.n)
-            for e in range(m.n) if m.kinds[e] == "err"
-            for a in m.enabled(e) for t, p in m.actions[e][a] if p > 0)
-        assert validate_repair_assumption(m).ok == expected
+    # Models whose errors and repairs may target any state violate the
+    # assumption at some error/action locations; each must be reported.
+    violated = 0
+    for any_target in (False, True):
+        rng = random.Random(7)
+        for _ in range(60):
+            m = random_model(rng, any_target)
+            expected = {
+                f"{m.ids[e]}/{a}"
+                for e in range(m.n) if m.kinds[e] == "err"
+                for a in m.enabled(e) for t, p in m.actions[e][a]
+                if p > 0 and not _first_hit_ok(m, t, m.n)}
+            report = validate_repair_assumption(m)
+            assert {v.where for v in report.violations} == expected
+            assert report.ok == (not expected)
+            violated += bool(expected)
+    assert violated >= 10
 
 
 def test_random_models_are_valid():

@@ -6,15 +6,14 @@ import pytest
 
 from resilient_mdp import (MrScheduler, build_goal_mdp, build_resiliency_lp, build_weights,
                            compute_E, make_mdp, synthesize, transform, verify_resilient)
-from resilient_mdp.analyze import (brute_force_optimum, expected_total_reward,
-                                   induce_chain, simulate)
+from resilient_mdp.analyze import brute_force_optimum, induce_chain, simulate
 from resilient_mdp.components import build_multi_mp_lp, full_sub_mdp
 from resilient_mdp.lp import EQ, INFEASIBLE, OPTIMAL, solve
 from resilient_mdp.synth import (TAU, FiniteMemoryScheduler, InvalidModelError,
-                                 extract_scheduler, goal_mr_scheduler, solve_lexicographic)
-from resilient_mdp.transform import lift_path
+                                 extract_scheduler, solve_lexicographic)
 
 from conftest import fig1_model, random_model
+from helpers import expected_total_reward, goal_mr_scheduler, lift_path
 from test_docs_cli import chain_model
 from test_transform import _random_base_path
 

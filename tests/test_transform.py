@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from resilient_mdp import make_mdp, transform
-from resilient_mdp.transform import (InvalidPathError, PathRecord, lift_path,
-                                     path_cost, path_payoff, project_path)
+from helpers import (InvalidPathError, PathRecord, lift_path, path_cost, path_payoff,
+                     project_path)
 
 from conftest import random_model
 
