@@ -161,7 +161,7 @@ def long_run_values(c: InducedChain, value_fns) -> list[Fraction]:
 
     The BSCCs, their reach probabilities (one system, one right-hand side per
     BSCC) and their stationary distributions are computed once for all
-    functions.
+    functions. Each mean sums only the states where its function is nonzero.
     """
     comps = bottom_sccs(c.succ_lists())
     members = [set(comp) for comp in comps]
@@ -171,7 +171,7 @@ def long_run_values(c: InducedChain, value_fns) -> list[Fraction]:
         transient = [i for i in range(c.n) if not any(i in m for m in members)]
         reach = _solve_restricted(c, transient, lambda s: [_mass(c, s, m) for m in members])[0]
     pis = [stationary_distribution(c, comp) for comp in comps]
-    return [sum((r * sum((pi[i] * Fraction(f(c.states[i])) for i in comp), Fraction(0))
+    return [sum((r * sum((pi[i] * v for i in comp if (v := f(c.states[i]))), Fraction(0))
                  for r, comp, pi in zip(reach, comps, pis)), Fraction(0))
             for f in value_fns]
 
@@ -345,6 +345,9 @@ def simulate(m, policy, steps: int, trials: int, seed: int,
     from the visit counts.
     """
     visits = [0] * m.n
+    is_error = [kind == ERROR for kind in m.kinds]
+    is_op = [kind == OPERATIONAL for kind in m.kinds]
+    cost = [m.cost(s) for s in range(m.n)]
     episodes = within = 0
     traces: list[list[str]] | None = [] if keep_traces else None
     nodes: dict = {}
@@ -365,11 +368,11 @@ def simulate(m, policy, steps: int, trials: int, seed: int,
             s = at.state
             visits[s] += 1
             if episode_cost is None:
-                if m.kinds[s] == ERROR:
-                    episode_cost = m.cost(s)
+                if is_error[s]:
+                    episode_cost = cost[s]
             else:
-                episode_cost += m.cost(s)
-                if m.kinds[s] == OPERATIONAL:
+                episode_cost += cost[s]
+                if is_op[s]:
                     episodes += 1
                     if episode_cost <= cost_bound:
                         within += 1

@@ -93,6 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parsing reads the parser and never modifies it.
+_PARSER = _build_parser()
+
+
 def _validated_model(path: str):
     m = docs.load_model(path)
     for report in (validate_structure(m), validate_repair_assumption(m)):
@@ -185,7 +189,7 @@ def main(argv=None, out=None) -> int:
     handlers = {"validate": cmd_validate, "synthesize": cmd_synthesize,
                 "verify": cmd_verify, "simulate": cmd_simulate}
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return handlers[args.command](args, out)
     except docs.DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

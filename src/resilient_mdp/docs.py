@@ -172,8 +172,13 @@ def parse_scheduler(data) -> SchedulerDocument:
 
 
 def _rules(entries: list, where: str) -> dict[str, dict[str, Fraction]]:
-    return {str(_require(e, "state", where)): _dist_from_data(e.get("choice"), where)
-            for e in entries}
+    rules: dict[str, dict[str, Fraction]] = {}
+    for e in entries:
+        state = str(_require(e, "state", where))
+        if state in rules:
+            raise DocumentError(f"more than one {where} for state {state!r}")
+        rules[state] = _dist_from_data(e.get("choice"), where)
+    return rules
 
 
 def scheduler_to_data(composed: ComposedScheduler, threshold: Fraction,

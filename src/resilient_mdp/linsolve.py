@@ -1,14 +1,18 @@
 """Exact sparse linear-system solving over rationals.
 
-Rows are ``{column: coefficient}`` maps, so elimination only touches the
-nonzero entries, and several right-hand sides share one elimination. The
-pivot row is always the remaining row with the fewest entries (ties to the
-lowest row) and its pivot column the lowest one, so the work done is fixed
-by the input. Everything is a ``fractions.Fraction``: the solutions are exact.
+Rows are ``{column: coefficient}`` maps, and each column keeps the set of
+remaining rows that hold it, so eliminating a column touches only the rows
+it occurs in; several right-hand sides share one elimination. The pivot row
+is always the remaining row with the fewest entries (ties to the lowest
+row), taken from a heap, and its pivot column the one held by the fewest
+remaining rows (ties to the lowest column): Markowitz's rule, which keeps
+the fill-in small. The work done is fixed by the input. Everything is a
+``fractions.Fraction``: the solutions are exact.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 
@@ -27,36 +31,50 @@ def solve_linear_system(rows: list[dict[int, Fraction]], rhs: list[list[Fraction
     """
     a = [{j: q for j, q in row.items() if q} for row in rows]
     b = [list(values) for values in rhs]
-    live = list(range(len(a)))
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(a):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(a)]
+    heapq.heapify(heap)
+    done = [False] * len(a)
     pivots: list[tuple[int, int]] = []
-    while live:
-        r = min(live, key=lambda i: (len(a[i]), i))
-        live.remove(r)
-        if not a[r]:
+    while heap:
+        size, r = heapq.heappop(heap)
+        if done[r] or size != len(a[r]):
+            continue  # a stale entry: the row was pivoted or has changed length
+        done[r] = True
+        pivot_row = a[r]
+        if not pivot_row:
             if any(b[r]):
                 raise SingularSystemError("inconsistent system")
             continue
-        c = min(a[r])
-        inv = Fraction(1) / a[r][c]
-        a[r] = {j: q * inv for j, q in a[r].items()}
-        b[r] = [v * inv for v in b[r]]
-        for i in live:
-            f = a[i].pop(c, 0)
-            if not f:
-                continue
-            for j, q in a[r].items():
-                if j != c:
-                    v = a[i].get(j, 0) - f * q
-                    if v:
-                        a[i][j] = v
-                    else:
-                        a[i].pop(j, None)
-            b[i] = [v - f * p for v, p in zip(b[i], b[r])]
+        for j in pivot_row:
+            holders[j].discard(r)
+        c = min(pivot_row, key=lambda j: (len(holders[j]), j))
+        inv = Fraction(1) / pivot_row.pop(c)
+        for j in pivot_row:
+            pivot_row[j] *= inv
+        b[r] = pivot = [v * inv for v in b[r]]
+        for i in holders.pop(c):
+            row = a[i]
+            f = row.pop(c)
+            for j, q in pivot_row.items():
+                v = row.get(j, 0) - f * q
+                if v:
+                    if j not in row:
+                        holders[j].add(i)
+                    row[j] = v
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+            b[i] = [v - f * p for v, p in zip(b[i], pivot)]
+            heapq.heappush(heap, (len(row), i))
         pivots.append((r, c))
     if len(pivots) < n:
         raise SingularSystemError("rank deficient system")
     x: list[list[Fraction]] = [[]] * n
     for r, c in reversed(pivots):  # later pivots never involve earlier columns
-        x[c] = [v - sum((q * x[j][k] for j, q in a[r].items() if j != c), Fraction(0))
+        x[c] = [v - sum((q * x[j][k] for j, q in a[r].items()), Fraction(0))
                 for k, v in enumerate(b[r])]
     return x

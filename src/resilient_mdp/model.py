@@ -78,9 +78,10 @@ def make_mdp(states, transitions, initial) -> MdpWithRepair:
     """Build a model from plain data.
 
     ``states``: iterable of (id, kind, reward). ``transitions``: iterable of
-    (from_id, action_id, [(to_id, prob), ...]). Unknown state references are
-    kept as-is and reported by validate_structure, except that the state list
-    itself must be well formed enough to index.
+    (from_id, action_id, [(to_id, prob), ...]). Unknown state references and
+    a (state, action) pair listed more than once are recorded and reported by
+    validate_structure, except that the state list itself must be well formed
+    enough to index.
     """
     ids, kinds, rewards = [], [], []
     for sid, kind, reward in states:
@@ -91,32 +92,36 @@ def make_mdp(states, transitions, initial) -> MdpWithRepair:
     if len(index) != len(ids):
         raise ValueError("duplicate state ids")
     actions: list[dict[str, list[tuple[int, Fraction]]]] = [{} for _ in ids]
-    dangling: list[tuple[str, str, str]] = []
+    found: list[Violation] = []
     for frm, act, dist in transitions:
+        where = f"{frm}/{act}"
         if frm not in index:
-            dangling.append((str(frm), str(act), "source"))
+            found.append(Violation("dangling-reference", where,
+                                   "transition references unknown source"))
             continue
         entries = []
         for to, prob in dist:
             if to not in index:
-                dangling.append((str(frm), str(act), f"target {to}"))
+                found.append(Violation("dangling-reference", where,
+                                       f"transition references unknown target {to}"))
                 continue
             entries.append((index[to], Fraction(prob)))
+        if str(act) in actions[index[frm]]:
+            found.append(Violation("duplicate-action", where,
+                                   "action listed more than once for this state"))
         actions[index[frm]][str(act)] = entries
     if initial not in index:
         raise ValueError(f"unknown initial state {initial!r}")
     m = MdpWithRepair(tuple(ids), tuple(kinds), tuple(rewards),
                       tuple(actions), index[initial])
-    object.__setattr__(m, "_dangling", tuple(dangling))
+    object.__setattr__(m, "_input_violations", tuple(found))
     return m
 
 
 def validate_structure(m: MdpWithRepair) -> ValidationReport:
-    """Check distributions, trap states, rewards and kind tags."""
-    out: list[Violation] = []
-    for frm, act, what in getattr(m, "_dangling", ()):
-        out.append(Violation("dangling-reference", f"{frm}/{act}",
-                             f"transition references unknown {what}"))
+    """Check references, repeated actions, distributions, trap states,
+    rewards and kind tags."""
+    out: list[Violation] = list(getattr(m, "_input_violations", ()))
     for i, sid in enumerate(m.ids):
         if "#" in sid:
             # '#' is reserved for the ids of cost-annotated repair copies.

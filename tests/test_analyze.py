@@ -201,6 +201,29 @@ def test_long_run_values_on_random_chains(seed):
                                        Fraction(0))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_stationary_distribution_on_random_irreducible_chains(seed):
+    # A cycle through every state in random order keeps the chain
+    # irreducible; sparse extra edges and weights vary it.
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    order = rng.sample(range(n), n)
+    rows = []
+    for s in range(n):
+        targets = {order[(order.index(s) + 1) % n]}
+        targets.update(rng.sample(range(n), rng.randint(0, min(3, n))))
+        weights = {t: rng.randint(1, 5) for t in sorted(targets)}
+        rows.append({t: Fraction(w, sum(weights.values())) for t, w in weights.items()})
+    c = InducedChain(list(range(n)), rows, {s: s for s in range(n)})
+    assert [sorted(comp) for comp in bottom_sccs(c.succ_lists())] == [list(range(n))]
+    pi = stationary_distribution(c, rng.sample(range(n), n))
+    assert all(pi[s] > 0 for s in range(n))
+    assert sum(pi.values()) == 1
+    for s in range(n):  # pi P = pi, exactly
+        assert sum((pi[t] * rows[t].get(s, 0) for t in range(n)), Fraction(0)) == pi[s]
+
+
 def _rerooted(c: InducedChain, s: int) -> InducedChain:
     """The same chain with local state s swapped into the initial position."""
     order = list(range(c.n))
@@ -221,6 +244,18 @@ def test_verify_chain_golden():
         assert check.res_probability == Fraction(3583, 4096)
         assert report.mp[e] == Fraction(38275, 5627904)
     assert report.ok
+
+
+def test_verify_chain_at_scale():
+    # The same scheduler at R = 40: 608 transformed states, one large
+    # stationary system; the availability does not depend on R here.
+    mt = transform(chain_model(3, 3), 40)
+    assert mt.n == 608
+    report = verify_resilient(mt, gamble_scheduler(mt), Fraction(4, 5))
+    assert report.availability == Fraction(78, 229)
+    assert report.ok
+    assert report.render(mt, Fraction(4, 5)).endswith("resilient: yes")
+
 
 def test_verify_beta_always_fails_at_four_fifths(fig1):
     mt = transform(fig1, 2)

@@ -431,8 +431,14 @@ def test_cli_bad_decision_names_the_state(tmp_path, capsys, command, edit, messa
     (lambda m, s: m["transitions"][0].update(to=7), "'to' in transition entry must be a list"),
     (lambda m, s: s.update(threshold="0"), "threshold must be in (0, 1], got 0"),
     (lambda m, s: s.update(threshold="3/2"), "threshold must be in (0, 1], got 3/2"),
+    (lambda m, s: s["transient"].insert(0, {"state": "error#rep#0",
+                                            "choice": {"α": "1", "β": "0"}}),
+     "more than one transient rule for state 'error#rep#0'"),
+    (lambda m, s: s["components"][0]["choice"].append(dict(s["components"][0]["choice"][0])),
+     "more than one component rule for state 'op2'"),
 ], ids=["rule-without-state", "transient-not-list", "components-not-list",
-        "states-not-list", "to-not-list", "threshold-zero", "threshold-above-one"])
+        "states-not-list", "to-not-list", "threshold-zero", "threshold-above-one",
+        "transient-rule-repeated", "component-rule-repeated"])
 def test_cli_malformed_documents_are_parse_errors(tmp_path, capsys, edit, message):
     model, scheduler = copy.deepcopy(_fig1_documents())
     edit(model, scheduler)
@@ -461,6 +467,43 @@ def test_cli_rejects_oversized_transform(tmp_path, capsys, monkeypatch, command)
     assert code == 2 and out == ""
     assert err == ("model too large: the transformed model exceeds 50 states "
                    "at cost bound 100000000000; lower the cost bound\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "synthesize", "verify", "simulate"])
+def test_cli_repeated_state_action_is_invalid(tmp_path, capsys, command):
+    # Two entries for up/run: the first fails into e half the time, the
+    # second never fails. Keeping either one alone would misread the model.
+    def move(frm, act, *to):
+        return {"from": frm, "action": act,
+                "to": [{"target": t, "prob": p} for t, p in to]}
+    model = {"format": "mdp-with-repair", "version": 1, "initial": "up",
+             "states": [{"id": "up", "kind": "op", "reward": 1},
+                        {"id": "e", "kind": "err", "reward": 0},
+                        {"id": "r", "kind": "rep", "reward": 1}],
+             "transitions": [move("up", "run", ("e", "1/2"), ("up", "1/2")),
+                             move("up", "run", ("up", "1")),
+                             move("e", "go", ("r", "1")),
+                             move("r", "fix", ("up", "1"))]}
+    model_path, sched_path = tmp_path / "model.json", tmp_path / "sched.json"
+    model_path.write_text(json.dumps(model), encoding="utf-8")
+    once = dict(model, transitions=[t for k, t in enumerate(model["transitions"]) if k != 1])
+    mt = transform(docs.parse_model(once), 1)
+    sched_path.write_text(docs.serialize_scheduler(
+        ComposedScheduler(mt, MrScheduler({i: {mt.enabled(i)[0]: Fraction(1)}
+                                           for i in range(mt.n)}), []),
+        Fraction(1, 2), None), encoding="utf-8")
+    argv = {"validate": ["validate", str(model_path)],
+            "synthesize": ["synthesize", str(model_path), "--threshold", "1/2",
+                           "--cost-bound", "1"],
+            "verify": ["verify", str(model_path), str(sched_path)],
+            "simulate": ["simulate", str(model_path), str(sched_path)]}[command]
+    code, out, err = _run(argv, capsys)
+    violation = "[duplicate-action] up/run: action listed more than once for this state\n"
+    assert code == 2
+    if command == "validate":
+        assert (out, err) == (violation, "")
+    else:
+        assert (out, err) == ("", "invalid model:\n" + violation)
 
 
 def test_cli_ignores_scheduler_memory_block(tmp_path):

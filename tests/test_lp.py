@@ -290,6 +290,111 @@ def test_linear_system_random_roundtrip(seed):
     assert sol == xs
 
 
+def _reference_solve(rows, rhs, n):
+    """The solver before Markowitz pivoting: shortest row, lowest column,
+    every remaining row scanned at each pivot."""
+    a = [{j: q for j, q in row.items() if q} for row in rows]
+    b = [list(values) for values in rhs]
+    live = list(range(len(a)))
+    pivots = []
+    while live:
+        r = min(live, key=lambda i: (len(a[i]), i))
+        live.remove(r)
+        if not a[r]:
+            if any(b[r]):
+                raise SingularSystemError("inconsistent system")
+            continue
+        c = min(a[r])
+        inv = Fraction(1) / a[r][c]
+        a[r] = {j: q * inv for j, q in a[r].items()}
+        b[r] = [v * inv for v in b[r]]
+        for i in live:
+            f = a[i].pop(c, 0)
+            if not f:
+                continue
+            for j, q in a[r].items():
+                if j != c:
+                    v = a[i].get(j, 0) - f * q
+                    if v:
+                        a[i][j] = v
+                    else:
+                        a[i].pop(j, None)
+            b[i] = [v - f * p for v, p in zip(b[i], b[r])]
+        pivots.append((r, c))
+    if len(pivots) < n:
+        raise SingularSystemError("rank deficient system")
+    x = [[]] * n
+    for r, c in reversed(pivots):
+        x[c] = [v - sum((q * x[j][k] for j, q in a[r].items() if j != c), Fraction(0))
+                for k, v in enumerate(b[r])]
+    return x
+
+
+def _outcome(solver, rows, rhs, n):
+    try:
+        return solver([dict(row) for row in rows], rhs, n)
+    except SingularSystemError:
+        return SingularSystemError
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_linear_system_matches_reference_on_sparse_systems(seed):
+    # Row i of the base system holds column perm[i] with a coefficient larger
+    # than the rest of the row together, so the base is nonsingular; rows are
+    # then dropped, repeated, combined, emptied or made inconsistent.
+    rng = random.Random(seed)
+    n, k = rng.randint(1, 25), rng.randint(1, 3)
+    xs = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(k)] for _ in range(n)]
+
+    def small():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    def rhs_of(row):
+        return [sum((q * xs[j][c] for j, q in row.items()), Fraction(0)) for c in range(k)]
+
+    perm = rng.sample(range(n), n)
+    rows = []
+    for i in range(n):
+        row = {j: small() for j in rng.sample(range(n), rng.randint(0, min(3, n - 1)))}
+        row[perm[i]] = 1 + sum(abs(q) for j, q in row.items() if j != perm[i])
+        if rng.random() < 0.2:
+            row[rng.randrange(n)] = Fraction(0)  # an explicit zero entry
+        rows.append(row)
+    rhs = [rhs_of(row) for row in rows]
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(["drop", "repeat", "combine", "empty", "inconsistent"])
+        if kind == "drop" and rows:
+            del rows[(i := rng.randrange(len(rows)))], rhs[i]
+        elif kind == "repeat" and rows:
+            i, f = rng.randrange(len(rows)), small()
+            rows.append({j: f * q for j, q in rows[i].items()})
+            rhs.append([f * v for v in rhs[i]])
+        elif kind == "combine" and len(rows) > 1:
+            i, j = rng.sample(range(len(rows)), 2)
+            f, g = small(), small()
+            row = {c: f * rows[i].get(c, 0) + g * rows[j].get(c, 0)
+                   for c in set(rows[i]) | set(rows[j])}
+            rows.append(row)
+            rhs.append([f * u + g * v for u, v in zip(rhs[i], rhs[j])])
+        elif kind == "empty":
+            rows.append({})
+            rhs.append([Fraction(0)] * k)
+        elif kind == "inconsistent" and rows:
+            i = rng.randrange(len(rows))
+            rows.append(dict(rows[i]))
+            rhs.append([v + (c == 0) for c, v in enumerate(rhs[i])])
+    order = rng.sample(range(len(rows)), len(rows))
+    rows, rhs = [rows[i] for i in order], [rhs[i] for i in order]
+
+    got = _outcome(solve_linear_system, rows, rhs, n)
+    assert got == _outcome(_reference_solve, rows, rhs, n)
+    if got is not SingularSystemError:  # a drop may leave a perturbed row alone
+        for row, values in zip(rows, rhs):
+            assert [sum((q * got[j][c] for j, q in row.items()), Fraction(0))
+                    for c in range(k)] == values
+
+
 def _determinant(rows):
     n = len(rows)
     total = Fraction(0)

@@ -47,6 +47,13 @@ def test_dangling_reference_reported():
     assert rules.count("dangling-reference") == 2
 
 
+def test_repeated_state_action_reported():
+    m = make_mdp([("s", "op", 0), ("t", "op", 0)],
+                 [("s", "a", [("t", 1)]), ("t", "a", [("t", 1)]), ("s", "a", [("s", 1)])], "s")
+    report = validate_structure(m)
+    assert [(v.rule, v.where) for v in report.violations] == [("duplicate-action", "s/a")]
+
+
 def test_bad_kind_and_reward_reported():
     m = make_mdp([("s", "operational", -1)], [("s", "a", [("s", 1)])], "s")
     rules = {v.rule for v in validate_structure(m).violations}
