@@ -160,6 +160,9 @@ def cmd_verify(args, out) -> int:
         print(f"invalid scheduler: {exc}", file=sys.stderr)
         return EXIT_INVALID
     print(report.render(mt, threshold), file=out)
+    if cost_bound == doc.cost_bound and doc.availability not in (None, report.availability):
+        raise VerificationFailedError(f"the document states availability {doc.availability}, "
+                                      f"the scheduler achieves {report.availability}")
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 

@@ -158,6 +158,7 @@ def parse_scheduler(data) -> SchedulerDocument:
                              "component rule"),
             "availability": parse_fraction(_require(entry, "availability", "component entry")),
         })
+    _check_parts(transient, components)
     threshold = parse_fraction(_require(data, "threshold", "scheduler document"))
     if not 0 < threshold <= 1:
         raise DocumentError(f"threshold must be in (0, 1], got {threshold}")
@@ -169,6 +170,24 @@ def parse_scheduler(data) -> SchedulerDocument:
         transient=transient,
         components=components,
     )
+
+
+def _check_parts(transient: dict, components: list[dict]) -> None:
+    """Every state belongs to at most one part of the document, ``transient``
+    or one component's ``states``, and a component has rules only for its
+    own states; otherwise ``to_mr`` would silently keep one of two rules."""
+    part_of = dict.fromkeys(transient, "transient")
+    for k, comp in enumerate(components):
+        for state in comp["states"]:
+            if state in part_of:
+                raise DocumentError(f"state {state!r} is listed in {part_of[state]} "
+                                    f"and again in component {k}")
+            part_of[state] = f"component {k}"
+    for k, comp in enumerate(components):
+        for state in comp["choice"]:
+            if part_of.get(state) != f"component {k}":
+                raise DocumentError(f"component {k} has a rule for state {state!r} "
+                                    f"outside its states")
 
 
 def _rules(entries: list, where: str) -> dict[str, dict[str, Fraction]]:

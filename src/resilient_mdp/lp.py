@@ -5,15 +5,23 @@ anti-cycling rule. The tableau is stored dense, but a pivot touches only the
 nonzero columns of the pivot row and only the rows with a nonzero entry in
 the pivot column; the programs built here are a few percent nonzero. The
 skipped entries are exactly the ones a full-row update would leave as they
-are, so Bland's rule sees the same tableau and makes the same pivots. There
-is no factorization. The payoff is that feasibility and optimality are
+are, so Bland's rule sees the same tableau and makes the same pivots. No
+factorization is kept. The payoff is that feasibility and optimality are
 exact, which the boundary cases of the resiliency constraints require (e.g.
 a threshold met with equality).
 
-Phase 1 adds one artificial column per row. Once they are driven out of the
-basis and the redundant rows deleted, phase 2 could never enter them again,
-so every row is cut down to the structural and slack columns and the
-right-hand side before phase 2 starts; the pivots are the same.
+Phase 1 starts from one artificial variable per row, basic in its row, but
+never stores their columns: they would hold B⁻¹, which Bland's rule reads
+only when no structural or slack column can enter, since those come first in
+its order. The tableau has the same shape in both phases, the structural and
+slack columns plus the right-hand side. When no stored column can enter, a
+phase-1 value below 0 proves the program infeasible, and with no artificial
+left in the basis every artificial reduced cost is 1. Otherwise the duals
+y·B = c_B are solved exactly from the original rows (``linsolve``); an
+artificial k with reduced cost 1 + y_k < 0 enters with its column B⁻¹e_k,
+rebuilt the same way, and phase 1 goes on. Row operations never mix columns,
+so the pivots are exactly those of the tableau with the full artificial
+block.
 
 A secondary objective is optimized in the same tableau (the lexicographic
 rule of Dantzig, Orden and Wolfe, 1955): at the primary optimum, the columns
@@ -29,6 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .linsolve import solve_linear_system
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -202,20 +212,32 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
     """Maximize cost.x over rows.x == rhs (rhs >= 0), x >= 0, then, if given,
     secondary.x over the optimal face."""
     m = len(rows)
-    # Phase 1: artificial variable per row, minimize their sum.
-    tab = [list(rows[i]) + [Fraction(0)] * m + [rhs[i]] for i in range(m)]
-    for i in range(m):
-        tab[i][ncols + i] = Fraction(1)
+    # Phase 1: artificial i (column ncols + i, never stored) is basic in row
+    # i; maximize minus their sum. The reduced costs are 0 on the artificials
+    # and minus the column sums on the stored columns, whose last entry, the
+    # right-hand side's, is the phase-1 value.
+    tab = [list(rows[i]) + [rhs[i]] for i in range(m)]
     basis = [ncols + i for i in range(m)]
-    phase1_cost = [Fraction(0)] * ncols + [Fraction(-1)] * m
-    width = ncols + m
-
-    zrow = _reduced_costs(tab, basis, phase1_cost)
-    if _optimize(tab, basis, zrow, width, range(width)) == UNBOUNDED:
-        raise AssertionError("phase 1 cannot be unbounded")
-    total = sum((tab[i][width] for i in range(m) if basis[i] >= ncols), Fraction(0))
-    if total != 0:
-        return INFEASIBLE, None
+    zrow = [Fraction(0)] * (ncols + 1)
+    for row in tab:
+        for j, x in enumerate(row):
+            if x:
+                zrow[j] -= x
+    while True:
+        if _optimize(tab, basis, zrow, ncols, range(ncols)) == UNBOUNDED:
+            raise AssertionError("phase 1 cannot be unbounded")
+        if zrow[ncols] < 0:
+            return INFEASIBLE, None
+        enter = _entering_artificial(rows, basis, ncols)
+        if enter is None:
+            break
+        k, f = enter
+        column = _artificial_column(rows, basis, ncols, k)
+        leave = _leaving_row(tab, basis, column, ncols)
+        if leave is None:
+            raise AssertionError("phase 1 cannot be unbounded")
+        for j, p in _pivot(tab, basis, leave, ncols + k, column):
+            zrow[j] -= f * p
 
     # Drive remaining artificials out of the basis (they are at value 0).
     drop_rows = []
@@ -225,15 +247,12 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
             if pivot_col is None:
                 drop_rows.append(i)  # redundant row
             else:
-                _pivot(tab, basis, i, pivot_col)
+                _pivot(tab, basis, i, pivot_col, [row[pivot_col] for row in tab])
     for i in sorted(drop_rows, reverse=True):
         del tab[i]
         del basis[i]
 
-    # Phase 2 on structural + slack columns only. No artificial is basic and
-    # none may enter, so their entries are never read again: cut them off,
-    # leaving the right-hand side at column ncols.
-    tab = [row[:ncols] + [row[width]] for row in tab]
+    # Phase 2: no artificial is basic and none may enter.
     zrow = _reduced_costs(tab, basis, cost)
     if _optimize(tab, basis, zrow, ncols, range(ncols)) == UNBOUNDED:
         return UNBOUNDED, None
@@ -251,6 +270,37 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
     for i, b in enumerate(basis):
         values[b] = tab[i][ncols]
     return OPTIMAL, values
+
+
+def _basis_columns(rows, basis, ncols):
+    """The basis matrix B by columns, ``{row: entry}`` each, from the
+    original rows: column ncols + i is the unit column of artificial i."""
+    return [{i: row[b] for i, row in enumerate(rows) if row[b]} if b < ncols
+            else {b - ncols: Fraction(1)} for b in basis]
+
+
+def _entering_artificial(rows, basis, ncols):
+    """Bland's choice among the artificials once no stored column can enter
+    phase 1: the first nonbasic artificial k whose reduced cost 1 + y_k is
+    negative, where y·B = c_B, as ``(k, 1 + y_k)``; None if there is none."""
+    if all(b < ncols for b in basis):
+        return None  # y = 0, so every artificial reduced cost is 1
+    # One equation per basic column: y·B_p = -1 for an artificial, else 0.
+    y = solve_linear_system(_basis_columns(rows, basis, ncols),
+                            [[Fraction(-1 if b >= ncols else 0)] for b in basis], len(rows))
+    basic = set(basis)
+    return next(((k, 1 + yk) for k, (yk,) in enumerate(y)
+                 if ncols + k not in basic and 1 + yk < 0), None)
+
+
+def _artificial_column(rows, basis, ncols, k):
+    """The tableau column of artificial k, B⁻¹e_k, solved exactly."""
+    eqs: list[dict[int, Fraction]] = [{} for _ in rows]
+    for p, col in enumerate(_basis_columns(rows, basis, ncols)):
+        for i, x in col.items():
+            eqs[i][p] = x
+    unit = [[Fraction(int(i == k))] for i in range(len(rows))]
+    return [x for (x,) in solve_linear_system(eqs, unit, len(rows))]
 
 
 def _basic_value(tab, basis, cost):
@@ -272,38 +322,46 @@ def _optimize(tab, basis, zrow, width, allowed):
     """Primal simplex iterations with Bland's rule over the increasing
     columns ``allowed``; the others are barred. Column ``width`` is the
     right-hand side."""
-    m = len(tab)
     while True:
         enter = next((j for j in allowed if zrow[j] < 0), None)
         if enter is None:
             return OPTIMAL
-        leave, best_ratio = None, None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][width] / a
-                if best_ratio is None or ratio < best_ratio or \
-                        (ratio == best_ratio and basis[i] < basis[leave]):
-                    leave, best_ratio = i, ratio
+        column = [row[enter] for row in tab]
+        leave = _leaving_row(tab, basis, column, width)
         if leave is None:
             return UNBOUNDED
         f = zrow[enter]
-        for j, p in _pivot(tab, basis, leave, enter):
+        for j, p in _pivot(tab, basis, leave, enter, column):
             zrow[j] -= f * p
 
 
-def _pivot(tab, basis, i, j):
-    """Pivot on entry (i, j) in place and return the scaled pivot row's
-    nonzero ``(column, value)`` pairs. Other rows change only in those
-    columns, and only where their column-j entry is nonzero."""
+def _leaving_row(tab, basis, column, width):
+    """Bland's ratio test on the entering ``column``: the row with the least
+    ratio of right-hand side to positive entry, ties to the lowest basic
+    column; None if no entry is positive."""
+    leave, best_ratio = None, None
+    for i, a in enumerate(column):
+        if a > 0:
+            ratio = tab[i][width] / a
+            if best_ratio is None or ratio < best_ratio or \
+                    (ratio == best_ratio and basis[i] < basis[leave]):
+                leave, best_ratio = i, ratio
+    return leave
+
+
+def _pivot(tab, basis, i, j, column):
+    """Pivot on entry (i, j), whose column is ``column``, in place and return
+    the scaled pivot row's nonzero ``(column, value)`` pairs. Other rows
+    change only in those columns, and only where ``column`` is nonzero; an
+    artificial ``j`` has no stored entries to change."""
     row = tab[i]
-    inv = 1 / row[j]
+    inv = 1 / column[i]
     nz = [(c, x * inv) for c, x in enumerate(row) if x]
     for c, x in nz:
         row[c] = x
-    for k, other in enumerate(tab):
-        f = other[j]
-        if k != i and f:
+    for k, f in enumerate(column):
+        if f and k != i:
+            other = tab[k]
             for c, p in nz:
                 other[c] -= f * p
     basis[i] = j

@@ -423,6 +423,26 @@ def test_cli_bad_decision_names_the_state(tmp_path, capsys, command, edit, messa
     assert capsys.readouterr().err == f"invalid scheduler: {message}\n"
 
 
+def _rep0_rule_in_component(scheduler):
+    # A second rule for error#rep#0, which the transient part already holds.
+    scheduler["components"][0]["choice"].append({"state": "error#rep#0",
+                                                 "choice": {"α": "1", "β": "0"}})
+
+
+def _rep0_in_transient_and_component(scheduler):
+    scheduler["components"][0]["states"].append("error#rep#0")
+    _rep0_rule_in_component(scheduler)
+
+
+def _op2_in_two_components(scheduler):
+    scheduler["components"][1]["states"].append("op2")
+    scheduler["components"][1]["choice"].append({"state": "op2", "choice": {"a": "1"}})
+
+
+def _op1_rule_in_first_component(scheduler):
+    scheduler["components"][0]["choice"].append({"state": "op1", "choice": {"a": "1"}})
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda m, s: s["transient"][0].pop("state"), "missing key 'state'"),
     (lambda m, s: s.update(transient=7), "'transient' in scheduler document must be a list"),
@@ -436,9 +456,19 @@ def test_cli_bad_decision_names_the_state(tmp_path, capsys, command, edit, messa
      "more than one transient rule for state 'error#rep#0'"),
     (lambda m, s: s["components"][0]["choice"].append(dict(s["components"][0]["choice"][0])),
      "more than one component rule for state 'op2'"),
+    (lambda m, s: _rep0_rule_in_component(s),
+     "component 0 has a rule for state 'error#rep#0' outside its states"),
+    (lambda m, s: _rep0_in_transient_and_component(s),
+     "state 'error#rep#0' is listed in transient and again in component 0"),
+    (lambda m, s: _op2_in_two_components(s),
+     "state 'op2' is listed in component 0 and again in component 1"),
+    (lambda m, s: _op1_rule_in_first_component(s),
+     "component 0 has a rule for state 'op1' outside its states"),
 ], ids=["rule-without-state", "transient-not-list", "components-not-list",
         "states-not-list", "to-not-list", "threshold-zero", "threshold-above-one",
-        "transient-rule-repeated", "component-rule-repeated"])
+        "transient-rule-repeated", "component-rule-repeated", "component-rule-for-transient",
+        "state-in-transient-and-component", "state-in-two-components",
+        "component-rule-outside-states"])
 def test_cli_malformed_documents_are_parse_errors(tmp_path, capsys, edit, message):
     model, scheduler = copy.deepcopy(_fig1_documents())
     edit(model, scheduler)
@@ -446,6 +476,32 @@ def test_cli_malformed_documents_are_parse_errors(tmp_path, capsys, edit, messag
         assert _verify_documents(tmp_path, model, scheduler, command) == 3
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and message in err
+
+
+def test_cli_verify_checks_the_stated_availability(tmp_path, capsys):
+    # fig1's synthesized document states 9/10, which its scheduler achieves.
+    # The same decisions claiming 1/2 fail verification; claiming nothing,
+    # or under another cost bound, they are not compared. At R = 2 the report
+    # on stdout is the same throughout.
+    model, scheduler = copy.deepcopy(_fig1_documents())
+    model_path, sched_path = tmp_path / "model.json", tmp_path / "sched.json"
+    model_path.write_text(json.dumps(model), encoding="utf-8")
+
+    def verify(availability, *flags):
+        sched_path.write_text(json.dumps(dict(scheduler, availability=availability)),
+                              encoding="utf-8")
+        return _run(["verify", str(model_path), str(sched_path), *flags], capsys)
+
+    code, report, err = verify("9/10")
+    assert (code, err) == (0, "")
+    assert report.startswith("availability: 9/10 ") and report.endswith("resilient: yes\n")
+    assert verify("1/2") == (1, report, "verification failed: the document states "
+                                        "availability 1/2, the scheduler achieves 9/10\n")
+    assert verify("1/2", "--cost-bound", "2") == verify("1/2")
+    assert verify(None) == (0, report, "")
+    # At R = 1 the decisions are not resilient (repair-success 1/2).
+    assert verify("1/2", "--cost-bound", "1") == verify(None, "--cost-bound", "1")
+    assert verify("1/2", "--cost-bound", "1")[::2] == (1, "")
 
 
 @pytest.mark.parametrize("command", ["synthesize", "verify", "simulate"])

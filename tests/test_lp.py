@@ -1,16 +1,21 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resilient_mdp.lp as lp_module
+from resilient_mdp import synthesize
 from resilient_mdp.linsolve import SingularSystemError, solve_linear_system
 from resilient_mdp.lp import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED,
                               LinearProgram, MalformedProgramError, solve,
                               solve_lexicographic)
+
+from test_docs_cli import chain_model
 
 
 def lp(variables, objective, direction="max", nonneg=True):
@@ -249,6 +254,205 @@ def test_lexicographic_matches_two_solves(data):
         assert sol.objective_value == primary
         assert sum((q * sol.assignment[v] for v, q in secondary.items()),
                    Fraction(0)) == second
+
+
+def _full_block_two_phase(rows, rhs, cost, ncols, secondary=None, *, pivots):
+    """``lp._two_phase`` with the artificial block stored: phase 1 runs on
+    m more columns, which are cut off before phase 2. Appends each pivot's
+    (row, column) to ``pivots``."""
+
+    def pivot(tab, basis, i, j):
+        pivots.append((i, j))
+        row = tab[i]
+        inv = 1 / row[j]
+        nz = [(c, x * inv) for c, x in enumerate(row) if x]
+        for c, x in nz:
+            row[c] = x
+        for k, other in enumerate(tab):
+            f = other[j]
+            if k != i and f:
+                for c, p in nz:
+                    other[c] -= f * p
+        basis[i] = j
+        return nz
+
+    def optimize(tab, basis, zrow, width, allowed):
+        while True:
+            enter = next((j for j in allowed if zrow[j] < 0), None)
+            if enter is None:
+                return OPTIMAL
+            leave, best_ratio = None, None
+            for i in range(len(tab)):
+                a = tab[i][enter]
+                if a > 0:
+                    ratio = tab[i][width] / a
+                    if best_ratio is None or ratio < best_ratio or \
+                            (ratio == best_ratio and basis[i] < basis[leave]):
+                        leave, best_ratio = i, ratio
+            if leave is None:
+                return UNBOUNDED
+            f = zrow[enter]
+            for j, p in pivot(tab, basis, leave, enter):
+                zrow[j] -= f * p
+
+    reduced_costs, basic_value = lp_module._reduced_costs, lp_module._basic_value
+    m = len(rows)
+    tab = [list(rows[i]) + [Fraction(0)] * m + [rhs[i]] for i in range(m)]
+    for i in range(m):
+        tab[i][ncols + i] = Fraction(1)
+    basis = [ncols + i for i in range(m)]
+    width = ncols + m
+    zrow = reduced_costs(tab, basis, [Fraction(0)] * ncols + [Fraction(-1)] * m)
+    assert optimize(tab, basis, zrow, width, range(width)) == OPTIMAL
+    if sum((tab[i][width] for i in range(m) if basis[i] >= ncols), Fraction(0)):
+        return INFEASIBLE, None
+    drop_rows = []
+    for i in range(m):
+        if basis[i] >= ncols:
+            pivot_col = next((j for j in range(ncols) if tab[i][j] != 0), None)
+            if pivot_col is None:
+                drop_rows.append(i)
+            else:
+                pivot(tab, basis, i, pivot_col)
+    for i in sorted(drop_rows, reverse=True):
+        del tab[i]
+        del basis[i]
+    tab = [row[:ncols] + [row[width]] for row in tab]
+    zrow = reduced_costs(tab, basis, cost)
+    if optimize(tab, basis, zrow, ncols, range(ncols)) == UNBOUNDED:
+        return UNBOUNDED, None
+    if secondary is not None:
+        face = [j for j in range(ncols) if zrow[j] == 0]
+        value = basic_value(tab, basis, cost)
+        zrow = reduced_costs(tab, basis, secondary)
+        if optimize(tab, basis, zrow, ncols, face) == UNBOUNDED:
+            raise MalformedProgramError("secondary objective unbounded on the primary optima")
+        if basic_value(tab, basis, cost) != value:
+            raise MalformedProgramError("lexicographic phase moved the primary optimum")
+    values = [Fraction(0)] * ncols
+    for i, b in enumerate(basis):
+        values[b] = tab[i][ncols]
+    return OPTIMAL, values
+
+
+def _solve_recording(prog, secondary=None, direction="min", full_block=False):
+    """``solve``'s outcome and its (row, column) pivots, with today's phase 1
+    or with ``_full_block_two_phase``."""
+    pivots = []
+    if full_block:
+        patch = mock.patch.object(lp_module, "_two_phase",
+                                  functools.partial(_full_block_two_phase, pivots=pivots))
+    else:
+        real = lp_module._pivot
+
+        def recording(tab, basis, i, j, column):
+            pivots.append((i, j))
+            return real(tab, basis, i, j, column)
+
+        patch = mock.patch.object(lp_module, "_pivot", recording)
+    with patch:
+        try:
+            sol = solve(prog, secondary, direction)
+            outcome = (sol.status, sol.assignment, sol.objective_value)
+        except MalformedProgramError as exc:
+            outcome = (MalformedProgramError, str(exc))
+    return outcome, pivots
+
+
+def _column_count(prog):
+    return (sum(1 if v in prog.nonneg else 2 for v in prog.variables)
+            + sum(c.relation != EQ for c in prog.constraints))
+
+
+def _degenerate_program(rng):
+    """A random program that phase 1 often leaves with artificials basic at
+    0: mostly equality rows, often with a zero right-hand side, plus combined
+    copies of them (redundant rows), 0/1 objectives (tied optima) and some
+    free variables."""
+    names = [f"v{k}" for k in range(rng.randint(2, 4))]
+    if rng.random() < 0.5:
+        objective = {v: Fraction(rng.randint(0, 1)) for v in names}
+    else:
+        objective = {v: Fraction(rng.randint(-3, 3)) for v in names}
+    prog = lp(names, objective)
+    prog.nonneg = {v for v in names if rng.random() < 0.9}
+    for _ in range(rng.randint(1, 4)):
+        rhs = 0 if rng.random() < 0.8 else rng.randint(-2, 6)
+        prog.add({v: Fraction(rng.randint(-2, 3)) for v in names},
+                 rng.choice([EQ, EQ, EQ, GE]), Fraction(rhs))
+    equalities = [c for c in prog.constraints if c.relation == EQ]
+    for _ in range(rng.randint(1, 3) if equalities else 0):
+        a, b = rng.choice(equalities), rng.choice(equalities)
+        f, g = rng.choice([-2, -1, 1, 2]), rng.choice([-1, 0, 1])
+        prog.add({v: f * a.coeffs[v] + g * b.coeffs[v] for v in names}, EQ,
+                 f * a.rhs + g * b.rhs)
+    prog.add({v: Fraction(1) for v in names}, LE, 10)
+    rng.shuffle(prog.constraints)
+    return prog
+
+
+def test_phase1_matches_the_full_artificial_block():
+    rebuilt = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def check(seed):
+        rng = random.Random(seed)
+        prog = _degenerate_program(rng)
+        secondary = ({v: Fraction(rng.randint(-3, 3)) for v in prog.variables}
+                     if rng.random() < 0.5 else None)
+        direction = rng.choice(["min", "max"])
+        got, pivots = _solve_recording(prog, secondary, direction)
+        want, full_pivots = _solve_recording(prog, secondary, direction, full_block=True)
+        assert got == want
+        ncols = _column_count(prog)
+        if got[0] == INFEASIBLE:
+            # Phase 1 stops at the first optimum over the stored columns
+            # whose value is below 0; the full block may still enter an
+            # artificial there before reaching the same verdict.
+            assert full_pivots[:len(pivots)] == pivots
+            assert all(j >= ncols for _, j in full_pivots[len(pivots):len(pivots) + 1])
+        else:
+            assert pivots == full_pivots
+        if any(j >= ncols for _, j in pivots):
+            rebuilt.append(seed)
+
+    check()
+    assert rebuilt, "no example entered an artificial column"
+
+
+def test_artificial_reenters_at_phase1_value_zero():
+    # Columns x, slack of row 0; artificials 2, 3, 4. Phase 1 enters x in
+    # row 1 and the slack in row 0, reaching value 0 with artificial 4 basic
+    # in row 2. There y = (0, -2, -1), so artificial 1 has reduced cost -1
+    # and re-enters with its rebuilt column B⁻¹e_1 = (-2, 1, 2), replacing x
+    # in row 1 (ratio 0, tied with row 2, whose basic column is higher).
+    # x is driven back in, and row 2 is dropped as redundant.
+    p = lp(["x"], {"x": 2})
+    p.add({"x": 2}, LE, 1)
+    p.add({"x": 1}, EQ, 0)
+    p.add({"x": -2}, EQ, 0)
+    got, pivots = _solve_recording(p)
+    assert got == (OPTIMAL, {"x": Fraction(0)}, Fraction(0))
+    assert pivots == [(1, 0), (0, 1), (1, 3), (1, 0)]
+    assert _solve_recording(p, full_block=True) == (got, pivots)
+
+
+@pytest.mark.parametrize("k, L, R, pivots", [
+    (1, 3, 3, 148), (2, 2, 2, 197), (2, 3, 3, 322), (3, 3, 4, 805)])
+def test_synthesize_pivot_counts(k, L, R, pivots):
+    # The chain family of the benchmark at threshold 4/5: every LP that
+    # ``synthesize`` solves, the certifying re-solves included.
+    count = [0]
+    real = lp_module._pivot
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    with mock.patch.object(lp_module, "_pivot", counting):
+        synthesize(chain_model(k, L), Fraction(4, 5), R)
+    assert count[0] == pivots
 
 
 def test_linear_system_golden():
