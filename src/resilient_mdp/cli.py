@@ -150,8 +150,8 @@ def cmd_synthesize(args, out) -> int:
 def cmd_verify(args, out) -> int:
     m = _validated_model(args.model)
     doc = docs.load_scheduler(args.scheduler)
-    threshold = _threshold(args.threshold) if args.threshold else doc.threshold
-    cost_bound = _cost_bound(args.cost_bound) if args.cost_bound else doc.cost_bound
+    threshold = doc.threshold if args.threshold is None else _threshold(args.threshold)
+    cost_bound = doc.cost_bound if args.cost_bound is None else _cost_bound(args.cost_bound)
     mt = transform(m, cost_bound)
     mr = doc.to_mr(mt)
     try:

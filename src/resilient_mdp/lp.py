@@ -10,6 +10,17 @@ factorization is kept. The payoff is that feasibility and optimality are
 exact, which the boundary cases of the resiliency constraints require (e.g.
 a threshold met with equality).
 
+The entries of these tableaus stay under 15 bits, so a pivot costs object
+creation, not arithmetic. Each entry update a - f·p therefore builds one
+normalized ``Fraction`` from the numerators and denominators,
+(a.n·f.d·p.d - f.n·p.n·a.d) / (a.d·f.d·p.d), where the operators build the
+product and then the difference, and the pivot row is scaled the same way
+with the pivot's sign moved to the numerator. The values, and so the
+pivots, are unchanged. On the three synth-chain cases of the benchmark the
+667 pivots now make 10 701 ``Fraction`` multiplications and 10 409
+subtractions instead of 90 322 and 82 751, and one ``synthesize`` of each
+takes 0.17-0.18 s of CPU time in all instead of 0.29-0.31 s (CPython 3.11).
+
 Phase 1 starts from one artificial variable per row, basic in its row, but
 never stores their columns: they would hold B⁻¹, which Bland's rule reads
 only when no structural or slack column can enter, since those come first in
@@ -355,14 +366,20 @@ def _pivot(tab, basis, i, j, column):
     change only in those columns, and only where ``column`` is nonzero; an
     artificial ``j`` has no stored entries to change."""
     row = tab[i]
-    inv = 1 / column[i]
-    nz = [(c, x * inv) for c, x in enumerate(row) if x]
+    pn, pd = column[i].numerator, column[i].denominator
+    if pn < 0:
+        pn, pd = -pn, -pd
+    nz = [(c, Fraction(x.numerator * pd, x.denominator * pn)) for c, x in enumerate(row) if x]
     for c, x in nz:
         row[c] = x
+    terms = [(c, x.numerator, x.denominator) for c, x in nz]
     for k, f in enumerate(column):
         if f and k != i:
             other = tab[k]
-            for c, p in nz:
-                other[c] -= f * p
+            fn, fd = f.numerator, f.denominator
+            for c, qn, qd in terms:
+                a = other[c]
+                ad, d = a.denominator, fd * qd
+                other[c] = Fraction(a.numerator * d - fn * qn * ad, ad * d)
     basis[i] = j
     return nz

@@ -504,6 +504,21 @@ def test_cli_verify_checks_the_stated_availability(tmp_path, capsys):
     assert verify("1/2", "--cost-bound", "1")[::2] == (1, "")
 
 
+@pytest.mark.parametrize("flag", ["--threshold", "--cost-bound"])
+def test_cli_verify_rejects_an_empty_override_as_synthesize_does(tmp_path, capsys, flag):
+    # An empty value is an invalid override, not an absent one.
+    model, scheduler = _fig1_documents()
+    model_path, sched_path = tmp_path / "model.json", tmp_path / "sched.json"
+    model_path.write_text(json.dumps(model), encoding="utf-8")
+    sched_path.write_text(json.dumps(scheduler), encoding="utf-8")
+    given = {"--threshold": "4/5", "--cost-bound": "2", flag: ""}
+    synthesized = _run(["synthesize", str(model_path), "--threshold", given["--threshold"],
+                        "--cost-bound", given["--cost-bound"]], capsys)
+    verified = _run(["verify", str(model_path), str(sched_path), flag, ""], capsys)
+    assert synthesized[:2] == verified[:2] == (3, "")
+    assert synthesized[2] == verified[2] != ""
+
+
 @pytest.mark.parametrize("command", ["synthesize", "verify", "simulate"])
 def test_cli_rejects_oversized_transform(tmp_path, capsys, monkeypatch, command):
     # fig1 makes one repair copy per cost value, so R = 10**11 would need

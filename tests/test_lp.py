@@ -438,6 +438,87 @@ def test_artificial_reenters_at_phase1_value_zero():
     assert _solve_recording(p, full_block=True) == (got, pivots)
 
 
+def _two_operation_pivot(tab, basis, i, j, column):
+    """``lp._pivot`` with each entry updated by two ``Fraction`` operations,
+    x * (1/p) for the pivot row and a - f * p for the others."""
+    row = tab[i]
+    inv = 1 / column[i]
+    nz = [(c, x * inv) for c, x in enumerate(row) if x]
+    for c, x in nz:
+        row[c] = x
+    for k, f in enumerate(column):
+        if f and k != i:
+            other = tab[k]
+            for c, p in nz:
+                other[c] -= f * p
+    basis[i] = j
+    return nz
+
+
+def test_pivot_matches_the_two_operation_update():
+    seen = {"negative pivot": 0, "artificial": 0, "cancelled": 0, "empty column": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def check(seed):
+        rng = random.Random(seed)
+        m, width = rng.randint(1, 6), rng.randint(2, 9)
+
+        def entry():
+            if rng.random() < 0.6:
+                return Fraction(0)
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 12))
+
+        tab = [[entry() for _ in range(width)] for _ in range(m)]
+        for c in rng.sample(range(width), rng.randint(0, 2)):
+            for row in tab:
+                row[c] = Fraction(0)
+        i = rng.randrange(m)
+        if rng.random() < 0.25:  # an artificial column, given only as ``column``
+            j = width + rng.randrange(m)
+            column = [entry() for _ in range(m)]
+        else:
+            j = rng.randrange(width)
+            column = None
+        pivot = entry() or Fraction(rng.choice([-3, 1, 2]), rng.randint(1, 5))
+        for k in range(m):
+            if k != i and rng.random() < 0.4:
+                # Row k is a multiple of the pivot row on some columns, so
+                # the update cancels those entries to 0.
+                g = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 4))
+                for c in range(width):
+                    if rng.random() < 0.7:
+                        tab[k][c] = g * tab[i][c]
+                if column is None:
+                    tab[k][j] = g * pivot
+                else:
+                    column[k] = g * pivot
+        if column is None:
+            tab[i][j] = pivot
+            column = [row[j] for row in tab]
+        else:
+            column[i] = pivot
+        basis = rng.sample(range(width + m), m)
+
+        def run(kernel):
+            t, b = [list(row) for row in tab], list(basis)
+            pairs = kernel(t, b, i, j, list(column))
+            return ([(c, type(x), x.numerator, x.denominator) for c, x in pairs],
+                    [[(type(x), x.numerator, x.denominator) for x in row] for row in t], b)
+
+        got = run(lp_module._pivot)
+        assert got == run(_two_operation_pivot)
+        seen["negative pivot"] += pivot < 0
+        seen["artificial"] += j >= width
+        seen["cancelled"] += any(
+            tab[k][c] and not got[1][k][c][1]
+            for k in range(m) if k != i and column[k] for c in range(width))
+        seen["empty column"] += any(not any(row[c] for row in tab) for c in range(width))
+
+    check()
+    assert all(seen.values()), seen
+
+
 @pytest.mark.parametrize("k, L, R, pivots", [
     (1, 3, 3, 148), (2, 2, 2, 197), (2, 3, 3, 322), (3, 3, 4, 805)])
 def test_synthesize_pivot_counts(k, L, R, pivots):
