@@ -7,13 +7,10 @@ is always the remaining row with the fewest entries (ties to the lowest
 row), taken from a heap, and its pivot column the one held by the fewest
 remaining rows (ties to the lowest column): Markowitz's rule, which keeps
 the fill-in small. The work done is fixed by the input. Everything is a
-``fractions.Fraction``: the solutions are exact. As in ``lp._pivot``, each
-update v - f·q, of a coefficient or a right-hand side, builds one
-normalized ``Fraction`` from the numerators and denominators instead of a
-product and a difference, and scaling the pivot row builds one per entry.
-On the 2333-state chain instance (k, L, R) = (3, 3, 155), verifying a
-memoryless scheduler then takes 0.20-0.22 s of CPU time instead of
-0.23-0.25 s (CPython 3.11, alternating runs).
+``fractions.Fraction``: the solutions are exact. The entries stay small, so
+the cost is object creation: each update v - f·q, of a coefficient or a
+right-hand side, builds one normalized ``Fraction`` (``_minus``) from
+numerators and denominators read once per pivot row and once per factor.
 """
 
 from __future__ import annotations
@@ -24,6 +21,11 @@ from fractions import Fraction
 
 class SingularSystemError(ValueError):
     """Raised when a system has no solution or no unique solution."""
+
+
+def _minus(v: Fraction | int, n: int, d: int) -> Fraction:
+    """v - n/d for d > 0, as one normalized ``Fraction``."""
+    return Fraction(v.numerator * d - n * v.denominator, v.denominator * d)
 
 
 def solve_linear_system(rows: list[dict[int, Fraction]], rhs: list[list[Fraction]],
@@ -58,13 +60,10 @@ def solve_linear_system(rows: list[dict[int, Fraction]], rhs: list[list[Fraction
         for j in pivot_row:
             holders[j].discard(r)
         c = min(pivot_row, key=lambda j: (len(holders[j]), j))
-        p = pivot_row.pop(c)
-        pn, pd = p.numerator, p.denominator
-        if pn < 0:
-            pn, pd = -pn, -pd
-        for j, q in pivot_row.items():
-            pivot_row[j] = Fraction(q.numerator * pd, q.denominator * pn)
-        b[r] = [Fraction(v.numerator * pd, v.denominator * pn) for v in b[r]]
+        inv = Fraction(1) / pivot_row.pop(c)
+        for j in pivot_row:
+            pivot_row[j] *= inv
+        b[r] = [v * inv for v in b[r]]
         terms = [(j, q.numerator, q.denominator) for j, q in pivot_row.items()]
         pivot = [(v.numerator, v.denominator) for v in b[r]]
         for i in holders.pop(c):
@@ -72,9 +71,7 @@ def solve_linear_system(rows: list[dict[int, Fraction]], rhs: list[list[Fraction
             f = row.pop(c)
             fn, fd = f.numerator, f.denominator
             for j, qn, qd in terms:
-                v = row.get(j, 0)
-                vd, d = v.denominator, fd * qd
-                v = Fraction(v.numerator * d - fn * qn * vd, vd * d)
+                v = _minus(row.get(j, 0), fn * qn, fd * qd)
                 if v:
                     if j not in row:
                         holders[j].add(i)
@@ -82,8 +79,7 @@ def solve_linear_system(rows: list[dict[int, Fraction]], rhs: list[list[Fraction
                 else:
                     del row[j]
                     holders[j].discard(i)
-            b[i] = [Fraction(v.numerator * fd * qd - fn * qn * v.denominator,
-                             v.denominator * fd * qd) for v, (qn, qd) in zip(b[i], pivot)]
+            b[i] = [_minus(v, fn * qn, fd * qd) for v, (qn, qd) in zip(b[i], pivot)]
             heapq.heappush(heap, (len(row), i))
         pivots.append((r, c))
     if len(pivots) < n:

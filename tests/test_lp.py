@@ -438,8 +438,8 @@ def test_artificial_reenters_at_phase1_value_zero():
     assert _solve_recording(p, full_block=True) == (got, pivots)
 
 
-def _two_operation_pivot(tab, basis, i, j, column):
-    """``lp._pivot`` with each entry updated by two ``Fraction`` operations,
+def _operator_pivot(tab, basis, i, j, column):
+    """``lp._pivot`` with every entry computed by the ``Fraction`` operators,
     x * (1/p) for the pivot row and a - f * p for the others."""
     row = tab[i]
     inv = 1 / column[i]
@@ -455,7 +455,7 @@ def _two_operation_pivot(tab, basis, i, j, column):
     return nz
 
 
-def test_pivot_matches_the_two_operation_update():
+def test_pivot_matches_the_operator_update():
     seen = {"negative pivot": 0, "artificial": 0, "cancelled": 0, "empty column": 0}
 
     @settings(max_examples=300, deadline=None)
@@ -507,7 +507,7 @@ def test_pivot_matches_the_two_operation_update():
                     [[(type(x), x.numerator, x.denominator) for x in row] for row in t], b)
 
         got = run(lp_module._pivot)
-        assert got == run(_two_operation_pivot)
+        assert got == run(_operator_pivot)
         seen["negative pivot"] += pivot < 0
         seen["artificial"] += j >= width
         seen["cancelled"] += any(
