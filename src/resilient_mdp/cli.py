@@ -141,9 +141,12 @@ def cmd_synthesize(args, out) -> int:
     print(f"availability: {result.availability} "
           f"(~{float(result.availability):.6g})", file=out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(docs.serialize_scheduler(result.scheduler, threshold,
-                                              result.availability))
+        document = docs.serialize_scheduler(result.scheduler, threshold, result.availability)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(document)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     return EXIT_OK
 
 

@@ -10,7 +10,8 @@ action sets, memoryless scheduler, availability). The availability is read
 off those frequencies, not computed by a chain analysis, so the exact chain
 analysis of ``analyze`` stays an independent check of the final result. An
 elimination loop then re-runs the program on ever smaller sub-MDPs so that
-components unreachable for the global optimum are still discovered.
+components unreachable for the global optimum are still discovered. Each
+step solves one program and keeps its triples as extracted (see ``compute_E``).
 """
 
 from __future__ import annotations
@@ -220,7 +221,6 @@ class ComponentTriple:
     action_sets: dict[int, tuple[str, ...]]
     scheduler: MrScheduler
     avail: Fraction
-    snapshot: SubMdp
 
 
 def extract_components(q: SubMdp, solution: LpSolution) -> list[ComponentTriple]:
@@ -261,48 +261,27 @@ def extract_components(q: SubMdp, solution: LpSolution) -> list[ComponentTriple]
         choices = {s: {a: x[(s, a)] / mass[s] for a in action_sets[s]} for s in members}
         payoff = sum((q.mt.payoff(s) * xs for s, xs in mass.items()), Fraction(0))
         triples.append(ComponentTriple(tuple(members), action_sets, MrScheduler(choices),
-                                       payoff / sum(mass.values()), q))
+                                       payoff / sum(mass.values())))
     return triples
-
-
-def _certify(triple: ComponentTriple,
-             weights: dict[int, dict[int, Fraction]]) -> ComponentTriple:
-    """Re-solve on the snapshot with recurrence confined to the component.
-
-    A global optimum need not witness per-initial-state maximality inside
-    each component. The program of the snapshot is solved again from the
-    component's first state with every recurrent frequency x[s|a] of a state
-    outside the component removed, i.e. fixed to 0. When the scheduler
-    extracted from that solution beats the triple's, its component replaces
-    the triple.
-    """
-    q = triple.snapshot
-    lp = build_multi_mp_lp(q, triple.states[0], weights)
-    inside = set(triple.states)
-    pinned = {_xv(q, s, a) for s in q.members if s not in inside for a in q.enabled(s)}
-    lp.variables = [v for v in lp.variables if v not in pinned]
-    lp.nonneg -= pinned
-    lp.objective = {v: c for v, c in lp.objective.items() if v not in pinned}
-    for con in lp.constraints:
-        con.coeffs = {v: c for v, c in con.coeffs.items() if v not in pinned}
-    sol = solve(lp)
-    if sol.status != OPTIMAL:
-        return triple
-    candidates = extract_components(q, sol)
-    candidates = [t for t in candidates if set(t.states) <= inside]
-    if not candidates:
-        return triple
-    best = max(candidates, key=lambda t: t.avail)
-    return best if best.avail > triple.avail else triple
 
 
 def compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentTriple]:
     """Elimination loop producing the full set of usable component triples.
 
     Solve the availability program on the current sub-MDP; on success keep
-    the extracted (certified) triples and remove their states, otherwise
-    remove the current initial state. Repeat until nothing is left. The
-    result may be empty, in which case no resilient scheduler exists.
+    the extracted triples and remove their states, otherwise remove the
+    current initial state. Repeat until nothing is left. The result may be
+    empty, in which case no resilient scheduler exists.
+
+    One program per step suffices. Let C be a support bottom SCC of the
+    optimal x, with mass mu > 0 and availability a, and suppose a resilient
+    component C' inside C had a' > a. C is strongly connected, so the y-flow
+    that switched into C can go on to C' and switch there; moving mu onto
+    the stationary frequencies of C' raises the objective by mu (a' - a) > 0.
+    Every weight row stays nonnegative: error e's weights sit only on its
+    repair copies, which recur only in the one bottom SCC holding e, so C'
+    pays its own rows. That contradicts optimality, so a re-solve confined
+    to C's states cannot find a better triple.
     """
     weights = build_weights(mt, threshold)
     q = full_sub_mdp(mt)
@@ -311,7 +290,7 @@ def compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentTriple]:
     while not q.empty:
         sol = solve(build_multi_mp_lp(q, s, weights))
         if sol.status == OPTIMAL:
-            triples = [_certify(t, weights) for t in extract_components(q, sol)]
+            triples = extract_components(q, sol)
             out.extend(triples)
             q = prune(q, {t for tr in triples for t in tr.states})
         else:

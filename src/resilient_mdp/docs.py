@@ -9,6 +9,7 @@ accepted and converted exactly.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,10 +27,21 @@ class DocumentError(ValueError):
     """The file is not a well-formed document of the expected format."""
 
 
+# CPython's default digit limit for an int read from a string. ``Fraction``
+# builds 10**exponent exactly, so "1e999999999" would never return.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
 def parse_fraction(text) -> Fraction:
-    """Exact rational from an "a/b" string or a terminating decimal string."""
+    """Exact rational from an "a/b" string or a terminating decimal string,
+    whose exponent, if any, is at most ``MAX_EXPONENT`` in magnitude."""
+    text = str(text)
     try:
-        return Fraction(str(text))
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {MAX_EXPONENT} in magnitude")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"not a fraction or decimal: {text!r} ({exc})") from exc
 
@@ -101,6 +113,8 @@ def _load_json(path: str):
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8: {exc}") from exc
 
 
 def _dist_to_data(dist: dict[str, Fraction]) -> dict[str, str]:

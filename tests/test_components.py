@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilient_mdp import build_weights, compute_E, mec_decomposition, transform
 from resilient_mdp.analyze import induce_chain, long_run_value, mp_values
-from resilient_mdp.components import (build_multi_mp_lp, extract_components,
+from resilient_mdp.components import (_xv, build_multi_mp_lp, extract_components,
                                       full_sub_mdp, prune)
 from resilient_mdp.graph import strongly_connected_components
 from resilient_mdp.lp import OPTIMAL, LpSolution, solve
@@ -230,3 +232,68 @@ def test_component_availability_and_weight_means_recompute(fig1):
             continue
         _recompute_components(mt, Fraction(2, 3))
         done += 1
+
+
+def _certified_compute_E(mt, threshold):
+    """Reference: the elimination loop with a per-component re-solve.
+
+    Each extracted triple is solved again on the sub-MDP it came from, from
+    its first state, with every x[s|a] outside the triple's states removed;
+    a strictly better component found inside replaces it. Returns the
+    triples and the number of replacements.
+    """
+    weights = build_weights(mt, threshold)
+
+    def certify(q, triple):
+        lp = build_multi_mp_lp(q, triple.states[0], weights)
+        inside = set(triple.states)
+        pinned = {_xv(q, s, a) for s in q.members if s not in inside for a in q.enabled(s)}
+        lp.variables = [v for v in lp.variables if v not in pinned]
+        lp.nonneg -= pinned
+        lp.objective = {v: c for v, c in lp.objective.items() if v not in pinned}
+        for con in lp.constraints:
+            con.coeffs = {v: c for v, c in con.coeffs.items() if v not in pinned}
+        sol = solve(lp)
+        if sol.status != OPTIMAL:
+            return triple
+        candidates = [t for t in extract_components(q, sol) if set(t.states) <= inside]
+        if not candidates:
+            return triple
+        best = max(candidates, key=lambda t: t.avail)
+        return best if best.avail > triple.avail else triple
+
+    q = full_sub_mdp(mt)
+    s = mt.initial
+    out, replaced = [], 0
+    while not q.empty:
+        sol = solve(build_multi_mp_lp(q, s, weights))
+        if sol.status == OPTIMAL:
+            triples = []
+            for t in extract_components(q, sol):
+                best = certify(q, t)
+                replaced += best is not t
+                triples.append(best)
+            out.extend(triples)
+            q = prune(q, {t for tr in triples for t in tr.states})
+        else:
+            q = prune(q, {s})
+        if not q.empty and s not in q.enabled_map:
+            s = q.members[0]
+    return out, replaced
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), any_target=st.booleans(), bound=st.integers(0, 3),
+       threshold=st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(9, 10),
+                                  Fraction(1)]))
+def test_compute_E_matches_certified_reference(seed, any_target, bound, threshold):
+    # An optimum leaves no better resilient component inside any of its
+    # bottom SCCs (see compute_E), so re-solving each triple changes nothing.
+    mt = transform(random_model(random.Random(seed), any_target), bound)
+    expected, replaced = _certified_compute_E(mt, threshold)
+    assert replaced == 0
+
+    def key(t):
+        return t.states, t.scheduler.choices, t.avail
+
+    assert [key(t) for t in compute_E(mt, threshold)] == [key(t) for t in expected]

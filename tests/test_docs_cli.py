@@ -4,13 +4,18 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import resilient_mdp
 from resilient_mdp import MrScheduler, cli, docs, make_mdp, synthesize, transform
 from resilient_mdp.docs import DocumentError
 from resilient_mdp.synth import ComposedScheduler, VerificationFailedError
@@ -29,6 +34,13 @@ def test_fraction_parsing():
     assert docs.parse_fraction("4/5") == Fraction(4, 5)
     assert docs.parse_fraction("0.8") == Fraction(4, 5)
     assert docs.parse_fraction("1") == 1
+    assert docs.parse_fraction(1e-05) == docs.parse_fraction("1e-05") == Fraction(1, 100000)
+    assert docs.parse_fraction("25e-1") == Fraction(5, 2)
+    limit = docs.MAX_EXPONENT
+    assert docs.parse_fraction(f"1e-{limit}") == Fraction(1, 10 ** limit)
+    for text in (f"1e{limit + 1}", f"1E-{limit + 1}", f"1e+{limit + 1}"):
+        with pytest.raises(DocumentError, match="exponent"):
+            docs.parse_fraction(text)
     with pytest.raises(DocumentError):
         docs.parse_fraction("1/0")
     with pytest.raises(DocumentError):
@@ -122,6 +134,16 @@ def test_cli_synthesize_writes_scheduler(fig1_path, tmp_path, capsys):
     assert "9/10" in out
     doc = docs.load_scheduler(str(out_path))
     assert doc.availability == Fraction(9, 10)
+
+
+def test_cli_synthesize_unwritable_out_is_usage_error(fig1_path, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.json"
+    code, out, err = _run(["synthesize", fig1_path, "--threshold", "4/5",
+                           "--cost-bound", "2", "--out", str(out_path)], capsys)
+    assert code == 3
+    assert out.startswith("availability: 9/10 ")
+    assert err.startswith(f"usage error: cannot write {out_path}: ") and err.count("\n") == 1
+    assert not out_path.exists()
 
 
 def test_cli_synthesize_infeasible(fig1_path, capsys):
@@ -625,3 +647,39 @@ def test_fuzz_scheduler_documents_exit_with_contract_codes(tmp_path, data):
     model, scheduler = _fig1_documents()
     scheduler = data.draw(_mutated(scheduler))
     assert _verify_documents(tmp_path, model, scheduler, "verify") in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_cli_non_utf8_documents_are_parse_errors(tmp_path, capsys, command):
+    # A UTF-16 file with its byte-order mark: the model for validate, the
+    # scheduler for verify.
+    model, scheduler = _fig1_documents()
+    model_path, bad_path = tmp_path / "model.json", tmp_path / "bad.json"
+    model_path.write_text(json.dumps(model), encoding="utf-8")
+    bad = model if command == "validate" else scheduler
+    bad_path.write_bytes(b"\xff\xfe" + json.dumps(bad).encode("utf-16-le"))
+    argv = ([command, str(bad_path)] if command == "validate"
+            else [command, str(model_path), str(bad_path)])
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error: ") and "is not UTF-8" in err
+
+
+def test_cli_huge_exponents_are_parse_errors_quickly(tmp_path):
+    # Fraction("1e999999999") computes 10**999999999 and never returns, so
+    # each command runs in a child process that is killed after a timeout.
+    model, scheduler = copy.deepcopy(_fig1_documents())
+    sched_path = tmp_path / "sched.json"
+    sched_path.write_text(json.dumps(scheduler), encoding="utf-8")
+    fig1_path = tmp_path / "fig1.json"
+    fig1_path.write_text(json.dumps(model), encoding="utf-8")
+    model["transitions"][0]["to"][0]["prob"] = "1e999999999"
+    huge_path = tmp_path / "huge.json"
+    huge_path.write_text(json.dumps(model), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(resilient_mdp.__file__).resolve().parents[1]))
+    for argv in (["validate", str(huge_path)],
+                 ["verify", str(fig1_path), str(sched_path), "--threshold", "1e-99999999999"]):
+        run = subprocess.run([sys.executable, "-m", "resilient_mdp.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=20)
+        assert run.returncode == 3, run.stderr
+        assert run.stderr.startswith("parse error: ") and "exponent" in run.stderr

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resilient_mdp.components as components_module
 import resilient_mdp.lp as lp_module
 from resilient_mdp import synthesize
 from resilient_mdp.linsolve import SingularSystemError, solve_linear_system
@@ -520,20 +521,27 @@ def test_pivot_matches_the_operator_update():
 
 
 @pytest.mark.parametrize("k, L, R, pivots", [
-    (1, 3, 3, 148), (2, 2, 2, 197), (2, 3, 3, 322), (3, 3, 4, 805)])
+    (1, 3, 3, 108), (2, 2, 2, 132), (2, 3, 3, 244), (3, 3, 4, 662)])
 def test_synthesize_pivot_counts(k, L, R, pivots):
     # The chain family of the benchmark at threshold 4/5: every LP that
-    # ``synthesize`` solves, the certifying re-solves included.
-    count = [0]
-    real = lp_module._pivot
+    # ``synthesize`` solves, one availability program in ``compute_E`` and
+    # the goal program.
+    count = {"pivots": 0, "solves": 0}
+    real_pivot, real_solve = lp_module._pivot, lp_module.solve
 
-    def counting(*args):
-        count[0] += 1
-        return real(*args)
+    def counting_pivot(*args):
+        count["pivots"] += 1
+        return real_pivot(*args)
 
-    with mock.patch.object(lp_module, "_pivot", counting):
+    def counting_solve(*args, **kwargs):
+        count["solves"] += 1
+        return real_solve(*args, **kwargs)
+
+    with mock.patch.object(lp_module, "_pivot", counting_pivot), \
+            mock.patch.object(lp_module, "solve", counting_solve), \
+            mock.patch.object(components_module, "solve", counting_solve):
         synthesize(chain_model(k, L), Fraction(4, 5), R)
-    assert count[0] == pivots
+    assert count == {"pivots": pivots, "solves": 2}
 
 
 def test_linear_system_golden():
