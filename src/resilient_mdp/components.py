@@ -4,14 +4,13 @@ The long-run behavior of any resilient scheduler is confined to end
 components whose internal scheduler keeps, for every error e, the mean of a
 weight function nonnegative: repair successes within budget earn 1 - p,
 budget overruns pay -p, everything else is neutral. Maximizing availability
-under these mean constraints is an occupation-measure linear program; its
-recurrent frequencies are extracted into component triples (state set,
-action sets, memoryless scheduler, availability). The availability is read
-off those frequencies, not computed by a chain analysis, so the exact chain
-analysis of ``analyze`` stays an independent check of the final result. An
-elimination loop then re-runs the program on ever smaller sub-MDPs so that
-components unreachable for the global optimum are still discovered. Each
-step solves one program and keeps its triples as extracted (see ``compute_E``).
+under these mean constraints on one maximal end component (MEC) is a linear
+program over long-run frequencies; its recurrent frequencies are extracted
+into component triples (state set, action sets, memoryless scheduler,
+availability). The availability is read off those frequencies, not computed
+by a chain analysis, so the exact chain analysis of ``analyze`` stays an
+independent check of the final result. A worklist over MECs finds the
+components the optimum passes over (see ``compute_E``).
 """
 
 from __future__ import annotations
@@ -25,65 +24,25 @@ from .sched import MrScheduler
 from .transform import TransformedMdp, build_weights
 
 
-@dataclass(frozen=True)
-class SubMdp:
-    """A sub-MDP of the transformed model: a state subset with, per state, a
-    nonempty subset of enabled actions whose transitions stay inside."""
+def mec_decomposition(mt: TransformedMdp, enabled: dict[int, list[str]]
+                      ) -> list[tuple[list[int], dict[int, list[str]]]]:
+    """Maximal end components of the sub-MDP ``enabled``, ordered by smallest
+    contained state.
 
-    mt: TransformedMdp
-    members: tuple[int, ...]
-    enabled_map: dict[int, tuple[str, ...]]
-
-    def enabled(self, i: int) -> tuple[str, ...]:
-        return self.enabled_map[i]
-
-    @property
-    def empty(self) -> bool:
-        return not self.members
-
-
-def full_sub_mdp(mt: TransformedMdp) -> SubMdp:
-    return SubMdp(mt, tuple(range(mt.n)),
-                  {i: tuple(mt.enabled(i)) for i in range(mt.n)})
-
-
-def prune(q: SubMdp, removed: set[int]) -> SubMdp:
-    """Largest sub-MDP of q avoiding ``removed``.
-
-    Deleting a state disables every action with a transition into it; a state
-    with no enabled action left is deleted in turn, until a fixpoint.
-    """
-    alive = {s: set(q.enabled_map[s]) for s in q.members if s not in removed}
-    changed = True
-    while changed:
-        changed = False
-        for s in list(alive):
-            for a in list(alive[s]):
-                if any(t not in alive for t, _ in q.mt.actions[s][a]):
-                    alive[s].discard(a)
-                    changed = True
-            if not alive[s]:
-                del alive[s]
-                changed = True
-    members = tuple(sorted(alive))
-    return SubMdp(q.mt, members, {s: tuple(sorted(alive[s])) for s in members})
-
-
-def mec_decomposition(q: SubMdp) -> list[tuple[list[int], dict[int, list[str]]]]:
-    """Maximal end components of q, ordered by smallest contained state.
-
-    Standard iteration: split into SCCs, disable actions leaving their SCC,
-    drop action-less states, repeat until stable. Singleton SCCs without an
+    ``enabled`` maps each state of the sub-MDP to its allowed actions; an
+    action with a target outside the map leaves the sub-MDP. Standard
+    iteration: split into SCCs, disable actions leaving their SCC, drop
+    action-less states, repeat until stable. Singleton SCCs without an
     internal action are discarded.
     """
-    enabled = {s: list(q.enabled_map[s]) for s in q.members}
+    enabled = {s: list(acts) for s, acts in enabled.items()}
     while True:
         states = sorted(enabled)
         pos = {s: k for k, s in enumerate(states)}
         succ = [[] for _ in states]
         for s in states:
             for a in enabled[s]:
-                for t, _ in q.mt.actions[s][a]:
+                for t, _ in mt.actions[s][a]:
                     if t in pos:
                         succ[pos[s]].append(pos[t])
         comps = strongly_connected_components(succ)
@@ -93,7 +52,7 @@ def mec_decomposition(q: SubMdp) -> list[tuple[list[int], dict[int, list[str]]]]
             for v in comp:
                 s = states[v]
                 for a in list(enabled[s]):
-                    if any(t not in members for t, _ in q.mt.actions[s][a]):
+                    if any(t not in members for t, _ in mt.actions[s][a]):
                         enabled[s].remove(a)
                         changed = True
         for s in list(enabled):
@@ -104,12 +63,10 @@ def mec_decomposition(q: SubMdp) -> list[tuple[list[int], dict[int, list[str]]]]
             break
     mecs = []
     for comp in comps:
-        members = sorted(states[v] for v in comp if states[v] in enabled)
-        if not members:
-            continue
+        members = sorted(states[v] for v in comp)
         if len(members) == 1:
             s = members[0]
-            if not any(t == s for a in enabled[s] for t, _ in q.mt.actions[s][a]):
+            if not any(t == s for a in enabled[s] for t, _ in mt.actions[s][a]):
                 continue
         mecs.append((members, {s: sorted(enabled[s]) for s in members}))
     mecs.sort(key=lambda me: me[0][0])
@@ -133,84 +90,36 @@ def flow_balance(states, enabled, actions, var) -> dict[int, dict[str, Fraction]
     return rows
 
 
-def _yv(q: SubMdp, s: int, a: str) -> str:
-    return f"y[{q.mt.ids[s]}|{a}]"
+def _xv(mt: TransformedMdp, s: int, a: str) -> str:
+    return f"x[{mt.ids[s]}|{a}]"
 
 
-def _ys(q: SubMdp, s: int) -> str:
-    return f"y[{q.mt.ids[s]}]"
-
-
-def _xv(q: SubMdp, s: int, a: str) -> str:
-    return f"x[{q.mt.ids[s]}|{a}]"
-
-
-def build_multi_mp_lp(q: SubMdp, init: int,
+def build_multi_mp_lp(mt: TransformedMdp, members: list[int], acts: dict[int, list[str]],
                       weights: dict[int, dict[int, Fraction]]) -> LinearProgram:
-    """Occupation-measure program for maximal availability under nonnegative
+    """Program for maximal availability on one MEC under nonnegative
     per-error weight means.
 
-    y[s|a] is expected transient visit mass, y[s] the mass switching to
-    recurrent mode at s (allowed only inside maximal end components),
-    x[s|a] the long-run state-action frequency. Flow conservation couples y,
-    per-MEC matching couples x to the switch mass, and one inequality per
-    error keeps that error's expected weight frequency nonnegative.
+    x[s|a] is the long-run frequency of action a in state s of the MEC
+    ``members`` with actions ``acts``. The rows are flow conservation per
+    state, total frequency 1 and, per error with a weighted state in the
+    MEC, that error's expected weight frequency kept nonnegative.
     """
-    if init not in q.enabled_map:
-        raise ValueError("initial state not in sub-MDP")
-    mecs = mec_decomposition(q)
-    mec_states = {s for members, _ in mecs for s in members}
-
-    variables: list[str] = []
-    for s in q.members:
-        for a in q.enabled(s):
-            variables.append(_yv(q, s, a))
-        if s in mec_states:
-            variables.append(_ys(q, s))
-    for s in q.members:
-        for a in q.enabled(s):
-            variables.append(_xv(q, s, a))
-
+    variables = [_xv(mt, s, a) for s in members for a in acts[s]]
     lp = LinearProgram(variables=variables, nonneg=set(variables))
 
-    flow_y = flow_balance(q.members, q.enabled, q.mt.actions, lambda s, a: _yv(q, s, a))
-    for s in q.members:  # transient flow: outflow + switch = source + inflow
-        if s in mec_states:
-            flow_y[s][_ys(q, s)] = Fraction(1)
-        lp.add(flow_y[s], EQ, Fraction(1 if s == init else 0))
-
-    lp.add({_ys(q, s): Fraction(1) for s in sorted(mec_states)}, EQ, 1)
-
-    flow_x = flow_balance(q.members, q.enabled, q.mt.actions, lambda s, a: _xv(q, s, a))
-    for s in q.members:  # recurrent flow conservation
-        lp.add(flow_x[s], EQ, 0)
-
-    for members, acts in mecs:  # recurrent mass appears where switching happened
-        coeffs = {}
-        for s in members:
-            for a in q.enabled(s):
-                coeffs[_xv(q, s, a)] = Fraction(1)
-            coeffs[_ys(q, s)] = Fraction(-1)
-        lp.add(coeffs, EQ, 0)
+    flow = flow_balance(members, acts.__getitem__, mt.actions, lambda s, a: _xv(mt, s, a))
+    for s in members:
+        lp.add(flow[s], EQ, 0)
+    lp.add(dict.fromkeys(variables, Fraction(1)), EQ, 1)
 
     for e in sorted(weights):
-        if e not in q.enabled_map:
-            continue
         wgt = weights[e]
-        coeffs = {}
-        for s in q.members:
-            w = wgt.get(s)
-            if w:
-                for a in q.enabled(s):
-                    coeffs[_xv(q, s, a)] = w
-        lp.add(coeffs, GE, 0)
+        coeffs = {_xv(mt, s, a): wgt[s] for s in members if wgt.get(s) for a in acts[s]}
+        if coeffs:
+            lp.add(coeffs, GE, 0)
 
-    lp.objective = {}
-    for s in q.members:
-        pay = q.mt.payoff(s)
-        if pay:
-            for a in q.enabled(s):
-                lp.objective[_xv(q, s, a)] = Fraction(pay)
+    lp.objective = {_xv(mt, s, a): Fraction(mt.payoff(s))
+                    for s in members if mt.payoff(s) for a in acts[s]}
     lp.direction = "max"
     return lp
 
@@ -223,8 +132,10 @@ class ComponentTriple:
     avail: Fraction
 
 
-def extract_components(q: SubMdp, solution: LpSolution) -> list[ComponentTriple]:
-    """Read component triples off the recurrent frequencies of a solution.
+def extract_components(mt: TransformedMdp, acts: dict[int, list[str]],
+                       solution: LpSolution) -> list[ComponentTriple]:
+    """Read component triples off the frequencies of a solution over the
+    actions ``acts``.
 
     The support of x is a union of bottom SCCs (a stationary measure only
     charges closed recurrent classes); each such SCC yields a triple with the
@@ -235,18 +146,16 @@ def extract_components(q: SubMdp, solution: LpSolution) -> list[ComponentTriple]
     if solution.status != OPTIMAL:
         raise ValueError("need an optimal solution")
     x = {}
-    for s in q.members:
-        for a in q.enabled(s):
-            v = solution.assignment.get(_xv(q, s, a), Fraction(0))
+    for s in sorted(acts):
+        for a in acts[s]:
+            v = solution.assignment.get(_xv(mt, s, a), Fraction(0))
             if v > 0:
                 x[(s, a)] = v
-    if not x:
-        return []
     support_states = sorted({s for s, _ in x})
     pos = {s: k for k, s in enumerate(support_states)}
     succ = [[] for _ in support_states]
     for (s, a) in x:
-        for t, p in q.mt.actions[s][a]:
+        for t, p in mt.actions[s][a]:
             if p > 0:
                 succ[pos[s]].append(pos[t])
     comps = strongly_connected_components(succ)
@@ -259,42 +168,54 @@ def extract_components(q: SubMdp, solution: LpSolution) -> list[ComponentTriple]
         action_sets = {s: tuple(sorted(a for (t, a) in x if t == s)) for s in members}
         mass = {s: sum((x[(s, a)] for a in action_sets[s]), Fraction(0)) for s in members}
         choices = {s: {a: x[(s, a)] / mass[s] for a in action_sets[s]} for s in members}
-        payoff = sum((q.mt.payoff(s) * xs for s, xs in mass.items()), Fraction(0))
+        payoff = sum((mt.payoff(s) * xs for s, xs in mass.items()), Fraction(0))
         triples.append(ComponentTriple(tuple(members), action_sets, MrScheduler(choices),
                                        payoff / sum(mass.values())))
     return triples
 
 
 def compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentTriple]:
-    """Elimination loop producing the full set of usable component triples.
+    """Worklist over MECs producing the full set of usable component triples.
 
-    Solve the availability program on the current sub-MDP; on success keep
-    the extracted triples and remove their states, otherwise remove the
-    current initial state. Repeat until nothing is left. The result may be
-    empty, in which case no resilient scheduler exists.
+    Start from the MECs of the whole model. Solve each MEC's program: if it
+    is infeasible, drop the MEC; otherwise keep the extracted triples and
+    push the MECs of what remains once the triples' states are removed. The
+    result is sorted by decreasing availability, then by states, so its
+    order does not depend on the order of the work. It may be empty, in
+    which case no resilient scheduler exists.
 
-    One program per step suffices. Let C be a support bottom SCC of the
-    optimal x, with mass mu > 0 and availability a, and suppose a resilient
-    component C' inside C had a' > a. C is strongly connected, so the y-flow
-    that switched into C can go on to C' and switch there; moving mu onto
-    the stationary frequencies of C' raises the objective by mu (a' - a) > 0.
-    Every weight row stays nonnegative: error e's weights sit only on its
-    repair copies, which recur only in the one bottom SCC holding e, so C'
-    pays its own rows. That contradicts optimality, so a re-solve confined
-    to C's states cannot find a better triple.
+    Why one x-only program per MEC suffices:
+
+    - Every end component lies in one MEC, and an end component of a MEC
+      that avoids some of its states lies in one MEC of the rest.
+    - Error e's nonzero weights sit on e itself and on op or overrun copies
+      of e. Leaving a repair copy resets the memory, and only e starts it
+      again, so every cycle through such a copy passes through e: those
+      copies recur only in the MEC that holds e. The weight rows therefore
+      split by MEC, and a MEC's program holds every row its components pay.
+    - The stationary frequencies of a resilient component of a MEC are a
+      feasible point of its program. So an infeasible MEC contains no
+      resilient component, and dropping all of it loses none.
+    - Optimality. Let C be a support bottom SCC of an optimal x, with mass
+      mu > 0 and availability a, and suppose a resilient component C' inside
+      C had a' > a. By the split above each support SCC pays its own weight
+      rows, and so does C'. Moving C's mass mu onto the stationary
+      frequencies of C' keeps flow, total mass and every weight row, and
+      raises the objective by mu (a' - a) > 0. That contradicts optimality,
+      so removing a triple's states never loses a better component inside
+      them.
     """
     weights = build_weights(mt, threshold)
-    q = full_sub_mdp(mt)
-    s = mt.initial
+    work = mec_decomposition(mt, {s: mt.enabled(s) for s in range(mt.n)})
     out: list[ComponentTriple] = []
-    while not q.empty:
-        sol = solve(build_multi_mp_lp(q, s, weights))
-        if sol.status == OPTIMAL:
-            triples = extract_components(q, sol)
-            out.extend(triples)
-            q = prune(q, {t for tr in triples for t in tr.states})
-        else:
-            q = prune(q, {s})
-        if not q.empty and s not in q.enabled_map:
-            s = q.members[0]
+    while work:
+        members, acts = work.pop()
+        sol = solve(build_multi_mp_lp(mt, members, acts, weights))
+        if sol.status != OPTIMAL:
+            continue
+        triples = extract_components(mt, acts, sol)
+        out.extend(triples)
+        used = {s for tr in triples for s in tr.states}
+        work.extend(mec_decomposition(mt, {s: a for s, a in acts.items() if s not in used}))
+    out.sort(key=lambda tr: (-tr.avail, tr.states))
     return out

@@ -111,10 +111,12 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path} is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # too deep, or too many digits
+        raise DocumentError(f"{path} exceeds the JSON reader's limits: {exc}") from exc
 
 
 def _dist_to_data(dist: dict[str, Fraction]) -> dict[str, str]:

@@ -1,8 +1,10 @@
 """Test-only helpers for the paper's identities.
 
 Paths of the base and the transformed model, with projection and lifting
-(both preserve cost and payoff), and the expected total reward of the goal
-MDP under the scheduler a flow solution induces (it equals availability).
+(both preserve cost and payoff), the expected total reward of the goal MDP
+under the scheduler a flow solution induces (it equals availability), and a
+reference search for usable end components through one global program per
+elimination step.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from resilient_mdp.analyze import _solve_restricted, almost_sure_reach, induce_chain
-from resilient_mdp.lp import LpSolution
+from resilient_mdp.components import ComponentTriple, flow_balance
+from resilient_mdp.graph import strongly_connected_components
+from resilient_mdp.lp import EQ, GE, OPTIMAL, LinearProgram, LpSolution, solve
 from resilient_mdp.sched import MrScheduler
 from resilient_mdp.synth import TAU, GoalMdp, _flow_policy
-from resilient_mdp.transform import TransformedMdp
+from resilient_mdp.transform import TransformedMdp, build_weights
 
 
 @dataclass(frozen=True)
@@ -111,3 +115,150 @@ def goal_mr_scheduler(n: GoalMdp, solution: LpSolution) -> MrScheduler:
     return MrScheduler({s: {TAU: Fraction(1)} if s == n.goal_index
                         else _flow_policy(n, solution.assignment, s, n.enabled(s))
                         for s in range(n.n)})
+
+
+# A sub-MDP below is a map from each of its states to a nonempty tuple of
+# enabled actions whose transitions stay inside the map.
+
+def _prune(mt: TransformedMdp, enabled: dict, removed: set) -> dict:
+    """Largest sub-MDP of ``enabled`` avoiding ``removed``: deleting a state
+    disables every action into it, and a state left without actions is
+    deleted in turn, until a fixpoint."""
+    alive = {s: set(acts) for s, acts in enabled.items() if s not in removed}
+    changed = True
+    while changed:
+        changed = False
+        for s in list(alive):
+            for a in list(alive[s]):
+                if any(t not in alive for t, _ in mt.actions[s][a]):
+                    alive[s].discard(a)
+                    changed = True
+            if not alive[s]:
+                del alive[s]
+                changed = True
+    return {s: tuple(sorted(alive[s])) for s in sorted(alive)}
+
+
+def _mecs(mt: TransformedMdp, enabled: dict) -> list[list[int]]:
+    """State sets of the maximal end components of a sub-MDP."""
+    enabled = {s: list(acts) for s, acts in enabled.items()}
+    while True:
+        states = sorted(enabled)
+        pos = {s: k for k, s in enumerate(states)}
+        succ = [[pos[t] for a in enabled[s] for t, _ in mt.actions[s][a] if t in pos]
+                for s in states]
+        comps = strongly_connected_components(succ)
+        changed = False
+        for comp in comps:
+            members = {states[v] for v in comp}
+            for s in members:
+                for a in list(enabled[s]):
+                    if any(t not in members for t, _ in mt.actions[s][a]):
+                        enabled[s].remove(a)
+                        changed = True
+                if not enabled[s]:
+                    del enabled[s]
+                    changed = True
+        if not changed:
+            break
+    out = []
+    for comp in comps:
+        members = sorted(states[v] for v in comp)
+        if len(members) > 1 or any(t == members[0] for a in enabled[members[0]]
+                                   for t, _ in mt.actions[members[0]][a]):
+            out.append(members)
+    return sorted(out)
+
+
+def _global_program(mt: TransformedMdp, enabled: dict, init: int, weights) -> LinearProgram:
+    """Availability program of a whole sub-MDP. y[s|a] is the expected
+    transient visit mass, y[s] the mass switching to recurrent mode at s
+    (only inside a MEC), x[s|a] the long-run frequency. Flow couples y,
+    per-MEC matching couples x to the switch mass, and one row per error
+    keeps its weight frequency nonnegative."""
+    def yv(s, a):
+        return f"y[{mt.ids[s]}|{a}]"
+
+    def xv(s, a):
+        return f"x[{mt.ids[s]}|{a}]"
+
+    members = sorted(enabled)
+    mecs = _mecs(mt, enabled)
+    switch = {s for m in mecs for s in m}
+    variables = []
+    for s in members:
+        variables += [yv(s, a) for a in enabled[s]]
+        if s in switch:
+            variables.append(f"y[{mt.ids[s]}]")
+    variables += [xv(s, a) for s in members for a in enabled[s]]
+    lp = LinearProgram(variables=variables, nonneg=set(variables))
+    flow_y = flow_balance(members, enabled.__getitem__, mt.actions, yv)
+    for s in members:
+        if s in switch:
+            flow_y[s][f"y[{mt.ids[s]}]"] = Fraction(1)
+        lp.add(flow_y[s], EQ, Fraction(1 if s == init else 0))
+    lp.add({f"y[{mt.ids[s]}]": Fraction(1) for s in sorted(switch)}, EQ, 1)
+    flow_x = flow_balance(members, enabled.__getitem__, mt.actions, xv)
+    for s in members:
+        lp.add(flow_x[s], EQ, 0)
+    for m in mecs:
+        coeffs = {}
+        for s in m:
+            for a in enabled[s]:
+                coeffs[xv(s, a)] = Fraction(1)
+            coeffs[f"y[{mt.ids[s]}]"] = Fraction(-1)
+        lp.add(coeffs, EQ, 0)
+    for e in sorted(weights):
+        if e in enabled:
+            lp.add({xv(s, a): weights[e][s] for s in members if weights[e].get(s)
+                    for a in enabled[s]}, GE, 0)
+    lp.objective = {xv(s, a): Fraction(mt.payoff(s))
+                    for s in members if mt.payoff(s) for a in enabled[s]}
+    lp.direction = "max"
+    return lp
+
+
+def _support_triples(mt: TransformedMdp, enabled: dict, solution: LpSolution):
+    """One triple per SCC of the x-support, with the frequency-proportional
+    scheduler and the availability its frequencies give."""
+    x = {(s, a): solution.assignment.get(f"x[{mt.ids[s]}|{a}]", Fraction(0))
+         for s in sorted(enabled) for a in enabled[s]}
+    x = {sa: v for sa, v in x.items() if v > 0}
+    support = sorted({s for s, _ in x})
+    pos = {s: k for k, s in enumerate(support)}
+    succ = [[pos[t] for (u, a) in x if u == s for t, p in mt.actions[s][a] if p > 0]
+            for s in support]
+    triples = []
+    for comp in sorted(strongly_connected_components(succ), key=min):
+        members = sorted(support[v] for v in comp)
+        action_sets = {s: tuple(sorted(a for (t, a) in x if t == s)) for s in members}
+        mass = {s: sum((x[(s, a)] for a in action_sets[s]), Fraction(0)) for s in members}
+        choices = {s: {a: x[(s, a)] / mass[s] for a in action_sets[s]} for s in members}
+        payoff = sum((mt.payoff(s) * xs for s, xs in mass.items()), Fraction(0))
+        triples.append(ComponentTriple(tuple(members), action_sets, MrScheduler(choices),
+                                       payoff / sum(mass.values())))
+    return triples
+
+
+def global_compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentTriple]:
+    """Reference for ``compute_E``: one global program per elimination step.
+
+    Solve the program of the current sub-MDP from a start state; on success
+    keep the extracted triples and remove their states, otherwise remove the
+    start state. Repeat until nothing is left. Triples come in search order.
+    """
+    weights = build_weights(mt, threshold)
+    enabled = {s: tuple(mt.enabled(s)) for s in range(mt.n)}
+    s = mt.initial
+    out = []
+    while enabled:
+        sol = solve(_global_program(mt, enabled, s, weights))
+        if sol.status == OPTIMAL:
+            triples = _support_triples(mt, enabled, sol)
+            out.extend(triples)
+            enabled = _prune(mt, enabled, {t for tr in triples for t in tr.states})
+        else:
+            enabled = _prune(mt, enabled, {s})
+        if enabled and s not in enabled:
+            s = min(enabled)
+    return out

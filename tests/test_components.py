@@ -1,20 +1,28 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilient_mdp import build_weights, compute_E, mec_decomposition, transform
+from resilient_mdp import (build_weights, compute_E, make_mdp, mec_decomposition, synthesize,
+                           transform)
 from resilient_mdp.analyze import induce_chain, long_run_value, mp_values
-from resilient_mdp.components import (_xv, build_multi_mp_lp, extract_components,
-                                      full_sub_mdp, prune)
+from resilient_mdp.components import build_multi_mp_lp, extract_components
+from resilient_mdp.docs import serialize_scheduler
 from resilient_mdp.graph import strongly_connected_components
 from resilient_mdp.lp import OPTIMAL, LpSolution, solve
+from resilient_mdp.synth import InvalidModelError
 
 from conftest import random_model
+from helpers import global_compute_E
 from test_docs_cli import chain_model
+
+
+def _full(mt):
+    return {s: mt.enabled(s) for s in range(mt.n)}
 
 
 def test_weights_fig1(fig1):
@@ -44,34 +52,17 @@ def test_weights_error_exceeding_budget_is_penalized():
     assert weights[mt.index["e"]][mt.index["e"]] == Fraction(-1, 2)
 
 
-def test_prune_removes_dependents(fig1):
-    mt = transform(fig1, 2)
-    q = prune(full_sub_mdp(mt), {mt.index["op2"]})
-    # Every β-action reaches op2 through some chain of repair copies, so the
-    # entire β-side of the model unravels; α-reachable states survive.
-    assert mt.index["op2"] not in q.enabled_map
-    assert q.enabled(mt.index["rep#pending"]) == ("α",)
-    assert mt.index["op1"] in q.enabled_map
-
-
-def test_prune_to_empty():
-    from resilient_mdp import make_mdp
-    m = make_mdp([("s", "op", 0)], [("s", "a", [("s", 1)])], "s")
-    mt = transform(m, 0)
-    assert prune(full_sub_mdp(mt), {0}).empty
-
-
 def test_mec_decomposition_fig1(fig1):
     mt = transform(fig1, 2)
-    mecs = mec_decomposition(full_sub_mdp(mt))
+    mecs = mec_decomposition(mt, _full(mt))
     found = [sorted(mt.ids[s] for s in members) for members, _ in mecs]
     assert found == [["op1"], ["op2"]]
 
 
-def _brute_force_mecs(q):
-    """Exponential reference: all inclusion-maximal end components."""
-    mt = q.mt
-    members = list(q.members)
+def _brute_force_mecs(mt, enabled):
+    """Exponential reference: all inclusion-maximal end components of the
+    sub-MDP ``enabled``, whose actions may leave it."""
+    members = sorted(enabled)
     candidates = []
     for size in range(1, len(members) + 1):
         for subset in itertools.combinations(members, size):
@@ -79,7 +70,7 @@ def _brute_force_mecs(q):
             acts = {}
             ok = True
             for s in subset:
-                kept = [a for a in q.enabled(s)
+                kept = [a for a in enabled[s]
                         if all(t in inside for t, _ in mt.actions[s][a])]
                 if not kept:
                     ok = False
@@ -102,36 +93,57 @@ def _brute_force_mecs(q):
                   if not any(c < other for other in candidates))
 
 
-def test_mec_decomposition_matches_brute_force():
+def _check_mecs(mt, enabled):
+    mecs = mec_decomposition(mt, enabled)
+    assert sorted(set(members) for members, _ in mecs) == _brute_force_mecs(mt, enabled)
+    return mecs
+
+
+def test_mec_decomposition_matches_brute_force(fig1):
+    # Without op2 every β-action leaves the map, through some chain of
+    # repair copies, so only op1's self-loop is left.
+    mt = transform(fig1, 2)
+    enabled = {s: acts for s, acts in _full(mt).items() if mt.ids[s] != "op2"}
+    assert [[mt.ids[s] for s in members] for members, _ in _check_mecs(mt, enabled)] == [["op1"]]
+    # Removing the only state leaves nothing.
+    mt = transform(make_mdp([("s", "op", 0)], [("s", "a", [("s", 1)])], "s"), 0)
+    assert _check_mecs(mt, {}) == []
     rng = random.Random(21)
     done = 0
     while done < 8:
         mt = transform(random_model(rng), rng.randint(0, 2))
         if mt.n > 10:
             continue
-        q = full_sub_mdp(mt)
-        got = sorted(set(members) for members, _ in mec_decomposition(q))
-        assert got == _brute_force_mecs(q)
+        _check_mecs(mt, _full(mt))
+        # A random sub-MDP: some states dropped, some actions withheld, so
+        # that actions leave the map.
+        kept = {s: [a for a in mt.enabled(s) if rng.random() < 0.8]
+                for s in range(mt.n) if rng.random() < 0.8}
+        _check_mecs(mt, {s: acts for s, acts in kept.items() if acts})
         done += 1
 
 
 def test_multi_mp_lp_fig1_optimum(fig1):
+    # fig1's MECs are the sinks op1 and op2. Neither holds a weighted
+    # state, so each program has no weight row and its optimum is the
+    # sink's payoff.
     mt = transform(fig1, 2)
-    q = full_sub_mdp(mt)
     weights = build_weights(mt, Fraction(4, 5))
-    sol = solve(build_multi_mp_lp(q, mt.initial, weights))
-    assert sol.status == OPTIMAL
-    # Unconstrained availability 1 is attainable on average: the weight mean
-    # of the error stays nonnegative when the long run sits on op2.
-    assert sol.objective_value == 1
+    optima = []
+    for members, acts in mec_decomposition(mt, _full(mt)):
+        lp = build_multi_mp_lp(mt, members, acts, weights)
+        assert len(lp.constraints) == len(members) + 1
+        sol = solve(lp)
+        assert sol.status == OPTIMAL
+        optima.append(sol.objective_value)
+    assert optima == [0, 1]
 
 
-def test_extract_components_are_bottom_and_normalized(fig1):
-    mt = transform(fig1, 2)
-    q = full_sub_mdp(mt)
-    weights = build_weights(mt, Fraction(4, 5))
-    sol = solve(build_multi_mp_lp(q, mt.initial, weights))
-    triples = extract_components(q, sol)
+def test_extract_components_are_bottom_and_normalized():
+    mt = transform(chain_model(2, 3), 3)
+    (members, acts), = mec_decomposition(mt, _full(mt))
+    sol = solve(build_multi_mp_lp(mt, members, acts, build_weights(mt, Fraction(4, 5))))
+    triples = extract_components(mt, acts, sol)
     assert triples
     for t in triples:
         for s in t.states:
@@ -142,11 +154,10 @@ def test_extract_components_rejects_non_bottom_support(fig1):
     # x charges rep#pending|α, which leaves for op1 and never comes back:
     # no stationary measure has this support.
     mt = transform(fig1, 2)
-    q = full_sub_mdp(mt)
     sol = LpSolution(OPTIMAL, {"x[rep#pending|α]": Fraction(1, 2),
                                "x[op1|a]": Fraction(1, 2)}, Fraction(0))
     with pytest.raises(ValueError, match="must be bottom"):
-        extract_components(q, sol)
+        extract_components(mt, _full(mt), sol)
 
 
 def test_compute_E_fig1(fig1):
@@ -234,66 +245,33 @@ def test_component_availability_and_weight_means_recompute(fig1):
         done += 1
 
 
-def _certified_compute_E(mt, threshold):
-    """Reference: the elimination loop with a per-component re-solve.
-
-    Each extracted triple is solved again on the sub-MDP it came from, from
-    its first state, with every x[s|a] outside the triple's states removed;
-    a strictly better component found inside replaces it. Returns the
-    triples and the number of replacements.
-    """
-    weights = build_weights(mt, threshold)
-
-    def certify(q, triple):
-        lp = build_multi_mp_lp(q, triple.states[0], weights)
-        inside = set(triple.states)
-        pinned = {_xv(q, s, a) for s in q.members if s not in inside for a in q.enabled(s)}
-        lp.variables = [v for v in lp.variables if v not in pinned]
-        lp.nonneg -= pinned
-        lp.objective = {v: c for v, c in lp.objective.items() if v not in pinned}
-        for con in lp.constraints:
-            con.coeffs = {v: c for v, c in con.coeffs.items() if v not in pinned}
-        sol = solve(lp)
-        if sol.status != OPTIMAL:
-            return triple
-        candidates = [t for t in extract_components(q, sol) if set(t.states) <= inside]
-        if not candidates:
-            return triple
-        best = max(candidates, key=lambda t: t.avail)
-        return best if best.avail > triple.avail else triple
-
-    q = full_sub_mdp(mt)
-    s = mt.initial
-    out, replaced = [], 0
-    while not q.empty:
-        sol = solve(build_multi_mp_lp(q, s, weights))
-        if sol.status == OPTIMAL:
-            triples = []
-            for t in extract_components(q, sol):
-                best = certify(q, t)
-                replaced += best is not t
-                triples.append(best)
-            out.extend(triples)
-            q = prune(q, {t for tr in triples for t in tr.states})
-        else:
-            q = prune(q, {s})
-        if not q.empty and s not in q.enabled_map:
-            s = q.members[0]
-    return out, replaced
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 9), any_target=st.booleans(), bound=st.integers(0, 3),
        threshold=st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(9, 10),
                                   Fraction(1)]))
-def test_compute_E_matches_certified_reference(seed, any_target, bound, threshold):
-    # An optimum leaves no better resilient component inside any of its
-    # bottom SCCs (see compute_E), so re-solving each triple changes nothing.
-    mt = transform(random_model(random.Random(seed), any_target), bound)
-    expected, replaced = _certified_compute_E(mt, threshold)
-    assert replaced == 0
+def test_compute_E_matches_global_program_reference(seed, any_target, bound, threshold):
+    # The per-MEC worklist finds the same triples as one global program per
+    # elimination step (``global_compute_E``), and synthesis gives the same
+    # verdict, availability and document from them.
+    m = random_model(random.Random(seed), any_target)
+    mt = transform(m, bound)
 
-    def key(t):
-        return t.states, t.scheduler.choices, t.avail
+    def keys(triples):
+        return {(t.states, tuple((s, tuple(sorted(d.items())))
+                                 for s, d in sorted(t.scheduler.choices.items())), t.avail)
+                for t in triples}
 
-    assert [key(t) for t in compute_E(mt, threshold)] == [key(t) for t in expected]
+    def outcome():
+        try:
+            result = synthesize(m, threshold, bound)
+        except InvalidModelError:
+            return "invalid"
+        if not result.feasible:
+            return None
+        return result.availability, serialize_scheduler(result.scheduler, threshold,
+                                                        result.availability)
+
+    assert keys(compute_E(mt, threshold)) == keys(global_compute_E(mt, threshold))
+    got = outcome()
+    with mock.patch("resilient_mdp.synth.compute_E", global_compute_E):
+        assert outcome() == got

@@ -413,10 +413,12 @@ def _fig1_documents() -> tuple[dict, dict]:
                                                 result.availability)))
 
 
-def _verify_documents(directory, model: dict, scheduler: dict, command: str) -> int:
+def _verify_documents(directory, model, scheduler, command: str) -> int:
+    """Run ``command`` on the two documents, each a dict or the file's text."""
     model_path, sched_path = directory / "model.json", directory / "sched.json"
-    model_path.write_text(json.dumps(model), encoding="utf-8")
-    sched_path.write_text(json.dumps(scheduler), encoding="utf-8")
+    for path, document in ((model_path, model), (sched_path, scheduler)):
+        text = document if isinstance(document, str) else json.dumps(document)
+        path.write_text(text, encoding="utf-8")
     argv = [command, str(model_path)] + ([str(sched_path)] if command != "validate" else [])
     return cli.main(argv, out=io.StringIO())
 
@@ -466,7 +468,7 @@ def _op1_rule_in_first_component(scheduler):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda m, s: s["transient"][0].pop("state"), "missing key 'state'"),
+    (lambda m, s: s["transient"][0].__delitem__("state"), "missing key 'state'"),
     (lambda m, s: s.update(transient=7), "'transient' in scheduler document must be a list"),
     (lambda m, s: s.update(components=7), "'components' in scheduler document must be a list"),
     (lambda m, s: m.update(states=7), "'states' in model document must be a list"),
@@ -486,15 +488,23 @@ def _op1_rule_in_first_component(scheduler):
      "state 'op2' is listed in component 0 and again in component 1"),
     (lambda m, s: _op1_rule_in_first_component(s),
      "component 0 has a rule for state 'op1' outside its states"),
+    # Edits that return the model file's text: nesting too deep for the
+    # decoder, and an integer over CPython's 4300-digit limit.
+    (lambda m, s: "[" * 100_000 + "]" * 100_000, "exceeds the JSON reader's limits"),
+    (lambda m, s: json.dumps(m).replace('"reward": 1', '"reward": 1' + "0" * 5000, 1),
+     "exceeds the JSON reader's limits"),
 ], ids=["rule-without-state", "transient-not-list", "components-not-list",
         "states-not-list", "to-not-list", "threshold-zero", "threshold-above-one",
         "transient-rule-repeated", "component-rule-repeated", "component-rule-for-transient",
         "state-in-transient-and-component", "state-in-two-components",
-        "component-rule-outside-states"])
+        "component-rule-outside-states", "model-nested-too-deep", "reward-over-digit-limit"])
 def test_cli_malformed_documents_are_parse_errors(tmp_path, capsys, edit, message):
     model, scheduler = copy.deepcopy(_fig1_documents())
-    edit(model, scheduler)
-    for command in ("verify", "simulate"):
+    original = copy.deepcopy(model)
+    model = edit(model, scheduler) or model  # edited in place, or replaced by a text
+    # A malformed model fails validate too.
+    commands = ("verify", "simulate") if model == original else ("validate", "verify", "simulate")
+    for command in commands:
         assert _verify_documents(tmp_path, model, scheduler, command) == 3
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and message in err

@@ -521,11 +521,11 @@ def test_pivot_matches_the_operator_update():
 
 
 @pytest.mark.parametrize("k, L, R, pivots", [
-    (1, 3, 3, 108), (2, 2, 2, 132), (2, 3, 3, 244), (3, 3, 4, 662)])
+    (1, 3, 3, 83), (2, 2, 2, 98), (2, 3, 3, 196), (3, 3, 4, 573)])
 def test_synthesize_pivot_counts(k, L, R, pivots):
     # The chain family of the benchmark at threshold 4/5: every LP that
-    # ``synthesize`` solves, one availability program in ``compute_E`` and
-    # the goal program.
+    # ``synthesize`` solves, one availability program in ``compute_E`` (the
+    # family has a single MEC, and one solve uses it up) and the goal program.
     count = {"pivots": 0, "solves": 0}
     real_pivot, real_solve = lp_module._pivot, lp_module.solve
 
