@@ -99,15 +99,23 @@ def _check_mecs(mt, enabled):
     return mecs
 
 
-def test_mec_decomposition_matches_brute_force(fig1):
+def test_prune_removes_dependents(fig1):
     # Without op2 every β-action leaves the map, through some chain of
     # repair copies, so only op1's self-loop is left.
     mt = transform(fig1, 2)
     enabled = {s: acts for s, acts in _full(mt).items() if mt.ids[s] != "op2"}
     assert [[mt.ids[s] for s in members] for members, _ in _check_mecs(mt, enabled)] == [["op1"]]
+
+
+def test_prune_to_empty():
     # Removing the only state leaves nothing.
     mt = transform(make_mdp([("s", "op", 0)], [("s", "a", [("s", 1)])], "s"), 0)
     assert _check_mecs(mt, {}) == []
+    # Withholding its only action leaves nothing either.
+    assert _check_mecs(mt, {0: []}) == []
+
+
+def test_mec_decomposition_matches_brute_force():
     rng = random.Random(21)
     done = 0
     while done < 8:
