@@ -34,7 +34,8 @@ from .docs import (
     serialize_model,
     serialize_scheduler,
 )
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution, solve
+from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution, SolverError,
+                 solve)
 from .model import (
     ERROR,
     OPERATIONAL,

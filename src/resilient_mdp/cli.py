@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import analyze, docs
+from .lp import SolverError
 from .model import validate_repair_assumption, validate_structure
 from .synth import FiniteMemoryScheduler, InvalidModelError, VerificationFailedError, synthesize
 from .transform import TransformTooLargeError, transform
@@ -209,7 +210,7 @@ def main(argv=None, out=None) -> int:
     except TransformTooLargeError as exc:
         print(f"model too large: {exc}; lower the cost bound", file=sys.stderr)
         return EXIT_INVALID
-    except VerificationFailedError as exc:
+    except (VerificationFailedError, SolverError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
 

@@ -157,6 +157,8 @@ def extract_components(mt: TransformedMdp, acts: dict[int, list[str]],
     for (s, a) in x:
         for t, p in mt.actions[s][a]:
             if p > 0:
+                if t not in pos:  # a target with no frequency
+                    raise ValueError("x support SCC must be bottom")
                 succ[pos[s]].append(pos[t])
     comps = strongly_connected_components(succ)
     triples = []

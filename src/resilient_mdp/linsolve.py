@@ -11,6 +11,8 @@ the fill-in small. The work done is fixed by the input. Everything is a
 the cost is object creation: each update v - f·q, of a coefficient or a
 right-hand side, builds one normalized ``Fraction`` (``_minus``) from
 numerators and denominators read once per pivot row and once per factor.
+The simplex pivot of ``lp`` updates its tableau entries with the same
+helper, so the update formula of both exact solvers lives here.
 """
 
 from __future__ import annotations

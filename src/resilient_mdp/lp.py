@@ -11,9 +11,10 @@ exact, which the boundary cases of the resiliency constraints require (e.g.
 a threshold met with equality).
 
 The entries of these tableaus stay under 15 bits, so a pivot costs object
-creation, not arithmetic. Each entry update a - f·p therefore builds the
-product f·p as one ``Fraction`` straight from numerators and denominators
-read once per pivot row and once per factor, not through the operator. The
+creation, not arithmetic. Each entry update a - f·p is therefore one
+normalized ``Fraction``, built by ``linsolve._minus`` from numerators and
+denominators read once per pivot row and once per factor; the exact
+elimination of ``linsolve`` updates its entries with the same helper. The
 values, and so the pivots, are unchanged.
 
 Phase 1 starts from one artificial variable per row, basic in its row, but
@@ -44,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linsolve import solve_linear_system
+from .linsolve import _minus, solve_linear_system
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -55,6 +56,11 @@ UNBOUNDED = "unbounded"
 
 class MalformedProgramError(ValueError):
     pass
+
+
+class SolverError(RuntimeError):
+    """The simplex contradicted itself: a returned point fails a constraint,
+    or phase 1, which is bounded by construction, came out unbounded."""
 
 
 @dataclass
@@ -208,10 +214,10 @@ def _verify(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
         ok = (lhs <= c.rhs if c.relation == LE else
               lhs == c.rhs if c.relation == EQ else lhs >= c.rhs)
         if not ok:
-            raise AssertionError(f"solver produced infeasible point: {lhs} {c.relation} {c.rhs}")
+            raise SolverError(f"solver produced infeasible point: {lhs} {c.relation} {c.rhs}")
     for v in lp.nonneg:
         if assignment[v] < 0:
-            raise AssertionError(f"nonnegativity violated for {v}")
+            raise SolverError(f"nonnegativity violated for {v}")
 
 
 def _two_phase(rows, rhs, cost, ncols, secondary=None):
@@ -231,7 +237,7 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
                 zrow[j] -= x
     while True:
         if _optimize(tab, basis, zrow, ncols, range(ncols)) == UNBOUNDED:
-            raise AssertionError("phase 1 cannot be unbounded")
+            raise SolverError("phase 1 cannot be unbounded")
         if zrow[ncols] < 0:
             return INFEASIBLE, None
         enter = _entering_artificial(rows, basis, ncols)
@@ -241,7 +247,7 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
         column = _artificial_column(rows, basis, ncols, k)
         leave = _leaving_row(tab, basis, column, ncols)
         if leave is None:
-            raise AssertionError("phase 1 cannot be unbounded")
+            raise SolverError("phase 1 cannot be unbounded")
         for j, p in _pivot(tab, basis, leave, ncols + k, column):
             zrow[j] -= f * p
 
@@ -371,6 +377,6 @@ def _pivot(tab, basis, i, j, column):
             other = tab[k]
             fn, fd = f.numerator, f.denominator
             for c, qn, qd in terms:
-                other[c] -= Fraction(fn * qn, fd * qd)
+                other[c] = _minus(other[c], fn * qn, fd * qd)
     basis[i] = j
     return nz

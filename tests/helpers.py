@@ -245,7 +245,9 @@ def global_compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentT
 
     Solve the program of the current sub-MDP from a start state; on success
     keep the extracted triples and remove their states, otherwise remove the
-    start state. Repeat until nothing is left. Triples come in search order.
+    start state. Repeat until nothing is left. The triples are returned in
+    E's documented order, by decreasing availability and then by states, so
+    the goal programs built from either E have the same column order.
     """
     weights = build_weights(mt, threshold)
     enabled = {s: tuple(mt.enabled(s)) for s in range(mt.n)}
@@ -261,4 +263,4 @@ def global_compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentT
             enabled = _prune(mt, enabled, {s})
         if enabled and s not in enabled:
             s = min(enabled)
-    return out
+    return sorted(out, key=lambda tr: (-tr.avail, tr.states))

@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resilient_mdp import (build_weights, compute_E, make_mdp, mec_decomposition, synthesize,
@@ -16,7 +16,7 @@ from resilient_mdp.graph import strongly_connected_components
 from resilient_mdp.lp import OPTIMAL, LpSolution, solve
 from resilient_mdp.synth import InvalidModelError
 
-from conftest import random_model
+from conftest import fig1_model, random_model
 from helpers import global_compute_E
 from test_docs_cli import chain_model
 
@@ -168,6 +168,14 @@ def test_extract_components_rejects_non_bottom_support(fig1):
         extract_components(mt, _full(mt), sol)
 
 
+def test_extract_components_rejects_support_leading_outside(fig1):
+    # x charges rep#pending|α alone, whose target op1 has no frequency.
+    mt = transform(fig1, 2)
+    sol = LpSolution(OPTIMAL, {"x[rep#pending|α]": Fraction(1)}, Fraction(0))
+    with pytest.raises(ValueError, match="must be bottom"):
+        extract_components(mt, _full(mt), sol)
+
+
 def test_compute_E_fig1(fig1):
     mt = transform(fig1, 2)
     comps = compute_E(mt, Fraction(4, 5))
@@ -253,33 +261,78 @@ def test_component_availability_and_weight_means_recompute(fig1):
         done += 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10 ** 9), any_target=st.booleans(), bound=st.integers(0, 3),
-       threshold=st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(9, 10),
-                                  Fraction(1)]))
-def test_compute_E_matches_global_program_reference(seed, any_target, bound, threshold):
+_SPLITS = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)),
+           (Fraction(1, 4), Fraction(3, 4))]
+
+
+def two_cycle_model(rng: random.Random):
+    """Two op cycles that the initial state enters with fixed probabilities,
+    so a scheduler ends in both. Each cycle has an error repaired back into
+    it by a risky repair (``gamble``) or a sure one (``safe``), and may take
+    a risky step (``a1``) that meets the error or a safe one (``a0``)."""
+    states = [("o0", "op", rng.randint(0, 3))]
+    split = rng.choice(_SPLITS)
+    transitions = [("o0", "a0", [("p0", split[0]), ("q0", split[1])])]
+    for side in "pq":
+        size = rng.randint(1, 3)
+        cycle = [f"{side}{k}" for k in range(size)]
+        err, rep = f"e{side}", f"r{side}"
+        states += [(s, "op", rng.randint(0, 3)) for s in cycle]
+        states += [(err, "err", rng.randint(0, 2)), (rep, "rep", rng.randint(1, 3))]
+        for k, s in enumerate(cycle):
+            after = cycle[(k + 1) % size]
+            transitions.append((s, "a0", [(after, 1)]))
+            if rng.random() < 0.5:
+                p, q = rng.choice(_SPLITS)
+                transitions.append((s, "a1", [(after, p), (err, q)]))
+        transitions += [(err, "a0", [(rep, 1)]),
+                        (rep, "gamble", [(cycle[0], Fraction(1, 2)), (rep, Fraction(1, 2))]),
+                        (rep, "safe", [(cycle[-1], 1)])]
+    return make_mdp(states, transitions, "o0")
+
+
+_THRESHOLDS = [Fraction(1, 2), Fraction(3, 4), Fraction(9, 10), Fraction(1)]
+
+
+def test_compute_E_matches_global_program_reference():
     # The per-MEC worklist finds the same triples as one global program per
     # elimination step (``global_compute_E``), and synthesis gives the same
-    # verdict, availability and document from them.
-    m = random_model(random.Random(seed), any_target)
-    mt = transform(m, bound)
+    # verdict, availability and document from them. Documents with two or
+    # more components, whose column order follows the order of E, come from
+    # fig1 and from ``two_cycle_model``.
+    components = []
 
-    def keys(triples):
-        return {(t.states, tuple((s, tuple(sorted(d.items())))
-                                 for s, d in sorted(t.scheduler.choices.items())), t.avail)
-                for t in triples}
+    @settings(max_examples=90, deadline=None)
+    @given(m=st.one_of(
+               st.builds(lambda seed, any_target: random_model(random.Random(seed), any_target),
+                         st.integers(0, 10 ** 9), st.booleans()),
+               st.integers(0, 10 ** 9).map(lambda seed: two_cycle_model(random.Random(seed)))),
+           bound=st.integers(0, 3), threshold=st.sampled_from(_THRESHOLDS))
+    @example(m=fig1_model(), bound=2, threshold=Fraction(4, 5))
+    def check(m, bound, threshold):
+        mt = transform(m, bound)
 
-    def outcome():
-        try:
-            result = synthesize(m, threshold, bound)
-        except InvalidModelError:
-            return "invalid"
-        if not result.feasible:
-            return None
-        return result.availability, serialize_scheduler(result.scheduler, threshold,
-                                                        result.availability)
+        def keys(triples):
+            return {(t.states, tuple((s, tuple(sorted(d.items())))
+                                     for s, d in sorted(t.scheduler.choices.items())), t.avail)
+                    for t in triples}
 
-    assert keys(compute_E(mt, threshold)) == keys(global_compute_E(mt, threshold))
-    got = outcome()
-    with mock.patch("resilient_mdp.synth.compute_E", global_compute_E):
-        assert outcome() == got
+        def outcome():
+            try:
+                result = synthesize(m, threshold, bound)
+            except InvalidModelError:
+                return "invalid"
+            if not result.feasible:
+                return None
+            document = serialize_scheduler(result.scheduler, threshold, result.availability)
+            return result.availability, document, len(result.scheduler.components)
+
+        assert keys(compute_E(mt, threshold)) == keys(global_compute_E(mt, threshold))
+        got = outcome()
+        with mock.patch("resilient_mdp.synth.compute_E", global_compute_E):
+            assert outcome() == got
+        if isinstance(got, tuple):
+            components.append(got[2])
+
+    check()
+    assert max(components) >= 2

@@ -16,8 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import resilient_mdp
+import resilient_mdp.lp as lp_module
 from resilient_mdp import MrScheduler, cli, docs, make_mdp, synthesize, transform
 from resilient_mdp.docs import DocumentError
+from resilient_mdp.lp import LinearProgram, SolverError
 from resilient_mdp.synth import ComposedScheduler, VerificationFailedError
 
 from conftest import fig1_model, random_model
@@ -315,6 +317,23 @@ def test_cli_synthesize_verification_failure(fig1_path, capsys, monkeypatch):
                          "--cost-bound", "2"], capsys)
     assert code == 1
     assert err == "verification failed: availability mismatch\n"
+
+
+def test_solver_error_reaches_the_library_and_the_cli(fig1, fig1_path, capsys, monkeypatch):
+    # ``_verify`` re-checks a point shifted by 1 in every variable, so the
+    # total-frequency row fails and the solver's own check raises.
+    real = lp_module._verify
+    monkeypatch.setattr(lp_module, "_verify",
+                        lambda lp, assignment: real(lp, {v: x + 1 for v, x in assignment.items()}))
+    with pytest.raises(SolverError, match="infeasible point"):
+        synthesize(fig1, Fraction(4, 5), 2)
+    code, out, err = _run(["synthesize", fig1_path, "--threshold", "4/5",
+                           "--cost-bound", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failed: solver produced infeasible point: ")
+    assert err.count("\n") == 1
+    with pytest.raises(SolverError, match="nonnegativity violated for x"):
+        real(LinearProgram(["x"], nonneg={"x"}), {"x": Fraction(-1)})
 
 
 def test_cli_dump_lp_golden_hash(fig1_path, capsys):

@@ -520,6 +520,53 @@ def test_pivot_matches_the_operator_update():
     assert all(seen.values()), seen
 
 
+def _division_leaving_row(tab, basis, column, width):
+    """Bland's ratio test read off its definition: among the rows with the
+    least quotient rhs / entry over the positive entries, the one with the
+    lowest basic column."""
+    ratios = {i: tab[i][width] / a for i, a in enumerate(column) if a > 0}
+    if not ratios:
+        return None
+    least = min(ratios.values())
+    return min((i for i, r in ratios.items() if r == least), key=basis.__getitem__)
+
+
+def test_leaving_row_matches_fraction_division():
+    seen = dict.fromkeys(["tied minimum", "zero rhs", "negative entry", "zero entry",
+                          "no positive entry"], 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def check(seed):
+        rng = random.Random(seed)
+        m, width = rng.randint(1, 8), rng.randint(1, 3)
+
+        def value():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+        column = [value() if rng.random() < 0.8 else Fraction(0) for _ in range(m)]
+        rhs = [Fraction(0) if rng.random() < 0.4 else abs(value()) for _ in range(m)]
+        for k in range(m):
+            if rng.random() < 0.3:
+                # A scaled copy of another row's pair: the same ratio from
+                # different numerators and denominators.
+                other, g = rng.randrange(m), Fraction(rng.randint(1, 5), rng.randint(1, 5))
+                column[k], rhs[k] = g * column[other], g * rhs[other]
+        tab = [[value() for _ in range(width)] + [b] for b in rhs]
+        basis = rng.sample(range(width + 2 * m), m)
+        got = lp_module._leaving_row(tab, basis, column, width)
+        assert got == _division_leaving_row(tab, basis, column, width)
+        ratios = [b / a for a, b in zip(column, rhs) if a > 0]
+        seen["tied minimum"] += ratios.count(min(ratios, default=None)) > 1
+        seen["zero rhs"] += 0 in ratios
+        seen["negative entry"] += any(a < 0 for a in column)
+        seen["zero entry"] += any(a == 0 for a in column)
+        seen["no positive entry"] += got is None
+
+    check()
+    assert all(seen.values()), seen
+
+
 @pytest.mark.parametrize("k, L, R, pivots", [
     (1, 3, 3, 83), (2, 2, 2, 98), (2, 3, 3, 196), (3, 3, 4, 573)])
 def test_synthesize_pivot_counts(k, L, R, pivots):
