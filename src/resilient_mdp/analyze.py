@@ -236,11 +236,13 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
 
     per_error: dict[int, ErrorCheck] = {}
     asrep_all = almost_sure_reach(chain, op_states)
+    # One solve for all errors: a path that stays among repair copies and
+    # starts from a successor of e only visits copies of e, so the operational
+    # copies it can reach are exactly Op_e.
+    q = until_probability(chain, triples, triples & op_states)
     for e in mt.errors():
         if e not in chain.index:
             continue  # unreachable under this scheduler; nothing to check
-        op_e = set(mt.op_copies_of(e))
-        q = until_probability(chain, triples, op_e)
         res = sum((p * q[chain.states[t]]
                    for t, p in chain.rows[chain.index[e]].items()), Fraction(0))
         per_error[e] = ErrorCheck(res, res >= threshold, asrep_all[e])

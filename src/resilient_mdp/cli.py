@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="repair cost budget R, nonnegative decimal integer")
     p.add_argument("--out", help="write the scheduler document here")
     p.add_argument("--dump-lp", action="store_true",
-                   help="print the linear programs that were solved")
+                   help="print the resiliency (goal) linear program")
     p.add_argument("--dump-components", action="store_true",
                    help="print the usable end components")
 
@@ -158,11 +158,7 @@ def cmd_verify(args, out) -> int:
     cost_bound = doc.cost_bound if args.cost_bound is None else _cost_bound(args.cost_bound)
     mt = transform(m, cost_bound)
     mr = doc.to_mr(mt)
-    try:
-        report = analyze.verify_resilient(mt, mr, threshold)
-    except analyze.SchedulerDomainError as exc:
-        print(f"invalid scheduler: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    report = analyze.verify_resilient(mt, mr, threshold)
     print(report.render(mt, threshold), file=out)
     if cost_bound == doc.cost_bound and doc.availability not in (None, report.availability):
         raise VerificationFailedError(f"the document states availability {doc.availability}, "
@@ -178,12 +174,8 @@ def cmd_simulate(args, out) -> int:
     mt = transform(m, doc.cost_bound)
     mr = doc.to_mr(mt)
     policy = FiniteMemoryScheduler(mt, mr)
-    try:
-        stats = analyze.simulate(m, policy, args.steps, args.trials, args.seed,
-                                 doc.cost_bound, keep_traces=args.traces)
-    except analyze.SchedulerDomainError as exc:
-        print(f"invalid scheduler: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    stats = analyze.simulate(m, policy, args.steps, args.trials, args.seed,
+                             doc.cost_bound, keep_traces=args.traces)
     print(stats.render(), file=out)
     if args.traces and stats.traces:
         for k, trace in enumerate(stats.traces):
@@ -206,6 +198,9 @@ def main(argv=None, out=None) -> int:
         return EXIT_PARSE
     except InvalidModelError as exc:
         print(f"invalid model:\n{exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except analyze.SchedulerDomainError as exc:
+        print(f"invalid scheduler: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except TransformTooLargeError as exc:
         print(f"model too large: {exc}; lower the cost bound", file=sys.stderr)

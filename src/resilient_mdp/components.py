@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import strongly_connected_components
+from .graph import bottom_sccs, strongly_connected_components
 from .lp import EQ, GE, OPTIMAL, LinearProgram, LpSolution, solve
 from .sched import MrScheduler
 from .transform import TransformedMdp, build_weights
@@ -105,7 +105,7 @@ def build_multi_mp_lp(mt: TransformedMdp, members: list[int], acts: dict[int, li
     MEC, that error's expected weight frequency kept nonnegative.
     """
     variables = [_xv(mt, s, a) for s in members for a in acts[s]]
-    lp = LinearProgram(variables=variables, nonneg=set(variables))
+    lp = LinearProgram(variables=variables)
 
     flow = flow_balance(members, acts.__getitem__, mt.actions, lambda s, a: _xv(mt, s, a))
     for s in members:
@@ -120,7 +120,6 @@ def build_multi_mp_lp(mt: TransformedMdp, members: list[int], acts: dict[int, li
 
     lp.objective = {_xv(mt, s, a): Fraction(mt.payoff(s))
                     for s in members if mt.payoff(s) for a in acts[s]}
-    lp.direction = "max"
     return lp
 
 
@@ -160,13 +159,12 @@ def extract_components(mt: TransformedMdp, acts: dict[int, list[str]],
                 if t not in pos:  # a target with no frequency
                     raise ValueError("x support SCC must be bottom")
                 succ[pos[s]].append(pos[t])
-    comps = strongly_connected_components(succ)
+    comps = bottom_sccs(succ)
+    if sum(map(len, comps)) != len(support_states):
+        raise ValueError("x support SCC must be bottom")
     triples = []
-    for comp in sorted(comps, key=min):
-        members = sorted(support_states[v] for v in comp)
-        member_set = set(members)
-        if any(support_states[w] not in member_set for v in comp for w in succ[v]):
-            raise ValueError("x support SCC must be bottom")
+    for comp in comps:
+        members = [support_states[v] for v in comp]
         action_sets = {s: tuple(sorted(a for (t, a) in x if t == s)) for s in members}
         mass = {s: sum((x[(s, a)] for a in action_sets[s]), Fraction(0)) for s in members}
         choices = {s: {a: x[(s, a)] / mass[s] for a in action_sets[s]} for s in members}

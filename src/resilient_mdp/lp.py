@@ -1,5 +1,10 @@
 """Exact rational linear programming.
 
+One program class: maximize a linear objective over nonnegative variables
+subject to ``<=``, ``=`` and ``>=`` rows, optionally minimizing a secondary
+objective over the maxima. Both programs of the package have this form, so
+tableau column j is variable j.
+
 A small two-phase simplex over ``fractions.Fraction`` with Bland's
 anti-cycling rule. The tableau is stored dense, but a pivot touches only the
 nonzero columns of the pivot row and only the rows with a nonzero entry in
@@ -30,7 +35,7 @@ rebuilt the same way, and phase 1 goes on. Row operations never mix columns,
 so the pivots are exactly those of the tableau with the full artificial
 block.
 
-A secondary objective is optimized in the same tableau (the lexicographic
+A secondary objective is minimized in the same tableau (the lexicographic
 rule of Dantzig, Orden and Wolfe, 1955): at the primary optimum, the columns
 with a nonzero primary reduced cost are barred, which leaves exactly the
 optimal face, and Bland's rule continues on the secondary reduced costs over
@@ -75,19 +80,17 @@ class LinearProgram:
     variables: list[str]
     constraints: list[Constraint] = field(default_factory=list)
     objective: dict[str, Fraction] = field(default_factory=dict)
-    direction: str = "max"
-    nonneg: set[str] = field(default_factory=set)
 
     def add(self, coeffs: dict[str, Fraction], relation: str, rhs) -> None:
         self.constraints.append(Constraint(dict(coeffs), relation, Fraction(rhs)))
 
     def dump(self) -> str:
         """Human-readable rendering of the program."""
-        lines = [f"{self.direction} " + _poly(self.objective), "subject to:"]
+        lines = ["max " + _poly(self.objective), "subject to:"]
         for c in self.constraints:
             lines.append(f"  {_poly(c.coeffs)} {c.relation} {c.rhs}")
-        if self.nonneg:
-            lines.append("  " + ", ".join(sorted(self.nonneg)) + " >= 0")
+        if self.variables:
+            lines.append("  " + ", ".join(sorted(self.variables)) + " >= 0")
         return "\n".join(lines)
 
 
@@ -103,36 +106,27 @@ class LpSolution:
     objective_value: Fraction | None = None
 
 
-def solve(lp: LinearProgram, secondary: dict[str, Fraction] | None = None,
-          secondary_direction: str = "min") -> LpSolution:
-    """Exact optimum of ``lp`` via two-phase simplex with Bland's rule.
+def solve(lp: LinearProgram, secondary: dict[str, Fraction] | None = None) -> LpSolution:
+    """Exact maximum of ``lp`` via two-phase simplex with Bland's rule.
 
-    With ``secondary``, the optimum returned is one that also optimizes
-    ``secondary`` in ``secondary_direction`` among all primary optima; the
-    objective value reported is still the primary one.
+    With ``secondary``, the optimum returned is one that also minimizes
+    ``secondary`` among all maxima; the objective value reported is still the
+    primary one.
     """
-    _check_well_formed(lp, secondary, secondary_direction)
+    _check_well_formed(lp, secondary)
 
-    # Column layout: one column per nonnegative variable, two (x+ , x-) per
-    # free variable, then one slack/surplus column per inequality.
-    base_of: dict[str, int] = {}
-    nstruct = 0
-    for v in lp.variables:
-        base_of[v] = nstruct
-        nstruct += 1 if v in lp.nonneg else 2
-    nslack = sum(1 for c in lp.constraints if c.relation != EQ)
-    ncols = nstruct + nslack
+    # Column j is variable j; one slack/surplus column per inequality follows.
+    col = {v: j for j, v in enumerate(lp.variables)}
+    nvars = len(lp.variables)
+    ncols = nvars + sum(1 for c in lp.constraints if c.relation != EQ)
 
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    slack_at = nstruct
+    slack_at = nvars
     for c in lp.constraints:
         row = [Fraction(0)] * ncols
         for v, q in c.coeffs.items():
-            base = base_of[v]
-            row[base] += Fraction(q)
-            if v not in lp.nonneg:
-                row[base + 1] -= Fraction(q)
+            row[col[v]] += Fraction(q)
         if c.relation != EQ:
             row[slack_at] = Fraction(1 if c.relation == LE else -1)
             slack_at += 1
@@ -143,57 +137,41 @@ def solve(lp: LinearProgram, secondary: dict[str, Fraction] | None = None,
         rows.append(row)
         rhs.append(b)
 
-    def cost_row(objective, direction):
-        sign = 1 if direction == "max" else -1
+    def cost_row(objective, sign):
         cost = [Fraction(0)] * ncols
         for v, q in objective.items():
-            base = base_of[v]
-            cost[base] += sign * Fraction(q)
-            if v not in lp.nonneg:
-                cost[base + 1] -= sign * Fraction(q)
+            cost[col[v]] += sign * Fraction(q)
         return cost
 
     status, values = _two_phase(
-        rows, rhs, cost_row(lp.objective, lp.direction), ncols,
-        None if secondary is None else cost_row(secondary, secondary_direction))
+        rows, rhs, cost_row(lp.objective, 1), ncols,
+        None if secondary is None else cost_row(secondary, -1))
     if status != OPTIMAL:
         return LpSolution(status)
 
-    assignment: dict[str, Fraction] = {}
-    k = 0
-    for v in lp.variables:
-        if v in lp.nonneg:
-            assignment[v] = values[k]
-            k += 1
-        else:
-            assignment[v] = values[k] - values[k + 1]
-            k += 2
+    assignment = dict(zip(lp.variables, values))
     _verify(lp, assignment)
     obj = sum((Fraction(q) * assignment[v] for v, q in lp.objective.items()), Fraction(0))
     return LpSolution(OPTIMAL, assignment, obj)
 
 
-def solve_lexicographic(lp: LinearProgram, secondary: dict[str, Fraction],
-                        secondary_direction: str = "min") -> LpSolution:
-    """Optimize ``secondary`` subject to the primary objective held at its optimum.
+def solve_lexicographic(lp: LinearProgram, secondary: dict[str, Fraction]) -> LpSolution:
+    """Minimize ``secondary`` subject to the primary objective held at its maximum.
 
     One simplex run: ``solve`` reaches the primary optimum, then continues in
     the same tableau on the columns whose primary reduced cost is zero, so
     no second program is built and phase 1 is not repeated. The status and
     ``objective_value`` are the primary ones. A secondary objective that is
-    unbounded over the primary optima, or a secondary phase that moves the
-    primary value, raises ``MalformedProgramError``.
+    unbounded below over the primary optima, or a secondary phase that moves
+    the primary value, raises ``MalformedProgramError``.
     """
-    return solve(lp, secondary, secondary_direction)
+    return solve(lp, secondary)
 
 
-def _check_well_formed(lp: LinearProgram, secondary, secondary_direction) -> None:
+def _check_well_formed(lp: LinearProgram, secondary) -> None:
     declared = set(lp.variables)
     if len(declared) != len(lp.variables):
         raise MalformedProgramError("duplicate variable ids")
-    for direction in (lp.direction, secondary_direction):
-        if direction not in ("max", "min"):
-            raise MalformedProgramError(f"bad direction {direction!r}")
     for v in [*lp.objective, *(secondary or ())]:
         if v not in declared:
             raise MalformedProgramError(f"objective references unknown variable {v!r}")
@@ -203,9 +181,6 @@ def _check_well_formed(lp: LinearProgram, secondary, secondary_direction) -> Non
         for v in c.coeffs:
             if v not in declared:
                 raise MalformedProgramError(f"constraint references unknown variable {v!r}")
-    for v in lp.nonneg:
-        if v not in declared:
-            raise MalformedProgramError(f"nonneg references unknown variable {v!r}")
 
 
 def _verify(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
@@ -215,7 +190,7 @@ def _verify(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
               lhs == c.rhs if c.relation == EQ else lhs >= c.rhs)
         if not ok:
             raise SolverError(f"solver produced infeasible point: {lhs} {c.relation} {c.rhs}")
-    for v in lp.nonneg:
+    for v in lp.variables:
         if assignment[v] < 0:
             raise SolverError(f"nonnegativity violated for {v}")
 

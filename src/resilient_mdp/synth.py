@@ -109,7 +109,7 @@ def build_resiliency_lp(n: GoalMdp, threshold: Fraction) -> LinearProgram:
     mt = n.mt
     non_goal = [s for s in range(n.n) if s != n.goal_index]
     variables = [_var(n, s, a) for s in non_goal for a in n.enabled(s)]
-    lp = LinearProgram(variables=variables, nonneg=set(variables))
+    lp = LinearProgram(variables=variables)
 
     balance = flow_balance(non_goal, n.enabled, n.actions, lambda s, a: _var(n, s, a))
     for s in non_goal:
@@ -128,7 +128,6 @@ def build_resiliency_lp(n: GoalMdp, threshold: Fraction) -> LinearProgram:
 
     lp.objective = {_var(n, n.goal_of(k), TAU): comp.avail
                     for k, comp in enumerate(n.comps) if comp.avail != 0}
-    lp.direction = "max"
     return lp
 
 
@@ -247,8 +246,7 @@ def synthesize(m: MdpWithRepair, threshold: Fraction, cost_bound: int) -> Synthe
     comps = compute_E(mt, threshold)
     n = build_goal_mdp(mt, comps)
     lp = build_resiliency_lp(n, threshold)
-    secondary = {v: Fraction(1) for v in lp.variables}
-    solution = solve_lexicographic(lp, secondary, "min")
+    solution = solve_lexicographic(lp, dict.fromkeys(lp.variables, Fraction(1)))
     if solution.status == INFEASIBLE:
         return SynthesisResult(False, goal_mdp=n, lp=lp, solution=solution,
                                components=comps)

@@ -191,7 +191,7 @@ def _global_program(mt: TransformedMdp, enabled: dict, init: int, weights) -> Li
         if s in switch:
             variables.append(f"y[{mt.ids[s]}]")
     variables += [xv(s, a) for s in members for a in enabled[s]]
-    lp = LinearProgram(variables=variables, nonneg=set(variables))
+    lp = LinearProgram(variables=variables)
     flow_y = flow_balance(members, enabled.__getitem__, mt.actions, yv)
     for s in members:
         if s in switch:
@@ -214,7 +214,6 @@ def _global_program(mt: TransformedMdp, enabled: dict, init: int, weights) -> Li
                     for a in enabled[s]}, GE, 0)
     lp.objective = {xv(s, a): Fraction(mt.payoff(s))
                     for s in members if mt.payoff(s) for a in enabled[s]}
-    lp.direction = "max"
     return lp
 
 

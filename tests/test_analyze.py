@@ -305,6 +305,33 @@ def test_verify_res_probability_equals_bounded_reach():
         checked += 1
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9), st.booleans(), st.integers(0, 3))
+def test_verify_res_probability_matches_per_error_until(seed, any_target, bound):
+    # ``verify_resilient`` solves one until over every operational copy; the
+    # reference solves one per error, with only that error's copies as target.
+    rng = random.Random(seed)
+    mt = transform(random_model(rng, any_target), bound)
+    choices = {}
+    for i in range(mt.n):
+        acts = mt.enabled(i)
+        if len(acts) > 1 and rng.random() < 0.5:
+            p = Fraction(rng.randint(1, 3), 4)
+            choices[i] = {acts[0]: p, acts[1]: 1 - p}
+        else:
+            choices[i] = {rng.choice(acts): Fraction(1)}
+    sched = MrScheduler(choices)
+    report = verify_resilient(mt, sched, Fraction(1, 2))
+    chain = induce_chain(mt, sched, mt.initial)
+    triples = {i for i in range(mt.n) if mt.triple[i] is not None}
+    assert set(report.per_error) == {e for e in mt.errors() if e in chain.index}
+    for e, check in report.per_error.items():
+        pr = until_probability(chain, triples, set(mt.op_copies_of(e)))
+        assert check.res_probability == sum(
+            (p * pr[chain.states[t]] for t, p in chain.rows[chain.index[e]].items()),
+            Fraction(0))
+
+
 def test_mp_nonnegative_for_verified_schedulers():
     rng = random.Random(13)
     done = 0

@@ -333,7 +333,7 @@ def test_solver_error_reaches_the_library_and_the_cli(fig1, fig1_path, capsys, m
     assert err.startswith("verification failed: solver produced infeasible point: ")
     assert err.count("\n") == 1
     with pytest.raises(SolverError, match="nonnegativity violated for x"):
-        real(LinearProgram(["x"], nonneg={"x"}), {"x": Fraction(-1)})
+        real(LinearProgram(["x"]), {"x": Fraction(-1)})
 
 
 def test_cli_dump_lp_golden_hash(fig1_path, capsys):

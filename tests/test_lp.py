@@ -19,12 +19,8 @@ from resilient_mdp.lp import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED,
 from test_docs_cli import chain_model
 
 
-def lp(variables, objective, direction="max", nonneg=True):
-    prog = LinearProgram(variables=list(variables), objective=dict(objective),
-                         direction=direction)
-    if nonneg:
-        prog.nonneg = set(variables)
-    return prog
+def lp(variables, objective):
+    return LinearProgram(variables=list(variables), objective=dict(objective))
 
 
 def test_simple_maximum():
@@ -59,18 +55,12 @@ def test_unbounded():
 
 
 def test_equality_and_min():
-    p = lp(["x", "y"], {"x": 1, "y": 2}, direction="min")
+    # Minimizing x + 2y is maximizing -x - 2y.
+    p = lp(["x", "y"], {"x": -1, "y": -2})
     p.add({"x": 1, "y": 1}, EQ, 3)
     sol = solve(p)
-    assert sol.objective_value == 3
+    assert sol.objective_value == -3
     assert sol.assignment["x"] == 3
-
-
-def test_free_variable():
-    p = lp(["x"], {"x": 1}, direction="min", nonneg=False)
-    p.add({"x": 1}, GE, -5)
-    sol = solve(p)
-    assert sol.assignment["x"] == -5
 
 
 def test_degenerate_redundant_rows():
@@ -91,7 +81,7 @@ def test_malformed_programs_rejected():
     with pytest.raises(MalformedProgramError):
         solve(q)
     r = lp(["x"], {"x": 1})
-    r.direction = "sideways"
+    r.add({"x": 1}, "<>", 1)
     with pytest.raises(MalformedProgramError):
         solve(r)
 
@@ -101,7 +91,7 @@ def test_lexicographic_prefers_small_secondary():
     # secondary phase minimizes y.
     p = lp(["x", "y"], {"x": 1, "y": 1})
     p.add({"x": 1, "y": 1}, LE, 2)
-    sol = solve_lexicographic(p, {"y": Fraction(1)}, "min")
+    sol = solve_lexicographic(p, {"y": Fraction(1)})
     assert sol.objective_value == 2
     assert sol.assignment["y"] == 0
 
@@ -135,7 +125,7 @@ def _vertex_enumeration_optimum(prog):
         except SingularSystemError:
             continue
         assignment = dict(zip(names, point))
-        if any(assignment[v] < 0 for v in prog.nonneg):
+        if any(assignment[v] < 0 for v in names):
             continue
         ok = True
         for c in prog.constraints:
@@ -212,29 +202,30 @@ def test_lexicographic_raises_when_primary_value_moves(monkeypatch):
     p = lp(["x"], {"x": 1})
     p.add({"x": 1}, LE, 2)
     with pytest.raises(MalformedProgramError, match="primary optimum"):
-        solve_lexicographic(p, {"x": Fraction(1)}, "min")
+        solve_lexicographic(p, {"x": Fraction(1)})
 
 
 def test_lexicographic_raises_when_secondary_unbounded_on_face():
     p = lp(["x", "y"], {"x": 1})
     p.add({"x": 1}, LE, 2)
     with pytest.raises(MalformedProgramError, match="unbounded"):
-        solve_lexicographic(p, {"y": Fraction(1)}, "max")
+        solve_lexicographic(p, {"y": Fraction(-1)})
 
 
-def _two_solve_lexicographic(prog, secondary, direction):
-    """The former lexicographic method: solve, then solve again from scratch
-    with the secondary objective and the primary optimum as an equality row."""
+def _two_solve_lexicographic(prog, secondary):
+    """The former lexicographic method: solve, then solve again from scratch,
+    maximizing minus the secondary objective, with the primary optimum as an
+    equality row. Returns the secondary minimum."""
     first = solve(prog)
     if first.status != OPTIMAL:
         return first.status, None, None
-    refined = lp(prog.variables, secondary, direction)
+    refined = lp(prog.variables, {v: -q for v, q in secondary.items()})
     refined.constraints = list(prog.constraints)
     refined.add(dict(prog.objective), EQ, first.objective_value)
     second = solve(refined)
     if second.status != OPTIMAL:
         raise MalformedProgramError("lexicographic phase lost feasibility")
-    return OPTIMAL, first.objective_value, second.objective_value
+    return OPTIMAL, first.objective_value, -second.objective_value
 
 
 @settings(max_examples=80, deadline=None)
@@ -246,10 +237,11 @@ def test_lexicographic_matches_two_solves(data):
         # 0/1 weights tie the primary optimum along a face far more often,
         # so the secondary phase has pivots to make.
         prog.objective = {v: Fraction(rng.randint(0, 1)) for v in prog.variables}
-    secondary = {v: Fraction(rng.randint(-3, 3)) for v in prog.variables}
-    direction = rng.choice(["min", "max"])
-    status, primary, second = _two_solve_lexicographic(prog, secondary, direction)
-    sol = solve_lexicographic(prog, secondary, direction)
+    # A random sign covers both directions of the secondary objective.
+    sign = rng.choice([-1, 1])
+    secondary = {v: sign * Fraction(rng.randint(-3, 3)) for v in prog.variables}
+    status, primary, second = _two_solve_lexicographic(prog, secondary)
+    sol = solve_lexicographic(prog, secondary)
     assert sol.status == status
     if status == OPTIMAL:
         assert sol.objective_value == primary
@@ -336,7 +328,7 @@ def _full_block_two_phase(rows, rhs, cost, ncols, secondary=None, *, pivots):
     return OPTIMAL, values
 
 
-def _solve_recording(prog, secondary=None, direction="min", full_block=False):
+def _solve_recording(prog, secondary=None, full_block=False):
     """``solve``'s outcome and its (row, column) pivots, with today's phase 1
     or with ``_full_block_two_phase``."""
     pivots = []
@@ -353,7 +345,7 @@ def _solve_recording(prog, secondary=None, direction="min", full_block=False):
         patch = mock.patch.object(lp_module, "_pivot", recording)
     with patch:
         try:
-            sol = solve(prog, secondary, direction)
+            sol = solve(prog, secondary)
             outcome = (sol.status, sol.assignment, sol.objective_value)
         except MalformedProgramError as exc:
             outcome = (MalformedProgramError, str(exc))
@@ -361,22 +353,19 @@ def _solve_recording(prog, secondary=None, direction="min", full_block=False):
 
 
 def _column_count(prog):
-    return (sum(1 if v in prog.nonneg else 2 for v in prog.variables)
-            + sum(c.relation != EQ for c in prog.constraints))
+    return len(prog.variables) + sum(c.relation != EQ for c in prog.constraints)
 
 
 def _degenerate_program(rng):
     """A random program that phase 1 often leaves with artificials basic at
     0: mostly equality rows, often with a zero right-hand side, plus combined
-    copies of them (redundant rows), 0/1 objectives (tied optima) and some
-    free variables."""
+    copies of them (redundant rows) and 0/1 objectives (tied optima)."""
     names = [f"v{k}" for k in range(rng.randint(2, 4))]
     if rng.random() < 0.5:
         objective = {v: Fraction(rng.randint(0, 1)) for v in names}
     else:
         objective = {v: Fraction(rng.randint(-3, 3)) for v in names}
     prog = lp(names, objective)
-    prog.nonneg = {v for v in names if rng.random() < 0.9}
     for _ in range(rng.randint(1, 4)):
         rhs = 0 if rng.random() < 0.8 else rng.randint(-2, 6)
         prog.add({v: Fraction(rng.randint(-2, 3)) for v in names},
@@ -402,9 +391,8 @@ def test_phase1_matches_the_full_artificial_block():
         prog = _degenerate_program(rng)
         secondary = ({v: Fraction(rng.randint(-3, 3)) for v in prog.variables}
                      if rng.random() < 0.5 else None)
-        direction = rng.choice(["min", "max"])
-        got, pivots = _solve_recording(prog, secondary, direction)
-        want, full_pivots = _solve_recording(prog, secondary, direction, full_block=True)
+        got, pivots = _solve_recording(prog, secondary)
+        want, full_pivots = _solve_recording(prog, secondary, full_block=True)
         assert got == want
         ncols = _column_count(prog)
         if got[0] == INFEASIBLE:
