@@ -10,6 +10,7 @@ nothing to standard error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -48,6 +49,8 @@ def _threshold(text: str) -> Fraction:
 
 def _cost_bound(text: str) -> int:
     try:
+        if not re.fullmatch(r"\s*[-+]?[0-9]+\s*", text):  # int() takes "1_0" and "٣"
+            raise ValueError
         value = int(text, 10)
     except ValueError as exc:
         raise UsageError(f"cost bound must be a decimal integer, got {text!r}") from exc

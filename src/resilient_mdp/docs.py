@@ -2,8 +2,9 @@
 
 Both are JSON with a fixed key order, so serialized artifacts are stable and
 diff-friendly. Probabilities and thresholds are written as exact fraction
-strings ("4/5"); on input, "a/b" fractions and terminating decimals are both
-accepted and converted exactly.
+strings ("4/5"); on input, "a/b" fractions and decimals with an optional
+exponent, each an optional sign and ASCII digits, are accepted and converted
+exactly. A ``version``, when present, must be the integer 1.
 """
 
 from __future__ import annotations
@@ -30,16 +31,20 @@ class DocumentError(ValueError):
 # CPython's default digit limit for an int read from a string. ``Fraction``
 # builds 10**exponent exactly, so "1e999999999" would never return.
 MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+# ASCII digits, unlike ``Fraction`` ("1/2_0" from 3.11 on, "٣/٤"); group 1 is the exponent.
+_NUMBER = re.compile(
+    r"\s*[-+]?(?:[0-9]+/[0-9]+|(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE]([-+]?[0-9]+))?)\s*")
 
 
 def parse_fraction(text) -> Fraction:
     """Exact rational from an "a/b" string or a terminating decimal string,
     whose exponent, if any, is at most ``MAX_EXPONENT`` in magnitude."""
     text = str(text)
+    number = _NUMBER.fullmatch(text)
     try:
-        exponent = _EXPONENT.search(text)
-        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+        if number is None:
+            raise ValueError("expected an optional sign and ASCII digits, as a/b or a decimal")
+        if number[1] and abs(int(number[1])) > MAX_EXPONENT:
             raise ValueError(f"exponent beyond {MAX_EXPONENT} in magnitude")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -59,9 +64,17 @@ def _require_list(data: dict, key: str, where: str) -> list:
     return value
 
 
+def _check_header(data, expected: str, where: str) -> None:
+    """Format ``expected``, and version 1 if any (not ``true`` or ``1.0``)."""
+    if _require(data, "format", where) != expected:
+        raise DocumentError(f"expected format {expected!r}")
+    version = data.get("version", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise DocumentError(f"unsupported version {version!r}, expected {FORMAT_VERSION}")
+
+
 def parse_model(data) -> MdpWithRepair:
-    if _require(data, "format", "model document") != MODEL_FORMAT:
-        raise DocumentError(f"expected format {MODEL_FORMAT!r}")
+    _check_header(data, MODEL_FORMAT, "model document")
     states = []
     for entry in _require_list(data, "states", "model document"):
         reward = _require(entry, "reward", "state entry")
@@ -158,8 +171,7 @@ class SchedulerDocument:
 
 
 def parse_scheduler(data) -> SchedulerDocument:
-    if _require(data, "format", "scheduler document") != SCHEDULER_FORMAT:
-        raise DocumentError(f"expected format {SCHEDULER_FORMAT!r}")
+    _check_header(data, SCHEDULER_FORMAT, "scheduler document")
     cost_bound = _require(data, "costBound", "scheduler document")
     if not isinstance(cost_bound, int) or isinstance(cost_bound, bool) or cost_bound < 0:
         raise DocumentError(f"costBound must be a nonnegative integer, got {cost_bound!r}")

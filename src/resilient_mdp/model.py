@@ -20,6 +20,8 @@ REPAIR = "rep"
 
 STATE_KINDS = (OPERATIONAL, ERROR, REPAIR)
 
+TAU = "τ"  # reserved action id: the goal MDP's switch into a component
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -69,6 +71,12 @@ class MdpWithRepair:
 
     def cost(self, i: int) -> int:
         return self.rewards[i] if self.kinds[i] != OPERATIONAL else 0
+
+    def is_op(self, i: int) -> bool:
+        return self.kinds[i] == OPERATIONAL
+
+    def errors(self) -> list[int]:
+        return [i for i in range(self.n) if self.kinds[i] == ERROR]
 
     def enabled(self, i: int) -> list[str]:
         return sorted(self.actions[i])
@@ -126,8 +134,8 @@ def validate_structure(m: MdpWithRepair) -> ValidationReport:
         if "#" in sid:
             # '#' is reserved for the ids of cost-annotated repair copies.
             out.append(Violation("bad-id", sid, "state ids must not contain '#'"))
-        if "τ" in m.actions[i]:
-            out.append(Violation("bad-id", sid, "action id 'τ' is reserved"))
+        if TAU in m.actions[i]:
+            out.append(Violation("bad-id", sid, f"action id {TAU!r} is reserved"))
         if m.kinds[i] not in STATE_KINDS:
             out.append(Violation("bad-kind", sid, f"unknown state kind {m.kinds[i]!r}"))
         if not isinstance(m.rewards[i], int) or m.rewards[i] < 0:
@@ -162,11 +170,9 @@ def validate_repair_assumption(m: MdpWithRepair) -> ValidationReport:
             for dist in m.actions[i].values():
                 for t, _ in dist:
                     pred[t].append(i)
-    bad = reachable_from(pred, [i for i in range(m.n) if m.kinds[i] == ERROR])
+    bad = reachable_from(pred, m.errors())
     out = []
-    for e in range(m.n):
-        if m.kinds[e] != ERROR:
-            continue
+    for e in m.errors():
         for act in m.enabled(e):
             for t, p in m.actions[e][act]:
                 if p > 0 and t in bad:

@@ -20,11 +20,9 @@ from fractions import Fraction
 from . import analyze
 from .components import ComponentTriple, compute_E, flow_balance
 from .lp import EQ, GE, INFEASIBLE, OPTIMAL, LinearProgram, LpSolution, solve_lexicographic
-from .model import MdpWithRepair, validate_repair_assumption, validate_structure
+from .model import TAU, MdpWithRepair, validate_repair_assumption, validate_structure
 from .sched import MrScheduler
 from .transform import TransformedMdp, transform
-
-TAU = "τ"
 
 
 class InvalidModelError(ValueError):

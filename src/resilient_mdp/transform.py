@@ -1,20 +1,18 @@
 """Cost-tracking transformation of an MDP with repair.
 
-The transformed MDP adds repair copies <e, s, r>: the system is in base
-state s, repairing the error e, with cost r accumulated since e was entered.
-Once the budget R would be exceeded the exact cost is no longer tracked, but
-the repair is still pending, so non-operational states are entered through
-pending copies until the next operational state; reaching an operational
-state always drops back to the base states. Base non-operational states are
-therefore only visited with no repair underway. Only the fragment reachable
-from the initial state is materialized.
+The transformed MDP is again an MDP with repair. Its repair copies <e, s, r>
+are in base state s, repairing the error e, with cost r accumulated since e
+was entered. Past the budget R the cost is no longer tracked, but the repair
+is still pending: non-operational states are entered through pending copies
+until the next operational state, where every repair ends. Base
+non-operational states are therefore only visited with no repair underway.
+Only the fragment reachable from the initial state is materialized, at most
+``MAX_STATES`` states (one copy per reachable cost value).
 
-Repair copies are rendered as "e#s#r" in state ids, pending copies as
-"s#pending". These rules live only here: the finite-memory rendering on the
-base model walks ``TransformedMdp.successor``, and ``op_copies_of`` and
-``build_weights`` read repair success and budget overrun off the copies.
-One copy is made per reachable cost value, so the fragment is capped at
-``MAX_STATES`` states.
+``_passed_on`` is the one statement of the budget rule; ``_successor_key``
+(and so ``transform``) and ``build_weights`` read it. Copies are rendered as
+"e#s#r" in state ids, pending copies as "s#pending"; the finite-memory
+rendering on the base model walks ``TransformedMdp.successor``.
 """
 
 from __future__ import annotations
@@ -27,51 +25,29 @@ from .model import ERROR, OPERATIONAL, REPAIR, MdpWithRepair
 
 MAX_STATES = 100_000
 
+PENDING = "pending"  # memory of a repair still unfinished past the budget
+
 
 class TransformTooLargeError(ValueError):
     """The reachable transformed model has more than ``MAX_STATES`` states."""
 
 
 @dataclass(frozen=True)
-class TransformedMdp:
-    base: MdpWithRepair
-    cost_bound: int
-    ids: tuple[str, ...]
-    kinds: tuple[str, ...]          # op/err/rep, repair copies are op or rep
-    actions: tuple[dict[str, list[tuple[int, Fraction]]], ...]
-    back: tuple[int, ...]           # state -> base state index
-    triple: tuple[tuple[int, int, int] | None, ...]  # (e, s, r) for repair copies
-    pending: tuple[bool, ...]       # post-overrun copies with a repair unfinished
-    initial: int
-    index: dict[str, int] = field(repr=False, default_factory=dict)
+class TransformedMdp(MdpWithRepair):
+    """Repair copies are operational or repair states; every state has the
+    reward of its base state."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.ids)})
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    def payoff(self, i: int) -> int:
-        return self.base.payoff(self.back[i])
-
-    def cost(self, i: int) -> int:
-        return self.base.cost(self.back[i])
-
-    def is_op(self, i: int) -> bool:
-        return self.kinds[i] == OPERATIONAL
-
-    def enabled(self, i: int) -> list[str]:
-        return sorted(self.actions[i])
-
-    def errors(self) -> list[int]:
-        return [i for i in range(self.n) if self.kinds[i] == ERROR]
+    base: MdpWithRepair = field(kw_only=True)
+    cost_bound: int = field(kw_only=True)
+    back: tuple[int, ...] = field(kw_only=True)     # state -> base state index
+    triple: tuple[tuple[int, int, int] | None, ...] = field(kw_only=True)  # (e, s, r) copies
+    pending: tuple[bool, ...] = field(kw_only=True)  # post-overrun copies, repair unfinished
 
     def op_copies_of(self, e: int) -> list[int]:
         """Repair copies <e, s, r> with s operational (the Op_e set)."""
         base_e = self.back[e]
         return [i for i, t in enumerate(self.triple)
-                if t is not None and t[0] == base_e and self.base.kinds[t[1]] == OPERATIONAL]
+                if t is not None and t[0] == base_e and self.is_op(i)]
 
     def memory(self, i: int) -> tuple[int, int] | str | None:
         """Memory label of state i on the base model: (error, cost so far) for
@@ -79,7 +55,7 @@ class TransformedMdp:
         t = self.triple[i]
         if t is not None:
             return t[0], t[2]
-        return "pending" if self.pending[i] else None
+        return PENDING if self.pending[i] else None
 
     def successor(self, i: int, act: str, target: int) -> int:
         """The state entered from i by ``act`` when the base move lands in
@@ -88,60 +64,49 @@ class TransformedMdp:
         return {t: j for (t, _), (j, _) in zip(base, self.actions[i][act])}[target]
 
 
+def _passed_on(m: MdpWithRepair, bound: int, memory, s: int):
+    """The budget rule: the repair memory that a state at base state ``s``
+    holding ``memory`` passes on to its successors. That is (e, cost so far)
+    while the cost spent on e's repair, s included, is at most ``bound``;
+    ``PENDING`` once the budget is overrun; None when no repair is underway,
+    either none began or it completed at the operational state s."""
+    if memory == PENDING:
+        return PENDING
+    e, r = memory or (s, 0)  # with no memory, a repair begins at an error s
+    if m.kinds[e] != ERROR or m.is_op(s):
+        return None
+    spent = r + m.cost(s)
+    return (e, spent) if spent <= bound else PENDING
+
+
+def _successor_key(m: MdpWithRepair, passed, target: int):
+    """Key (memory, base state) of the state entered at ``target`` from a
+    state passing on ``passed``: a tracked repair is kept whatever the
+    target, a pending one ends at an operational state or a new error."""
+    if passed == PENDING and m.kinds[target] in (OPERATIONAL, ERROR):
+        return None, target
+    return passed, target
+
+
 def build_weights(mt: TransformedMdp, threshold: Fraction) -> dict[int, dict[int, Fraction]]:
-    """Per-error weight function over transformed states (sparse, zero omitted)."""
+    """Per-error weight function over transformed states (sparse, zero
+    omitted): 1 - threshold on the error's operational copies, -threshold
+    where its repair overruns the budget."""
     threshold = Fraction(threshold)
-    out: dict[int, dict[int, Fraction]] = {}
-    for e in mt.errors():
-        base_e = mt.back[e]
-        wgt: dict[int, Fraction] = {}
-        for i in range(mt.n):
-            t = mt.triple[i]
-            if t is None:
-                continue
-            te, ts, r = t
-            if te != base_e:
-                continue
-            if mt.base.kinds[ts] == OPERATIONAL:
-                wgt[i] = 1 - threshold
-            elif r + mt.base.cost(ts) > mt.cost_bound:
-                wgt[i] = -threshold
-        if mt.base.cost(base_e) > mt.cost_bound:
-            # Repair can never succeed within budget; the error state itself
+    out: dict[int, dict[int, Fraction]] = {e: {} for e in mt.errors()}
+    of_error = {mt.back[e]: e for e in out}
+    for i, t in enumerate(mt.triple):
+        e = of_error.get(mt.back[i] if t is None else t[0])
+        if e is None:
+            continue  # no repair tracked at i
+        if mt.is_op(i):
+            out[e][i] = 1 - threshold
+        elif _passed_on(mt.base, mt.cost_bound, mt.memory(i), mt.back[i]) == PENDING:
+            # An overrun copy, or e itself when its own cost exceeds R: then
+            # repair can never succeed within budget; the error state itself
             # carries the penalty so no end component may contain it.
-            wgt[e] = -threshold
-        out[e] = wgt
+            out[e][i] = -threshold
     return out
-
-
-def _pending_successor(m: MdpWithRepair, target: int):
-    """Past the budget the repair is still unfinished: non-operational
-    successors stay pending, operational ones complete the repair."""
-    if m.kinds[target] == OPERATIONAL or m.kinds[target] == ERROR:
-        return target
-    return ("!", target)
-
-
-def _successor_key(m: MdpWithRepair, bound: int, src, target: int):
-    """Transformed successor of ``src`` when the base move lands in ``target``.
-
-    Keys are a base index, an (e, s, r) triple, or ("!", s) for a pending
-    copy of the non-operational base state s."""
-    if isinstance(src, tuple) and src[0] == "!":
-        return _pending_successor(m, target)
-    if isinstance(src, tuple):
-        e, s, r = src
-        if m.kinds[s] == OPERATIONAL:
-            return target  # repair completed at s
-        if r + m.cost(s) <= bound:
-            return (e, target, r + m.cost(s))
-        return _pending_successor(m, target)
-    if m.kinds[src] == ERROR:
-        if m.cost(src) <= bound:
-            return (src, target, m.cost(src))
-        # Budget already blown by the error itself; pending from the start.
-        return _pending_successor(m, target)
-    return target
 
 
 def transform(m: MdpWithRepair, cost_bound: int) -> TransformedMdp:
@@ -149,18 +114,18 @@ def transform(m: MdpWithRepair, cost_bound: int) -> TransformedMdp:
     ``TransformTooLargeError`` once it would exceed ``MAX_STATES`` states."""
     if cost_bound < 0:
         raise ValueError("cost bound must be nonnegative")
-    keys = [m.initial]
-    index: dict = {m.initial: 0}
-    queue = deque([m.initial])
+    keys = [(None, m.initial)]
+    index: dict = {keys[0]: 0}
+    queue = deque(keys)
     out_actions: list[dict[str, list[tuple[int, Fraction]]]] = []
     while queue:
-        key = queue.popleft()
-        base = key[1] if isinstance(key, tuple) else key
+        memory, base = queue.popleft()
+        passed = _passed_on(m, cost_bound, memory, base)
         acts: dict[str, list[tuple[int, Fraction]]] = {}
         for act in m.enabled(base):
             dist = []
             for target, prob in m.actions[base][act]:
-                succ = _successor_key(m, cost_bound, key, target)
+                succ = _successor_key(m, passed, target)
                 if succ not in index:
                     if len(keys) == MAX_STATES:
                         raise TransformTooLargeError(
@@ -173,16 +138,18 @@ def transform(m: MdpWithRepair, cost_bound: int) -> TransformedMdp:
             acts[act] = dist
         out_actions.append(acts)
 
-    states = []  # (id, kind, base state, triple, pending) per key
-    for key in keys:
-        if isinstance(key, tuple) and key[0] == "!":
-            states.append((f"{m.ids[key[1]]}#pending", REPAIR, key[1], None, True))
-        elif isinstance(key, tuple):
-            e, s, r = key
-            kind = OPERATIONAL if m.kinds[s] == OPERATIONAL else REPAIR
-            states.append((f"{m.ids[e]}#{m.ids[s]}#{r}", kind, s, key, False))
+    states = []  # (id, kind, triple) per key
+    for memory, s in keys:
+        if memory == PENDING:
+            states.append((f"{m.ids[s]}#{PENDING}", REPAIR, None))
+        elif memory is not None:
+            e, r = memory
+            kind = OPERATIONAL if m.is_op(s) else REPAIR
+            states.append((f"{m.ids[e]}#{m.ids[s]}#{r}", kind, (e, s, r)))
         else:
-            states.append((m.ids[key], m.kinds[key], key, None, False))
-    ids, kinds, back, triples, pending = zip(*states)
-    return TransformedMdp(m, cost_bound, ids, kinds, tuple(out_actions), back,
-                          triples, pending, 0)
+            states.append((m.ids[s], m.kinds[s], None))
+    ids, kinds, triples = zip(*states)
+    back = tuple(s for _, s in keys)
+    return TransformedMdp(ids, kinds, tuple(m.rewards[s] for s in back), tuple(out_actions), 0,
+                          base=m, cost_bound=cost_bound, back=back, triple=triples,
+                          pending=tuple(memory == PENDING for memory, _ in keys))

@@ -128,6 +128,47 @@ def test_cli_validate_parse_error(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("text", ["1/2_0", "٣/٤", "1_0", "٣"])
+def test_numbers_take_only_ascii_digits(fig1_path, tmp_path, capsys, text):
+    # ``Fraction`` reads "1/2_0" as 1/20 from Python 3.11 on, and ``Fraction``
+    # and ``int`` read "٣/٤" and "٣" as 3/4 and 3; no Python version may.
+    data = json.loads(docs.serialize_model(fig1_model()))
+    data["transitions"][0]["to"][0]["prob"] = text
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    sched = tmp_path / "sched.json"
+    _run(["synthesize", fig1_path, "--threshold", "4/5", "--cost-bound", "2",
+          "--out", str(sched)], capsys)
+    for argv in (["validate", str(model)],
+                 ["verify", fig1_path, str(sched), "--threshold", text],
+                 ["verify", fig1_path, str(sched), "--cost-bound", text],
+                 ["synthesize", fig1_path, "--threshold", "4/5", "--cost-bound", text]):
+        code, out, err = _run(argv, capsys)
+        assert code == 3, argv
+
+
+@pytest.mark.parametrize("version", [2, "banana", True, 1.0])
+def test_document_version_must_be_integer_one(fig1_path, tmp_path, capsys, version):
+    sched = tmp_path / "sched.json"
+    _run(["synthesize", fig1_path, "--threshold", "4/5", "--cost-bound", "2",
+          "--out", str(sched)], capsys)
+    model = tmp_path / "model.json"
+    model_data = json.loads(Path(fig1_path).read_text(encoding="utf-8"))
+    sched_data = json.loads(sched.read_text(encoding="utf-8"))
+    for data, path in ((model_data, model), (sched_data, sched)):
+        data["version"] = version
+        path.write_text(json.dumps(data), encoding="utf-8")
+    for argv in (["validate", str(model)], ["verify", fig1_path, str(sched)]):
+        code, out, err = _run(argv, capsys)
+        assert code == 3 and "unsupported version" in err, argv
+    # A document without a version is still read.
+    for data, path in ((model_data, model), (sched_data, sched)):
+        del data["version"]
+        path.write_text(json.dumps(data), encoding="utf-8")
+    assert _run(["validate", str(model)], capsys)[0] == 0
+    assert _run(["verify", fig1_path, str(sched)], capsys)[0] == 0
+
+
 def test_cli_synthesize_writes_scheduler(fig1_path, tmp_path, capsys):
     out_path = tmp_path / "sched.json"
     code, out, err = _run(["synthesize", fig1_path, "--threshold", "4/5",

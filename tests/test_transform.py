@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resilient_mdp import make_mdp, transform
+from resilient_mdp import MdpWithRepair, build_weights, make_mdp, transform
 from helpers import (InvalidPathError, PathRecord, lift_path, path_cost, path_payoff,
                      project_path)
 
@@ -87,11 +89,54 @@ def test_copies_keep_base_actions_and_rewards():
     rng = random.Random(6)
     for _ in range(40):
         mt = transform(random_model(rng), rng.randint(0, 3))
+        assert isinstance(mt, MdpWithRepair)
         for i in range(mt.n):
             b = mt.back[i]
+            assert mt.rewards[i] == mt.base.rewards[b]
             assert mt.enabled(i) == mt.base.enabled(b)
             assert mt.payoff(i) == mt.base.payoff(b)
             assert mt.cost(i) == mt.base.cost(b)
+
+
+def _arithmetic_weights(mt, threshold):
+    """The weights spelled out as budget arithmetic, one pass per error."""
+    out = {}
+    for e in mt.errors():
+        base_e = mt.back[e]
+        wgt = {}
+        for i, t in enumerate(mt.triple):
+            if t is None or t[0] != base_e:
+                continue
+            _, ts, r = t
+            if mt.base.kinds[ts] == "op":
+                wgt[i] = 1 - threshold
+            elif r + mt.base.cost(ts) > mt.cost_bound:
+                wgt[i] = -threshold
+        if mt.base.cost(base_e) > mt.cost_bound:
+            wgt[e] = -threshold
+        out[e] = wgt
+    return out
+
+
+def test_build_weights_matches_budget_arithmetic():
+    # ``build_weights`` reads budget overrun off transform's budget rule; the
+    # reference restates the rule as cost arithmetic on the repair copies.
+    seen = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10 ** 9), any_target=st.booleans(), bound=st.integers(0, 3),
+           threshold=st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(9, 10),
+                                      Fraction(1)]))
+    def check(seed, any_target, bound, threshold):
+        mt = transform(random_model(random.Random(seed), any_target), bound)
+        weights = build_weights(mt, threshold)
+        assert weights == _arithmetic_weights(mt, threshold)
+        for e, wgt in weights.items():
+            seen.update("op copy" if mt.is_op(i) else "own cost" if i == e else "overrun"
+                        for i in wgt)
+
+    check()
+    assert seen == {"op copy", "overrun", "own cost"}
 
 
 def test_state_count_bound():
