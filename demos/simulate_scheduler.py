@@ -19,7 +19,9 @@ cost_bound = 2
 
 result = synthesize(m, threshold, cost_bound)
 policy = result.scheduler.render()
-print(f"memory values used by the policy: {policy.memory_values()}")
+mt = policy.mt
+print("memory states (repair copies and pending copies):",
+      ", ".join(mt.ids[i] for i in range(mt.n) if mt.memory(i) is not None))
 print()
 
 stats = simulate(m, policy, steps=2000, trials=50, seed=7,

@@ -35,8 +35,10 @@ print()
 print("=== step 3: the reachability program ===")
 n = build_goal_mdp(mt, comps)
 lp = build_resiliency_lp(n, threshold)
-print(f"goal model has {n.n} states; the program has {len(lp.variables)} "
-      f"variables and {len(lp.constraints)} constraints")
+for s, k in n.switch.items():
+    print(f"switch at {mt.ids[s]} into component {k} earns {comps[k].avail}")
+print(f"the program has {len(lp.variables)} variables and "
+      f"{len(lp.constraints)} constraints")
 print()
 
 print("=== step 4: solve, extract, re-verify ===")

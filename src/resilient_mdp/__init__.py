@@ -17,7 +17,6 @@ from .analyze import (
     long_run_value,
     brute_force_optimum,
     induce_chain,
-    mp_values,
     simulate,
     stationary_distribution,
     until_probability,

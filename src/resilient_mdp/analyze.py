@@ -185,11 +185,6 @@ def _lookup(weight: dict[int, Fraction]):
     return lambda s: weight.get(s, 0)
 
 
-def mp_values(c: InducedChain, weights: dict[int, dict[int, Fraction]]) -> dict[int, Fraction]:
-    """Long-run average of each error's weight function; host-indexed errors."""
-    return dict(zip(weights, long_run_values(c, [_lookup(w) for w in weights.values()])))
-
-
 @dataclass
 class ErrorCheck:
     res_probability: Fraction

@@ -47,12 +47,21 @@ def _threshold(text: str) -> Fraction:
     return value
 
 
+def _integer(text: str) -> int:
+    """A decimal integer in ASCII digits with an optional sign, for every
+    integer option; ``int()`` alone also takes "1_0" and "٣"."""
+    try:
+        if re.fullmatch(r"\s*[-+]?[0-9]+\s*", text):
+            return int(text, 10)
+    except ValueError:  # past the interpreter's digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+
+
 def _cost_bound(text: str) -> int:
     try:
-        if not re.fullmatch(r"\s*[-+]?[0-9]+\s*", text):  # int() takes "1_0" and "٣"
-            raise ValueError
-        value = int(text, 10)
-    except ValueError as exc:
+        value = _integer(text)
+    except argparse.ArgumentTypeError as exc:
         raise UsageError(f"cost bound must be a decimal integer, got {text!r}") from exc
     if value < 0:
         raise UsageError("cost bound must be nonnegative")
@@ -90,9 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo trials of a scheduler")
     p.add_argument("model")
     p.add_argument("scheduler")
-    p.add_argument("--steps", type=int, default=10000)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=_integer, default=10000)
+    p.add_argument("--trials", type=_integer, default=10)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--traces", action="store_true", help="print one trace per trial")
     return parser
 

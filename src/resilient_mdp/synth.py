@@ -1,15 +1,17 @@
 """Top of the pipeline: optimal resilient scheduler synthesis.
 
-Availability maximization reduces to expected total reward in a goal MDP:
-the transformed model is extended with one absorbing reward state per usable
-end component, entered by a fresh switch action from the component's
-operational states. A flow linear program over expected action counts, with
-one extra inequality per error bounding the repair-success frequency from
-below, yields the optimal switch probabilities; its solution is decomposed
-into a memoryless transient scheduler plus the per-component schedulers, and
-rendered as a finite-memory scheduler of the original model whose memory is
-the current transformed state; on the base model it reads as the pair
-(current error, repair cost so far), "pending" or nothing.
+Availability maximization reduces to expected total reward in a goal MDP.
+That MDP needs no absorbing reward state per component: it is the
+transformed model plus a switch action τ at the switch states of each usable
+end component, and τ settles in that component, earning its availability
+once (``build_goal_mdp`` states the switch rule). A flow linear program over
+expected action counts, with one extra inequality per error bounding the
+repair-success frequency from below, yields the optimal switch
+probabilities; its solution is decomposed into a memoryless transient
+scheduler plus the per-component schedulers, and rendered as a
+finite-memory scheduler of the original model whose memory is the current
+transformed state; on the base model it reads as the pair (current error,
+repair cost so far), "pending" or nothing.
 """
 
 from __future__ import annotations
@@ -37,41 +39,25 @@ class VerificationFailedError(AssertionError):
 
 @dataclass(frozen=True)
 class GoalMdp:
-    """Transformed MDP plus goal_E states (reward = component availability)
-    and an absorbing goal state, linked by the switch action."""
+    """The transformed MDP plus the switch action: at a switch state s, τ
+    settles in the component ``comps[switch[s]]`` and collects its
+    availability as a one-time reward."""
 
     mt: TransformedMdp
     comps: list[ComponentTriple]
-    ids: tuple[str, ...]
-    actions: tuple[dict[str, list[tuple[int, Fraction]]], ...]
-    goal_index: int
+    switch: dict[int, int]  # switch state -> component index
 
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    def goal_of(self, k: int) -> int:
-        return self.mt.n + k
-
-    def reward(self, i: int) -> Fraction:
-        k = i - self.mt.n
-        if 0 <= k < len(self.comps):
-            return self.comps[k].avail
-        return Fraction(0)
-
-    def enabled(self, i: int) -> list[str]:
-        return sorted(self.actions[i])
+    def enabled(self, s: int) -> list[str]:
+        acts = self.mt.enabled(s)
+        return sorted(acts + [TAU]) if s in self.switch else acts
 
 
 def build_goal_mdp(mt: TransformedMdp, comps: list[ComponentTriple]) -> GoalMdp:
     for i in range(mt.n):
         if TAU in mt.actions[i]:
             raise ValueError(f"action id {TAU!r} is reserved")
-    ids = list(mt.ids)
-    actions: list[dict[str, list[tuple[int, Fraction]]]] = [dict(a) for a in mt.actions]
+    switch: dict[int, int] = {}
     for k, comp in enumerate(comps):
-        goal_k = len(ids)
-        ids.append(f"goal[{mt.ids[comp.states[0]]}]")
         switch_states = [s for s in comp.states if mt.is_op(s)]
         if not switch_states and all(mt.memory(s) is None for s in comp.states):
             # Repair-only component of plain base states: those are entered
@@ -79,53 +65,46 @@ def build_goal_mdp(mt: TransformedMdp, comps: list[ComponentTriple]) -> GoalMdp:
             # allowed from any of them. Components of repair copies or
             # pending copies never get the switch action; stopping there
             # would leave a repair unfinished forever.
-            switch_states = list(comp.states)
-        for s in switch_states:
-            actions[s] = dict(actions[s])
-            actions[s][TAU] = [(goal_k, Fraction(1))]
-        actions.append({})  # filled below once goal exists
-    goal = len(ids)
-    ids.append("goal")
-    for k in range(len(comps)):
-        actions[mt.n + k] = {TAU: [(goal, Fraction(1))]}
-    actions.append({TAU: [(goal, Fraction(1))]})
-    return GoalMdp(mt, list(comps), tuple(ids), tuple(actions), goal)
+            switch_states = comp.states
+        switch.update(dict.fromkeys(switch_states, k))
+    return GoalMdp(mt, list(comps), switch)
 
 
-def _var(n: GoalMdp, s: int, a: str) -> str:
-    return f"y[{n.ids[s]}|{a}]"
+def _var(mt: TransformedMdp, s: int, a: str) -> str:
+    return f"y[{mt.ids[s]}|{a}]"
 
 
 def build_resiliency_lp(n: GoalMdp, threshold: Fraction) -> LinearProgram:
     """Expected-action-count flow program with the repair-success constraint.
 
-    The goal state has no variables: its expected visit count is infinite, so
-    its inflow stands in for it and must be at least 1 (by flow conservation
-    it is exactly 1, the full probability mass).
+    y[s|τ] is the probability of settling at s in its component. Every run
+    must settle, so the switch mass is at least 1 (by flow conservation it
+    is exactly 1, the full probability mass).
     """
     threshold = Fraction(threshold)
     mt = n.mt
-    non_goal = [s for s in range(n.n) if s != n.goal_index]
-    variables = [_var(n, s, a) for s in non_goal for a in n.enabled(s)]
-    lp = LinearProgram(variables=variables)
+    states = range(mt.n)
+    lp = LinearProgram(variables=[_var(mt, s, a) for s in states for a in n.enabled(s)])
 
-    balance = flow_balance(non_goal, n.enabled, n.actions, lambda s, a: _var(n, s, a))
-    for s in non_goal:
+    balance = flow_balance(states, mt.enabled, mt.actions, lambda s, a: _var(mt, s, a))
+    for s in states:
+        if s in n.switch:
+            balance[s][_var(mt, s, TAU)] = Fraction(1)
         lp.add(balance[s], EQ, Fraction(1 if s == mt.initial else 0))
-    # With no usable component nothing flows into goal: the row reads 0 >= 1.
-    lp.add({v: -c for v, c in balance.get(n.goal_index, {}).items()}, GE, 1)
+    # With no usable component there is no switch: the row reads 0 >= 1.
+    lp.add({_var(mt, s, TAU): Fraction(1) for s in n.switch}, GE, 1)
 
     for e in mt.errors():
         coeffs: dict[str, Fraction] = {}
         for s in mt.op_copies_of(e):
             for a in n.enabled(s):
-                coeffs[_var(n, s, a)] = Fraction(1)
+                coeffs[_var(mt, s, a)] = Fraction(1)
         for a in n.enabled(e):
-            coeffs[_var(n, e, a)] = coeffs.get(_var(n, e, a), Fraction(0)) - threshold
+            coeffs[_var(mt, e, a)] = coeffs.get(_var(mt, e, a), Fraction(0)) - threshold
         lp.add(coeffs, GE, 0)
 
-    lp.objective = {_var(n, n.goal_of(k), TAU): comp.avail
-                    for k, comp in enumerate(n.comps) if comp.avail != 0}
+    lp.objective = {_var(mt, s, TAU): n.comps[k].avail
+                    for s, k in n.switch.items() if n.comps[k].avail != 0}
     return lp
 
 
@@ -150,12 +129,6 @@ class FiniteMemoryScheduler:
 
     def update(self, s: int, mem: int, act: str, nxt: int) -> int:
         return self.mt.successor(mem, act, nxt)
-
-    def memory_values(self) -> list:
-        """The distinct memory labels of the transformed states other than
-        None: the (error, cost) pairs in order, then "pending" if reachable."""
-        labels = {self.mt.memory(i) for i in range(self.mt.n)} - {None}
-        return sorted(labels, key=lambda v: (isinstance(v, str), v))
 
 
 @dataclass
@@ -182,30 +155,25 @@ class ComposedScheduler:
 
 
 def extract_scheduler(n: GoalMdp, solution: LpSolution) -> ComposedScheduler:
-    """Decompose an optimal flow into transient and component parts."""
+    """Decompose an optimal flow into transient and component parts: the
+    components are those with switch flow, the transient scheduler is
+    flow-proportional on the other states."""
     if solution.status != OPTIMAL:
         raise ValueError("need an optimal solution")
     mt = n.mt
     y = solution.assignment
-    selected = [comp for k, comp in enumerate(n.comps)
-                if y[_var(n, n.goal_of(k), TAU)] > 0]
-    in_component = {s for comp in selected for s in comp.states}
-
-    choices: dict[int, dict[str, Fraction]] = {}
-    for s in range(mt.n):
-        if s in in_component:
-            continue
-        if TAU in n.actions[s] and y[_var(n, s, TAU)] != 0:
-            raise VerificationFailedError(
-                f"switch mass at {mt.ids[s]} outside selected components")
-        choices[s] = _flow_policy(n, y, s, mt.enabled(s))
-    return ComposedScheduler(mt, MrScheduler(choices), selected)
+    selected = sorted({k for s, k in n.switch.items() if y[_var(mt, s, TAU)] > 0})
+    components = [n.comps[k] for k in selected]
+    in_component = {s for comp in components for s in comp.states}
+    choices = {s: _flow_policy(mt, y, s, mt.enabled(s))
+               for s in range(mt.n) if s not in in_component}
+    return ComposedScheduler(mt, MrScheduler(choices), components)
 
 
-def _flow_policy(n: GoalMdp, y: dict[str, Fraction], s: int,
+def _flow_policy(mt: TransformedMdp, y: dict[str, Fraction], s: int,
                  acts: list[str]) -> dict[str, Fraction]:
     """Flow-proportional over ``acts`` where s has positive flow, uniform otherwise."""
-    mass = {a: y[_var(n, s, a)] for a in acts}
+    mass = {a: y[_var(mt, s, a)] for a in acts}
     total = sum(mass.values(), Fraction(0))
     if total > 0:
         return {a: v / total for a, v in mass.items()}

@@ -1,10 +1,11 @@
 """Test-only helpers for the paper's identities.
 
 Paths of the base and the transformed model, with projection and lifting
-(both preserve cost and payoff), the expected total reward of the goal MDP
-under the scheduler a flow solution induces (it equals availability), and a
-reference search for usable end components through one global program per
-elimination step.
+(both preserve cost and payoff); the paper's goal MDP, with one absorbing
+reward state per usable component, its flow program, and the expected total
+reward under the scheduler a flow solution induces (it equals availability);
+and a reference search for usable end components through one global program
+per elimination step.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from resilient_mdp.components import ComponentTriple, flow_balance
 from resilient_mdp.graph import strongly_connected_components
 from resilient_mdp.lp import EQ, GE, OPTIMAL, LinearProgram, LpSolution, solve
 from resilient_mdp.sched import MrScheduler
-from resilient_mdp.synth import TAU, GoalMdp, _flow_policy
+from resilient_mdp.synth import TAU, _flow_policy
 from resilient_mdp.transform import TransformedMdp, build_weights
 
 
@@ -109,12 +110,96 @@ def expected_total_reward(host, scheduler: MrScheduler, start: int) -> Fraction:
                              lambda i: [Fraction(host.reward(chain.states[i]))])[0][0]
 
 
-def goal_mr_scheduler(n: GoalMdp, solution: LpSolution) -> MrScheduler:
+@dataclass(frozen=True)
+class ReferenceGoalMdp:
+    """The paper's goal MDP: the transformed MDP plus one state goal[k] per
+    component (reward = its availability) and an absorbing goal state, linked
+    by the switch action. Its states below ``mt.n`` are those of ``mt``."""
+
+    mt: TransformedMdp
+    comps: list[ComponentTriple]
+    ids: tuple[str, ...]
+    actions: tuple[dict[str, list[tuple[int, Fraction]]], ...]
+    goal_index: int
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    def goal_of(self, k: int) -> int:
+        return self.mt.n + k
+
+    def reward(self, i: int) -> Fraction:
+        k = i - self.mt.n
+        if 0 <= k < len(self.comps):
+            return self.comps[k].avail
+        return Fraction(0)
+
+    def enabled(self, i: int) -> list[str]:
+        return sorted(self.actions[i])
+
+
+def reference_goal_mdp(mt: TransformedMdp, comps: list[ComponentTriple]) -> ReferenceGoalMdp:
+    """Copy every action dict of ``mt`` and add the goal states. The switch
+    rule: a component's operational states, or all of its states when none is
+    operational and none carries repair memory."""
+    ids = list(mt.ids)
+    actions: list[dict[str, list[tuple[int, Fraction]]]] = [dict(a) for a in mt.actions]
+    for k, comp in enumerate(comps):
+        goal_k = len(ids)
+        ids.append(f"goal[{mt.ids[comp.states[0]]}]")
+        switch_states = [s for s in comp.states if mt.is_op(s)]
+        if not switch_states and all(mt.memory(s) is None for s in comp.states):
+            switch_states = list(comp.states)
+        for s in switch_states:
+            actions[s] = dict(actions[s])
+            actions[s][TAU] = [(goal_k, Fraction(1))]
+        actions.append({})  # filled below once goal exists
+    goal = len(ids)
+    ids.append("goal")
+    for k in range(len(comps)):
+        actions[mt.n + k] = {TAU: [(goal, Fraction(1))]}
+    actions.append({TAU: [(goal, Fraction(1))]})
+    return ReferenceGoalMdp(mt, list(comps), tuple(ids), tuple(actions), goal)
+
+
+def _goal_var(n: ReferenceGoalMdp, s: int, a: str) -> str:
+    return f"y[{n.ids[s]}|{a}]"
+
+
+def reference_resiliency_lp(n: ReferenceGoalMdp, threshold: Fraction) -> LinearProgram:
+    """Expected-action-count flow program of the goal MDP with the
+    repair-success rows. The goal state has no variables: its inflow must be
+    at least 1. The objective collects each goal[k]'s reward on its one
+    action."""
+    threshold = Fraction(threshold)
+    mt = n.mt
+    non_goal = [s for s in range(n.n) if s != n.goal_index]
+    lp = LinearProgram(variables=[_goal_var(n, s, a) for s in non_goal for a in n.enabled(s)])
+    balance = flow_balance(non_goal, n.enabled, n.actions, lambda s, a: _goal_var(n, s, a))
+    for s in non_goal:
+        lp.add(balance[s], EQ, Fraction(1 if s == mt.initial else 0))
+    lp.add({v: -c for v, c in balance.get(n.goal_index, {}).items()}, GE, 1)
+    for e in mt.errors():
+        coeffs: dict[str, Fraction] = {}
+        for s in mt.op_copies_of(e):
+            for a in n.enabled(s):
+                coeffs[_goal_var(n, s, a)] = Fraction(1)
+        for a in n.enabled(e):
+            coeffs[_goal_var(n, e, a)] = coeffs.get(_goal_var(n, e, a), Fraction(0)) - threshold
+        lp.add(coeffs, GE, 0)
+    lp.objective = {_goal_var(n, n.goal_of(k), TAU): comp.avail
+                    for k, comp in enumerate(n.comps) if comp.avail != 0}
+    return lp
+
+
+def goal_mr_scheduler(n: ReferenceGoalMdp, solution: LpSolution) -> MrScheduler:
     """The goal-MDP scheduler induced by a flow solution (for total-reward
-    analysis): flow-proportional where visited, uniform elsewhere."""
-    return MrScheduler({s: {TAU: Fraction(1)} if s == n.goal_index
-                        else _flow_policy(n, solution.assignment, s, n.enabled(s))
-                        for s in range(n.n)})
+    analysis): flow-proportional where visited, uniform elsewhere. The
+    solution may be of either goal program: they share the y[s|a] names of
+    the transformed states, and a goal state has only τ."""
+    return MrScheduler({s: _flow_policy(n.mt, solution.assignment, s, n.enabled(s))
+                        if s < n.mt.n else {TAU: Fraction(1)} for s in range(n.n)})
 
 
 # A sub-MDP below is a map from each of its states to a nonempty tuple of

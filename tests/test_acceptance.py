@@ -13,13 +13,13 @@ import pytest
 
 from resilient_mdp import (brute_force_optimum, build_weights, cli, compute_E,
                            docs, synthesize, transform, verify_resilient)
-from resilient_mdp.analyze import induce_chain, mp_values, until_probability
+from resilient_mdp.analyze import induce_chain, until_probability
 from resilient_mdp.graph import strongly_connected_components
 from resilient_mdp.lp import INFEASIBLE
 
 from conftest import beta_always, fig1_model, random_model
 from helpers import (expected_total_reward, goal_mr_scheduler, lift_path, path_cost,
-                     path_payoff, project_path)
+                     path_payoff, project_path, reference_goal_mdp)
 from test_transform import _random_base_path
 
 
@@ -214,7 +214,7 @@ def test_criterion_8_structural_lemma_suite(capsys):
 
         result = synthesize(m, threshold, bound)
         if result.feasible:
-            n = result.goal_mdp
+            n = reference_goal_mdp(mt, result.components)
             rn = goal_mr_scheduler(n, result.solution)
             goal_chain = induce_chain(n, rn, n.mt.initial)
             for comp in result.scheduler.components:

@@ -9,7 +9,7 @@ from resilient_mdp import (MrScheduler, brute_force_optimum, induce_chain,
                            make_mdp, simulate, transform, verify_resilient)
 from resilient_mdp.analyze import (InducedChain, SchedulerDomainError, SimulationStats,
                                    almost_sure_reach, long_run_value,
-                                   long_run_values, mp_values,
+                                   long_run_values,
                                    stationary_distribution, until_probability)
 from resilient_mdp.analyze import _draw_table
 from resilient_mdp.graph import bottom_sccs, reachable_from
@@ -111,9 +111,9 @@ def test_availability_ignores_transient_payoff():
 def test_mp_values_beta_always(fig1):
     mt = transform(fig1, 2)
     chain = induce_chain(mt, beta_always(mt), mt.initial)
-    weights = build_weights(mt, Fraction(4, 5))
-    mp = mp_values(chain, weights)
-    assert mp[mt.index["error"]] == 0  # long run sits on a zero-weight state
+    weight = build_weights(mt, Fraction(4, 5))[mt.index["error"]]
+    # The long run sits on a zero-weight state.
+    assert long_run_values(chain, [lambda s: weight.get(s, 0)]) == [0]
 
 
 

@@ -327,6 +327,20 @@ def test_cli_simulate_rejects_nonpositive_counts(fig1_path, tmp_path, capsys, fl
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("flags", [["--steps", "٣_0"], ["--steps", "1_0"], ["--trials", "1_0"],
+                                   ["--trials", "٣"], ["--seed", "٧"], ["--seed", "1_0"]])
+def test_cli_simulate_counts_take_only_ascii_digits(fig1_path, tmp_path, capsys, flags):
+    # ``int`` reads "٣_0" as 30 and "1_0" as 10; every integer option takes
+    # the grammar of ``--cost-bound``.
+    sched = tmp_path / "sched.json"
+    _run(["synthesize", fig1_path, "--threshold", "4/5", "--cost-bound", "2",
+          "--out", str(sched)], capsys)
+    code, out, err = _run(["simulate", fig1_path, str(sched), "--steps", "30",
+                           "--trials", "1"] + flags, capsys)
+    assert code == 3 and out == ""
+    assert "not a decimal integer" in err
+
+
 @pytest.mark.parametrize("argv", [["simulate", "{model}", "{sched}", "--steps", "abc"],
                                   ["verify", "{model}"], []])
 def test_cli_argparse_errors_are_usage_errors(fig1_path, tmp_path, capsys, argv):
@@ -384,7 +398,7 @@ def test_cli_dump_lp_golden_hash(fig1_path, capsys):
                          "--cost-bound", "2", "--dump-lp"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "df3d8617f72c0d13217417dfa004613bf8629b447507f6626f52417724218ef6")
+        "5eaf4cb84a994551679865fbfae116d89c995a2570ad31e8e9acbf321150e47a")
 
 
 def test_cli_byte_identical_outputs(fig1_path, tmp_path, capsys):

@@ -556,7 +556,7 @@ def test_leaving_row_matches_fraction_division():
 
 
 @pytest.mark.parametrize("k, L, R, pivots", [
-    (1, 3, 3, 83), (2, 2, 2, 98), (2, 3, 3, 196), (3, 3, 4, 573)])
+    (1, 3, 3, 59), (2, 2, 2, 98), (2, 3, 3, 157), (3, 3, 4, 581)])
 def test_synthesize_pivot_counts(k, L, R, pivots):
     # The chain family of the benchmark at threshold 4/5: every LP that
     # ``synthesize`` solves, one availability program in ``compute_E`` (the

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resilient_mdp import (MrScheduler, build_goal_mdp, build_resiliency_lp, build_weights,
-                           compute_E, make_mdp, synthesize, transform, verify_resilient)
+                           compute_E, make_mdp, synthesize, transform, validate_repair_assumption,
+                           validate_structure, verify_resilient)
 from resilient_mdp.analyze import brute_force_optimum, induce_chain, simulate
 from resilient_mdp.components import build_multi_mp_lp, mec_decomposition
 from resilient_mdp.lp import EQ, INFEASIBLE, OPTIMAL, solve
@@ -13,7 +16,8 @@ from resilient_mdp.synth import (TAU, FiniteMemoryScheduler, InvalidModelError,
                                  extract_scheduler, solve_lexicographic)
 
 from conftest import fig1_model, random_model
-from helpers import expected_total_reward, goal_mr_scheduler, lift_path
+from helpers import (expected_total_reward, goal_mr_scheduler, lift_path, reference_goal_mdp,
+                     reference_resiliency_lp)
 from test_docs_cli import chain_model
 from test_transform import _random_base_path
 
@@ -27,37 +31,47 @@ def _pipeline(m, threshold, bound):
 
 
 def test_goal_mdp_fig1_shape(fig1):
-    mt, comps, n, _ = _pipeline(fig1, Fraction(4, 5), 2)
+    mt, comps, n, lp = _pipeline(fig1, Fraction(4, 5), 2)
     assert len(comps) == 2
-    assert n.n == 15  # 12 annotated states + two goal_E + goal
-    tau_states = sorted(n.ids[i] for i in range(n.n) if TAU in n.actions[i])
-    assert tau_states == ["goal", "goal[op1]", "goal[op2]", "op1", "op2"]
-    by_name = {n.ids[n.goal_of(k)]: comps[k].avail for k in range(len(comps))}
-    assert {n.reward(n.goal_of(k)) for k in range(len(comps))} == set(by_name.values())
-    assert n.reward(n.goal_index) == 0 and n.reward(mt.initial) == 0
+    assert sorted(mt.ids[s] for s in n.switch) == ["op1", "op2"]
+    for s, k in n.switch.items():
+        assert s in comps[k].states
+        assert n.enabled(s) == sorted(mt.enabled(s) + [TAU])
+    assert all(n.enabled(s) == mt.enabled(s) for s in range(mt.n) if s not in n.switch)
+    # One column per transformed state and enabled action, τ included; one
+    # flow row per transformed state, the goal row and one row per error.
+    assert len(lp.variables) == sum(len(n.enabled(s)) for s in range(mt.n))
+    assert len(lp.constraints) == mt.n + 1 + len(mt.errors())
+    # Switching at op2 earns its component's availability 1; op1's is 0.
+    assert lp.objective == {f"y[op2|{TAU}]": 1}
+    assert {mt.ids[s]: comps[k].avail for s, k in n.switch.items()} == {"op1": 0, "op2": 1}
 
 
 def test_goal_mdp_without_components(fig1):
     mt = transform(fig1, 2)
     n = build_goal_mdp(mt, [])
-    assert n.n == mt.n + 1
-    assert n.actions[n.goal_index] == {TAU: [(n.goal_index, Fraction(1))]}
+    assert n.switch == {}
+    assert all(n.enabled(s) == mt.enabled(s) for s in range(mt.n))
+    assert solve(build_resiliency_lp(n, Fraction(4, 5))).status == INFEASIBLE
+
+
+def _repair_cycle():
+    """o -> e -> r -> o: the only component holds the repair copies."""
+    return make_mdp([("o", "op", 1), ("e", "err", 0), ("r", "rep", 0)],
+                    [("o", "a", [("e", 1)]), ("e", "a", [("r", 1)]), ("r", "a", [("o", 1)])],
+                    "o")
 
 
 def test_goal_mdp_tau_on_operational_copies():
     # A model whose usable component must include annotated repair copies:
     # the op-copy inside the component gets the switch action too.
-    m = make_mdp(
-        [("o", "op", 1), ("e", "err", 0), ("r", "rep", 0)],
-        [("o", "a", [("e", 1)]), ("e", "a", [("r", 1)]),
-         ("r", "a", [("o", 1)])],
-        "o")
-    mt, comps, n, lp = _pipeline(m, Fraction(1), 1)
+    mt, comps, n, lp = _pipeline(_repair_cycle(), Fraction(1), 1)
     assert len(comps) == 1
     names = sorted(mt.ids[s] for s in comps[0].states)
     assert "e#o#0" in names
     op_copy = mt.index["e#o#0"]
-    assert TAU in n.actions[op_copy]
+    assert n.switch[op_copy] == 0
+    assert TAU in n.enabled(op_copy)
 
 
 def test_resiliency_lp_goldens(fig1):
@@ -85,13 +99,13 @@ def _lp_digest(lp) -> str:
 @pytest.mark.parametrize("model, threshold, bound, multi_mp, resiliency", [
     (fig1_model(), Fraction(4, 5), 2,
      "3754c5527da3f9a8de77fef165fa396a44e34a0dc14a8944dceaa065aa4af36b",
-     "6f83f6ccda4a6915502985af3f909cc5e87866632739a2b178f0cbdfa35e1041"),
+     "473b4c51d4e544b7d4560825583c26cdc791f2dddc3853c933d0303f0fe0fc4d"),
     (chain_model(1, 3), Fraction(4, 5), 3,
      "dbf3e4fe713d356630f481f7dc1aa8252aa22fd78c635f44476847be5b615fda",
-     "e570f35b8f94ee9302bcacdc3ebd20c7bdc7f891f316b32d5c07c806b5414c1f"),
+     "99f000fffa11d19b9417dfc3587d24ee10d928de54fbcacfdf1efbc937c47a85"),
     (chain_model(2, 3), Fraction(4, 5), 3,
      "d98c64f7c883ea46714fc4839f70c03c399a94ded5b9c389937199045b51a9de",
-     "b113d396a91f367cf338bb538530766c90906dba6edd6cf92d8c0c6d9ce1e4ae"),
+     "2e83ceb636af3c59c30d9969bb50c8674efafe5716eb4cc683053d6ebfcfe5ec"),
     (fig1_model(), Fraction(4, 5), 2, None,
      "b346a8e0c0f6a0360eccab93c8e6b0268a7eb036654b83884538f7509cab7743"),
 ], ids=["fig1", "chain-1-3-3", "chain-2-3-3", "fig1-none"])
@@ -109,14 +123,50 @@ def test_lp_golden_hashes(model, threshold, bound, multi_mp, resiliency):
     assert _lp_digest(build_resiliency_lp(build_goal_mdp(mt, comps), threshold)) == resiliency
 
 
+def test_goal_program_matches_paper_goal_mdp_program():
+    # The goal program on the transformed model and the program of the
+    # paper's goal MDP, with a goal[k] state per component and a goal state
+    # (``reference_resiliency_lp``), have the same status and optimum, and
+    # ``synthesize`` returns that optimum. Read in the paper's goal MDP, the
+    # flow of the synthesized program earns it as expected total reward.
+    # In the example, an op copy is the only switch state.
+    seen = {OPTIMAL: 0, INFEASIBLE: 0}
+
+    @settings(max_examples=120, deadline=None)
+    @given(m=st.builds(lambda seed, any_target: random_model(random.Random(seed), any_target),
+                       st.integers(0, 10 ** 9), st.booleans()),
+           bound=st.integers(0, 3),
+           threshold=st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(9, 10),
+                                      Fraction(1)]))
+    @example(m=_repair_cycle(), bound=1, threshold=Fraction(1))
+    def check(m, bound, threshold):
+        if not (validate_structure(m).ok and validate_repair_assumption(m).ok):
+            return
+        mt = transform(m, bound)
+        comps = compute_E(mt, threshold)
+        got = solve(build_resiliency_lp(build_goal_mdp(mt, comps), threshold))
+        ref = solve(reference_resiliency_lp(reference_goal_mdp(mt, comps), threshold))
+        assert (got.status, got.objective_value) == (ref.status, ref.objective_value)
+        result = synthesize(m, threshold, bound)
+        assert result.feasible == (got.status == OPTIMAL)
+        if result.feasible:
+            assert result.availability == got.objective_value
+            n = reference_goal_mdp(mt, result.components)
+            assert expected_total_reward(n, goal_mr_scheduler(n, result.solution),
+                                         mt.initial) == result.availability
+        seen[got.status] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
 def test_flow_conservation_and_goal_inflow(fig1):
     mt, comps, n, lp = _pipeline(fig1, Fraction(4, 5), 2)
     sol = solve_lexicographic(lp, {v: Fraction(1) for v in lp.variables})
     assert sol.status == OPTIMAL
-    # Inflow into goal is exactly 1: full probability mass is absorbed.
-    inflow = sum((sol.assignment[f"y[{n.ids[n.goal_of(k)]}|{TAU}]"]
-                  for k in range(len(comps))), Fraction(0))
-    assert inflow == 1
+    # The switch mass is exactly 1: every run settles in a component.
+    switched = sum((sol.assignment[f"y[{mt.ids[s]}|{TAU}]"] for s in n.switch), Fraction(0))
+    assert switched == 1
     for c in lp.constraints:
         if c.relation == EQ:
             lhs = sum((q * sol.assignment[v] for v, q in c.coeffs.items()),
@@ -143,9 +193,10 @@ def test_synthesize_goldens(fig1):
 
 def test_synthesize_value_identity(fig1):
     # Stationary availability, LP objective, and expected total reward in the
-    # goal model agree exactly, computed by three independent routes.
+    # paper's goal model under the scheduler of the program's flow agree
+    # exactly, computed by three independent routes.
     result = synthesize(fig1, Fraction(4, 5), 2)
-    n = result.goal_mdp
+    n = reference_goal_mdp(result.goal_mdp.mt, result.components)
     tr = expected_total_reward(n, goal_mr_scheduler(n, result.solution),
                                n.mt.initial)
     assert result.availability == result.solution.objective_value == tr
@@ -163,7 +214,7 @@ def test_same_value_from_every_component_state():
         result = synthesize(m, Fraction(1, 2), bound)
         if not result.feasible:
             continue
-        n = result.goal_mdp
+        n = reference_goal_mdp(result.goal_mdp.mt, result.components)
         rn = goal_mr_scheduler(n, result.solution)
         chain = induce_chain(n, rn, n.mt.initial)
         for comp in result.scheduler.components:
@@ -197,7 +248,7 @@ def test_rendered_memory_matches_annotated_walk(fig1):
     mr = result.scheduler.as_mr()
     m = fig1
     # (error, cost) pairs plus at most the single pending marker.
-    assert len(fm.memory_values()) <= sum(
+    assert len({mt.memory(i) for i in range(mt.n)} - {None}) <= sum(
         1 for k in m.kinds if k == "err") * (mt.cost_bound + 1) + 1
     rng = random.Random(3)
     for _ in range(200):
