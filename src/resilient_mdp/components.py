@@ -174,15 +174,32 @@ def extract_components(mt: TransformedMdp, acts: dict[int, list[str]],
     return triples
 
 
+def switch_states(mt: TransformedMdp, states) -> list[int]:
+    """The states of a component where a scheduler may settle in it: its
+    operational states, or all of its states when none is operational and
+    none carries repair memory. Those are entered with no repair underway,
+    so settling there (availability 0) is allowed from any of them. A
+    component with no switch state is unusable: it has no operational state
+    and some state carries repair memory, so settling there would leave a
+    repair unfinished forever.
+    """
+    op = [s for s in states if mt.is_op(s)]
+    if not op and all(mt.memory(s) is None for s in states):
+        return list(states)
+    return op
+
+
 def compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentTriple]:
     """Worklist over MECs producing the full set of usable component triples.
 
     Start from the MECs of the whole model. Solve each MEC's program: if it
     is infeasible, drop the MEC; otherwise keep the extracted triples and
-    push the MECs of what remains once the triples' states are removed. The
-    result is sorted by decreasing availability, then by states, so its
-    order does not depend on the order of the work. It may be empty, in
-    which case no resilient scheduler exists.
+    push the MECs of what remains once the triples' states are removed. An
+    unusable triple (see ``switch_states``) is never kept: the MEC is solved
+    again for the most anchor mass, below. The result is sorted by
+    decreasing availability, then by states, so its order does not depend
+    on the order of the work. It may be empty, in which case no resilient
+    scheduler exists.
 
     Why one x-only program per MEC suffices:
 
@@ -204,16 +221,50 @@ def compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentTriple]:
       raises the objective by mu (a' - a) > 0. That contradicts optimality,
       so removing a triple's states never loses a better component inside
       them.
+    - One support SCC per vertex. Since each support SCC pays its own weight
+      rows, the frequencies of each, rescaled to mass 1, are feasible, and x
+      is their convex combination. The simplex returns a vertex, so its
+      support is one bottom SCC, and so is that of any vertex of a face.
+    - Usable components. The paper's resilient schedulers settle in end
+      components where every repair ends, so a repair that never finishes
+      must not count as resilient. An unusable SCC has no operational state,
+      so its availability is 0, and it is an optimum only where the MEC's
+      optimum is 0, where every feasible point is optimal. Keeping it and
+      removing its states could destroy a usable component of availability
+      0 that shares them, such as a pending cycle sharing an action with
+      one. So the MEC is solved again, now minimizing as secondary objective
+      minus the frequency of its anchor states (operational, or with no
+      repair memory): the vertex returned has the most anchor mass.
+    - A feasible SCC with an anchor state is usable, as the threshold is
+      positive. Were it not, it would hold no operational state, an anchor
+      state with no memory and a state with memory. Going from the one to
+      the other and back with no operational state on the way begins a
+      repair at an error e of the SCC and overruns its budget, so the SCC
+      holds a state weighted -threshold in e's row and none of e's op
+      copies, and its own part of that row is negative.
+    - So the second solve returns a usable SCC if the MEC holds a usable
+      resilient component: the stationary frequencies of that component lie
+      on the optimal face and charge anchor states, so the most anchor mass
+      is positive, and the one support SCC of the vertex returned holds an
+      anchor state. Otherwise the MEC holds none and is dropped.
     """
     weights = build_weights(mt, threshold)
     work = mec_decomposition(mt, {s: mt.enabled(s) for s in range(mt.n)})
     out: list[ComponentTriple] = []
     while work:
         members, acts = work.pop()
-        sol = solve(build_multi_mp_lp(mt, members, acts, weights))
+        lp = build_multi_mp_lp(mt, members, acts, weights)
+        sol = solve(lp)
         if sol.status != OPTIMAL:
             continue
         triples = extract_components(mt, acts, sol)
+        if not all(switch_states(mt, tr.states) for tr in triples):
+            anchors = {_xv(mt, s, a): Fraction(-1) for s in members
+                       if mt.is_op(s) or mt.memory(s) is None for a in acts[s]}
+            triples = [tr for tr in extract_components(mt, acts, solve(lp, anchors))
+                       if switch_states(mt, tr.states)]
+            if not triples:
+                continue
         out.extend(triples)
         used = {s for tr in triples for s in tr.states}
         work.extend(mec_decomposition(mt, {s: a for s, a in acts.items() if s not in used}))

@@ -20,7 +20,12 @@ creation, not arithmetic. Each entry update a - f·p is therefore one
 normalized ``Fraction``, built by ``linsolve._minus`` from numerators and
 denominators read once per pivot row and once per factor; the exact
 elimination of ``linsolve`` updates its entries with the same helper. The
-values, and so the pivots, are unchanged.
+tableau entries stay such ``Fraction``s. Bland's decisions and the
+reduced-cost row make no ``Fraction`` through the operators either: the
+entering test reads the sign of a numerator, the ratio test compares
+rhs_i / a_i by cross-multiplying numerators and (positive) denominators, and
+the reduced-cost row is built and updated after each pivot with ``_minus``
+(``_subtract_multiple``). The values, and so the pivots, are unchanged.
 
 Phase 1 starts from one artificial variable per row, basic in its row, but
 never stores their columns: they would hold B⁻¹, which Bland's rule reads
@@ -207,13 +212,11 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
     basis = [ncols + i for i in range(m)]
     zrow = [Fraction(0)] * (ncols + 1)
     for row in tab:
-        for j, x in enumerate(row):
-            if x:
-                zrow[j] -= x
+        _subtract_multiple(zrow, 1, _nonzero(row))
     while True:
         if _optimize(tab, basis, zrow, ncols, range(ncols)) == UNBOUNDED:
             raise SolverError("phase 1 cannot be unbounded")
-        if zrow[ncols] < 0:
+        if zrow[ncols].numerator < 0:
             return INFEASIBLE, None
         enter = _entering_artificial(rows, basis, ncols)
         if enter is None:
@@ -223,8 +226,7 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
         leave = _leaving_row(tab, basis, column, ncols)
         if leave is None:
             raise SolverError("phase 1 cannot be unbounded")
-        for j, p in _pivot(tab, basis, leave, ncols + k, column):
-            zrow[j] -= f * p
+        _subtract_multiple(zrow, f, _pivot(tab, basis, leave, ncols + k, column))
 
     # Drive remaining artificials out of the basis (they are at value 0).
     drop_rows = []
@@ -299,10 +301,20 @@ def _reduced_costs(tab, basis, cost):
     for i, b in enumerate(basis):
         cb = cost[b]
         if cb:
-            for j, x in enumerate(tab[i]):
-                if x:
-                    zrow[j] += cb * x
+            _subtract_multiple(zrow, -cb, _nonzero(tab[i]))
     return zrow
+
+
+def _nonzero(row):
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
+def _subtract_multiple(zrow, f, pairs):
+    """zrow[j] -= f·p for each ``(j, p)`` of ``pairs``, each a normalized
+    ``Fraction`` built by ``_minus``."""
+    fn, fd = f.numerator, f.denominator
+    for j, p in pairs:
+        zrow[j] = _minus(zrow[j], fn * p.numerator, fd * p.denominator)
 
 
 def _optimize(tab, basis, zrow, width, allowed):
@@ -310,29 +322,30 @@ def _optimize(tab, basis, zrow, width, allowed):
     columns ``allowed``; the others are barred. Column ``width`` is the
     right-hand side."""
     while True:
-        enter = next((j for j in allowed if zrow[j] < 0), None)
+        enter = next((j for j in allowed if zrow[j].numerator < 0), None)
         if enter is None:
             return OPTIMAL
         column = [row[enter] for row in tab]
         leave = _leaving_row(tab, basis, column, width)
         if leave is None:
             return UNBOUNDED
-        f = zrow[enter]
-        for j, p in _pivot(tab, basis, leave, enter, column):
-            zrow[j] -= f * p
+        _subtract_multiple(zrow, zrow[enter], _pivot(tab, basis, leave, enter, column))
 
 
 def _leaving_row(tab, basis, column, width):
     """Bland's ratio test on the entering ``column``: the row with the least
     ratio of right-hand side to positive entry, ties to the lowest basic
-    column; None if no entry is positive."""
-    leave, best_ratio = None, None
+    column; None if no entry is positive. Denominators are positive, so the
+    ratios rn/rd are compared by cross-multiplying."""
+    leave = best_n = best_d = None
     for i, a in enumerate(column):
-        if a > 0:
-            ratio = tab[i][width] / a
-            if best_ratio is None or ratio < best_ratio or \
-                    (ratio == best_ratio and basis[i] < basis[leave]):
-                leave, best_ratio = i, ratio
+        an = a.numerator
+        if an > 0:
+            b = tab[i][width]
+            rn, rd = b.numerator * a.denominator, b.denominator * an
+            if leave is None or rn * best_d < best_n * rd or \
+                    (rn * best_d == best_n * rd and basis[i] < basis[leave]):
+                leave, best_n, best_d = i, rn, rd
     return leave
 
 

@@ -4,9 +4,9 @@ Availability maximization reduces to expected total reward in a goal MDP.
 That MDP needs no absorbing reward state per component: it is the
 transformed model plus a switch action τ at the switch states of each usable
 end component, and τ settles in that component, earning its availability
-once (``build_goal_mdp`` states the switch rule). A flow linear program over
-expected action counts, with one extra inequality per error bounding the
-repair-success frequency from below, yields the optimal switch
+once (``components.switch_states`` states the switch rule). A flow linear
+program over expected action counts, with one extra inequality per error
+bounding the repair-success frequency from below, yields the optimal switch
 probabilities; its solution is decomposed into a memoryless transient
 scheduler plus the per-component schedulers, and rendered as a
 finite-memory scheduler of the original model whose memory is the current
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analyze
-from .components import ComponentTriple, compute_E, flow_balance
+from .components import ComponentTriple, compute_E, flow_balance, switch_states
 from .lp import EQ, GE, INFEASIBLE, OPTIMAL, LinearProgram, LpSolution, solve_lexicographic
 from .model import TAU, MdpWithRepair, validate_repair_assumption, validate_structure
 from .sched import MrScheduler
@@ -58,15 +58,7 @@ def build_goal_mdp(mt: TransformedMdp, comps: list[ComponentTriple]) -> GoalMdp:
             raise ValueError(f"action id {TAU!r} is reserved")
     switch: dict[int, int] = {}
     for k, comp in enumerate(comps):
-        switch_states = [s for s in comp.states if mt.is_op(s)]
-        if not switch_states and all(mt.memory(s) is None for s in comp.states):
-            # Repair-only component of plain base states: those are entered
-            # with no repair underway, so settling there (availability 0) is
-            # allowed from any of them. Components of repair copies or
-            # pending copies never get the switch action; stopping there
-            # would leave a repair unfinished forever.
-            switch_states = comp.states
-        switch.update(dict.fromkeys(switch_states, k))
+        switch.update(dict.fromkeys(switch_states(mt, comp.states), k))
     return GoalMdp(mt, list(comps), switch)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from resilient_mdp.analyze import _solve_restricted, almost_sure_reach, induce_chain
-from resilient_mdp.components import ComponentTriple, flow_balance
+from resilient_mdp.components import ComponentTriple, flow_balance, switch_states
 from resilient_mdp.graph import strongly_connected_components
 from resilient_mdp.lp import EQ, GE, OPTIMAL, LinearProgram, LpSolution, solve
 from resilient_mdp.sched import MrScheduler
@@ -329,18 +329,29 @@ def global_compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentT
 
     Solve the program of the current sub-MDP from a start state; on success
     keep the extracted triples and remove their states, otherwise remove the
-    start state. Repeat until nothing is left. The triples are returned in
-    E's documented order, by decreasing availability and then by states, so
-    the goal programs built from either E have the same column order.
+    start state. An unusable triple (no switch state) is never kept: as in
+    ``compute_E``, the program is solved again for the most frequency on
+    anchor states (operational, or with no repair memory) over its optima,
+    and only the usable triples are kept. With none left, no usable
+    resilient component is reachable from the start state, which is then
+    removed. Repeat until nothing is left. The triples are returned in E's
+    documented order, by decreasing availability and then by states, so the
+    goal programs built from either E have the same column order.
     """
     weights = build_weights(mt, threshold)
     enabled = {s: tuple(mt.enabled(s)) for s in range(mt.n)}
     s = mt.initial
     out = []
     while enabled:
-        sol = solve(_global_program(mt, enabled, s, weights))
-        if sol.status == OPTIMAL:
-            triples = _support_triples(mt, enabled, sol)
+        program = _global_program(mt, enabled, s, weights)
+        sol = solve(program)
+        triples = _support_triples(mt, enabled, sol) if sol.status == OPTIMAL else []
+        if not all(switch_states(mt, tr.states) for tr in triples):
+            anchors = {f"x[{mt.ids[t]}|{a}]": Fraction(-1) for t in enabled
+                       if mt.is_op(t) or mt.memory(t) is None for a in enabled[t]}
+            triples = [tr for tr in _support_triples(mt, enabled, solve(program, anchors))
+                       if switch_states(mt, tr.states)]
+        if triples:
             out.extend(triples)
             enabled = _prune(mt, enabled, {t for tr in triples for t in tr.states})
         else:

@@ -249,6 +249,23 @@ def test_lexicographic_matches_two_solves(data):
                    Fraction(0)) == second
 
 
+def _operator_reduced_costs(tab, basis, cost):
+    """``lp._reduced_costs`` by the ``Fraction`` operators: minus the costs,
+    plus each basic cost times its row."""
+    zrow = [-c for c in cost] + [Fraction(0)]
+    for i, b in enumerate(basis):
+        cb = cost[b]
+        if cb:
+            for j, x in enumerate(tab[i]):
+                if x:
+                    zrow[j] += cb * x
+    return zrow
+
+
+def _operator_basic_value(tab, basis, cost):
+    return sum((cost[b] * row[-1] for b, row in zip(basis, tab)), Fraction(0))
+
+
 def _full_block_two_phase(rows, rhs, cost, ncols, secondary=None, *, pivots):
     """``lp._two_phase`` with the artificial block stored: phase 1 runs on
     m more columns, which are cut off before phase 2. Appends each pivot's
@@ -288,7 +305,7 @@ def _full_block_two_phase(rows, rhs, cost, ncols, secondary=None, *, pivots):
             for j, p in pivot(tab, basis, leave, enter):
                 zrow[j] -= f * p
 
-    reduced_costs, basic_value = lp_module._reduced_costs, lp_module._basic_value
+    reduced_costs, basic_value = _operator_reduced_costs, _operator_basic_value
     m = len(rows)
     tab = [list(rows[i]) + [Fraction(0)] * m + [rhs[i]] for i in range(m)]
     for i in range(m):
@@ -442,6 +459,89 @@ def _operator_pivot(tab, basis, i, j, column):
                 other[c] -= f * p
     basis[i] = j
     return nz
+
+
+def _operator_optimize(tab, basis, zrow, width, allowed):
+    """``lp._optimize`` by the ``Fraction`` operators: entering on zrow[j] < 0,
+    the ratio test by division, the pivot by ``_operator_pivot`` and the
+    reduced costs by zrow[j] -= f * p."""
+    while True:
+        enter = next((j for j in allowed if zrow[j] < 0), None)
+        if enter is None:
+            return OPTIMAL
+        column = [row[enter] for row in tab]
+        leave = _division_leaving_row(tab, basis, column, width)
+        if leave is None:
+            return UNBOUNDED
+        f = zrow[enter]
+        for j, p in _operator_pivot(tab, basis, leave, enter, column):
+            zrow[j] -= f * p
+
+
+def _exact(values):
+    return [(type(x), x.numerator, x.denominator) for x in values]
+
+
+def test_reduced_costs_match_the_operator_forms():
+    # Inside ``solve``: every reduced-cost row built, every row update (in
+    # ``_optimize`` and at phase 1's artificial entries) and every
+    # ``_optimize`` run equal the operator forms exactly, value and type.
+    seen = dict.fromkeys(["negative cost", "cancelled", "artificial entry"], 0)
+    real_reduced, real_optimize = lp_module._reduced_costs, lp_module._optimize
+    real_subtract, real_entering = lp_module._subtract_multiple, lp_module._entering_artificial
+    artificial = []
+
+    def reduced_costs(tab, basis, cost):
+        zrow = real_reduced(tab, basis, cost)
+        assert _exact(zrow) == _exact(_operator_reduced_costs(tab, basis, cost))
+        seen["negative cost"] += any(x < 0 for x in zrow)
+        return zrow
+
+    def optimize(tab, basis, zrow, width, allowed):
+        want = [[list(row) for row in tab], list(basis), list(zrow)]
+        want_status = _operator_optimize(*want, width, allowed)
+        status = real_optimize(tab, basis, zrow, width, allowed)
+        assert status == want_status
+        assert [_exact(row) for row in tab] == [_exact(row) for row in want[0]]
+        assert (basis, _exact(zrow)) == (want[1], _exact(want[2]))
+        return status
+
+    def entering_artificial(rows, basis, ncols):
+        enter = real_entering(rows, basis, ncols)
+        artificial.append(enter is not None)
+        return enter
+
+    def subtract_multiple(zrow, f, pairs):
+        pairs = list(pairs)
+        want = list(zrow)
+        for j, p in pairs:
+            want[j] -= f * p
+        before = list(zrow)
+        real_subtract(zrow, f, pairs)
+        assert _exact(zrow) == _exact(want)
+        seen["cancelled"] += any(before[j] and not zrow[j] for j, _ in pairs)
+        if artificial and artificial.pop():
+            seen["artificial entry"] += 1  # the update right after the choice
+        artificial.clear()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def check(seed):
+        rng = random.Random(seed)
+        prog = _degenerate_program(rng) if rng.random() < 0.7 else _random_program(rng)
+        secondary = ({v: Fraction(rng.randint(-3, 3)) for v in prog.variables}
+                     if rng.random() < 0.5 else None)
+        artificial.clear()
+        with mock.patch.multiple(lp_module, _reduced_costs=reduced_costs, _optimize=optimize,
+                                 _subtract_multiple=subtract_multiple,
+                                 _entering_artificial=entering_artificial):
+            try:
+                solve(prog, secondary)
+            except MalformedProgramError:
+                pass
+
+    check()
+    assert all(seen.values()), seen
 
 
 def test_pivot_matches_the_operator_update():

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,9 +16,10 @@ from resilient_mdp.lp import EQ, INFEASIBLE, OPTIMAL, solve
 from resilient_mdp.synth import (TAU, FiniteMemoryScheduler, InvalidModelError,
                                  extract_scheduler, solve_lexicographic)
 
-from conftest import fig1_model, random_model
+from conftest import _PROB_SPLITS, fig1_model, random_model
 from helpers import (expected_total_reward, goal_mr_scheduler, lift_path, reference_goal_mdp,
                      reference_resiliency_lp)
+from test_components import _SPLITS, _THRESHOLDS
 from test_docs_cli import chain_model
 from test_transform import _random_base_path
 
@@ -60,6 +62,26 @@ def _repair_cycle():
     return make_mdp([("o", "op", 1), ("e", "err", 0), ("r", "rep", 0)],
                     [("o", "a", [("e", 1)]), ("e", "a", [("r", 1)]), ("r", "a", [("o", 1)])],
                     "o")
+
+
+def op_copy_cycle_model(rng: random.Random):
+    """``_repair_cycle`` with random sizes and probabilities: a path of op
+    states to ``o``, which always meets the error ``e``, and a chain of
+    repair states back to ``o``, each of which may gamble on the rest of the
+    chain by looping on itself. Repaired within budget, ``o`` is entered as
+    an op copy, so a component of ``e`` and its copies switches only there."""
+    path = [f"p{k}" for k in range(rng.randint(0, 2))] + ["o"]
+    chain = [f"r{k}" for k in range(rng.randint(1, 3))]
+    states = [(s, "op", rng.randint(0, 3)) for s in path]
+    states += [("e", "err", rng.randint(0, 1))] + [(r, "rep", rng.randint(0, 2)) for r in chain]
+    transitions = [(s, "a", [(t, 1)]) for s, t in zip(path, path[1:] + ["e"])]
+    transitions.append(("e", "a", [(chain[0], 1)]))
+    for r, t in zip(chain, chain[1:] + ["o"]):
+        transitions.append((r, "a", [(t, 1)]))
+        if rng.random() < 0.5:
+            p, q = rng.choice(_SPLITS)
+            transitions.append((r, "gamble", [(t, p), (r, q)]))
+    return make_mdp(states, transitions, path[0])
 
 
 def test_goal_mdp_tau_on_operational_copies():
@@ -129,12 +151,16 @@ def test_goal_program_matches_paper_goal_mdp_program():
     # (``reference_resiliency_lp``), have the same status and optimum, and
     # ``synthesize`` returns that optimum. Read in the paper's goal MDP, the
     # flow of the synthesized program earns it as expected total reward.
-    # In the example, an op copy is the only switch state.
-    seen = {OPTIMAL: 0, INFEASIBLE: 0}
+    # ``random_model`` almost never gives a usable component whose only
+    # switch states are op copies, so ``op_copy_cycle_model`` is drawn too,
+    # and the example is such a model.
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, "op copies only": 0}
 
     @settings(max_examples=120, deadline=None)
-    @given(m=st.builds(lambda seed, any_target: random_model(random.Random(seed), any_target),
-                       st.integers(0, 10 ** 9), st.booleans()),
+    @given(m=st.one_of(
+               st.builds(lambda seed, any_target: random_model(random.Random(seed), any_target),
+                         st.integers(0, 10 ** 9), st.booleans()),
+               st.integers(0, 10 ** 9).map(lambda seed: op_copy_cycle_model(random.Random(seed)))),
            bound=st.integers(0, 3),
            threshold=st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(9, 10),
                                       Fraction(1)]))
@@ -144,17 +170,21 @@ def test_goal_program_matches_paper_goal_mdp_program():
             return
         mt = transform(m, bound)
         comps = compute_E(mt, threshold)
-        got = solve(build_resiliency_lp(build_goal_mdp(mt, comps), threshold))
+        n = build_goal_mdp(mt, comps)
+        got = solve(build_resiliency_lp(n, threshold))
         ref = solve(reference_resiliency_lp(reference_goal_mdp(mt, comps), threshold))
         assert (got.status, got.objective_value) == (ref.status, ref.objective_value)
         result = synthesize(m, threshold, bound)
         assert result.feasible == (got.status == OPTIMAL)
         if result.feasible:
             assert result.availability == got.objective_value
-            n = reference_goal_mdp(mt, result.components)
-            assert expected_total_reward(n, goal_mr_scheduler(n, result.solution),
+            reference = reference_goal_mdp(mt, result.components)
+            assert expected_total_reward(reference, goal_mr_scheduler(reference, result.solution),
                                          mt.initial) == result.availability
         seen[got.status] += 1
+        seen["op copies only"] += any(
+            all(mt.triple[s] is not None for s in n.switch if n.switch[s] == k)
+            for k in set(n.switch.values()))
 
     check()
     assert all(seen.values()), seen
@@ -391,9 +421,88 @@ def test_synthesized_schedulers_verify_on_random_models():
         done += 1
 
 
-@pytest.mark.xfail(strict=True, reason="compute_E keeps only the zero-availability "
-                   "a1 self-loop at e0#r0#0; without that state no MEC is left for the "
-                   "repair cycle o0 -> e0 -> r0")
+def stalling_repair_model(rng: random.Random):
+    """A small model in which repairs may stall at availability 0: every
+    reward of an op state is 0, errors and repair states cost 0 half of the
+    time, and a repair state may take a second action that stays among the
+    repair states. Looping there costs nothing, or, past the budget,
+    cycles among pending copies, which may share an action with a
+    component that does finish the repair."""
+    n_op, n_err, n_rep = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
+    states = [(f"o{k}", "op", 0) for k in range(n_op)]
+    states += [(f"e{k}", "err", rng.choice([0, 0, 1, 2])) for k in range(n_err)]
+    reps = [f"r{k}" for k in range(n_rep)]
+    states += [(r, "rep", rng.choice([0, 0, 1, 2])) for r in reps]
+    all_ids = [s for s, _, _ in states]
+    safe_ids = [s for s, kind, _ in states if kind != "err"]
+    transitions = []
+    for sid, kind, _ in states:
+        pool = all_ids if kind == "op" else safe_ids
+        moves = [pool] + ([reps] if kind == "rep" and rng.random() < 0.8 else [])
+        for a, targets in enumerate(moves):
+            split = rng.choice(_PROB_SPLITS)
+            chosen = rng.sample(targets, min(len(split), len(targets)))
+            probs = list(split[:len(chosen)])
+            probs[-1] = 1 - sum(probs[:-1], Fraction(0))
+            transitions.append((sid, f"a{a}", list(zip(chosen, probs))))
+    return make_mdp(states, transitions, "o0")
+
+
+def _pending_cycle_model():
+    """Benchmark small-batch seed 25, job 157 (R = 3, threshold 1/2). The
+    self-loop of the pending copy r1#pending is a free optimum of value 0;
+    the cycle {r1#pending: a1, r0#pending: a1} shares the action
+    (r1#pending, a1) with the only usable component, which also plays
+    r0#pending: a0 and so can return to o0."""
+    return make_mdp([("o0", "op", 0), ("e0", "err", 1), ("e1", "err", 0), ("r0", "rep", 0),
+                     ("r1", "rep", 2)],
+                    [("o0", "a0", [("o0", Fraction(1, 4)), ("e1", Fraction(3, 4))]),
+                     ("e0", "a0", [("o0", Fraction(1, 4)), ("r0", Fraction(3, 4))]),
+                     ("e1", "a0", [("r0", Fraction(1, 3)), ("o0", Fraction(2, 3))]),
+                     ("r0", "a0", [("o0", Fraction(1, 2)), ("r1", Fraction(1, 2))]),
+                     ("r0", "a1", [("r1", Fraction(1, 2)), ("r0", Fraction(1, 2))]),
+                     ("r1", "a0", [("r1", 1)]),
+                     ("r1", "a1", [("r0", 1)])],
+                    "o0")
+
+
+def test_stalled_repairs_match_the_oracle():
+    # ``compute_E`` keeps no component without a switch state. Where one is
+    # the optimum of its MEC, the MEC is solved again for the most anchor
+    # mass; a usable component of availability 0 that shares its states or
+    # actions must still be found, or the verdict is wrongly negative.
+    seen = {"feasible": 0, "infeasible": 0, "solved again": 0}
+    solve_again = []
+
+    def counting_solve(lp, secondary=None):
+        solve_again.append(secondary is not None)
+        return solve(lp, secondary)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(0, 10 ** 9).map(lambda seed: stalling_repair_model(random.Random(seed))),
+           bound=st.integers(0, 3), threshold=st.sampled_from(_THRESHOLDS))
+    @example(m=_pending_cycle_model(), bound=3, threshold=Fraction(1, 2))
+    def check(m, bound, threshold):
+        if not (validate_structure(m).ok and validate_repair_assumption(m).ok):
+            return
+        mt = transform(m, bound)
+        if mt.n > 14 or sum(len(acts) > 1 for acts in mt.actions) > 6:
+            return  # outside the oracle's enumeration budget
+        solve_again.clear()
+        with mock.patch("resilient_mdp.components.solve", counting_solve):
+            result = synthesize(m, threshold, bound)
+        oracle = brute_force_optimum(mt, threshold, max_choice_states=6)
+        if oracle.best_availability is not None:
+            # The oracle enumerates deterministic schedulers only.
+            assert result.feasible
+            assert result.availability >= oracle.best_availability
+        seen["feasible" if result.feasible else "infeasible"] += 1
+        seen["solved again"] += any(solve_again) and result.feasible
+
+    check()
+    assert all(seen.values()), seen
+
+
 def test_zero_availability_repair_cycle_is_found():
     # Benchmark small-batch seed 12, job 87. Always playing a0 repairs with
     # probability 1 at zero cost, so a resilient scheduler exists; its
