@@ -2,9 +2,10 @@
 
 Subcommands: validate, synthesize, verify, simulate. Exit codes:
 0 success / resilient, 1 no resilient scheduler or verification failure,
-2 invalid model or scheduler (or a cost bound whose transformed model
-exceeds ``transform.MAX_STATES``), 3 parse or usage error. Successful runs write
-nothing to standard error.
+2 invalid model or scheduler, or a cost bound too large to handle (a
+transformed model past ``transform.MAX_STATES``, or a linear program whose
+tableau is past ``lp.MAX_TABLEAU_ENTRIES``), 3 parse or usage error.
+Successful runs write nothing to standard error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import analyze, docs
-from .lp import SolverError
+from .lp import ProgramTooLargeError, SolverError
 from .model import validate_repair_assumption, validate_structure
 from .synth import FiniteMemoryScheduler, InvalidModelError, VerificationFailedError, synthesize
 from .transform import TransformTooLargeError, transform
@@ -214,7 +215,7 @@ def main(argv=None, out=None) -> int:
     except analyze.SchedulerDomainError as exc:
         print(f"invalid scheduler: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except TransformTooLargeError as exc:
+    except (TransformTooLargeError, ProgramTooLargeError) as exc:
         print(f"model too large: {exc}; lower the cost bound", file=sys.stderr)
         return EXIT_INVALID
     except (VerificationFailedError, SolverError) as exc:

@@ -6,13 +6,14 @@ it occurs in; several right-hand sides share one elimination. The pivot row
 is always the remaining row with the fewest entries (ties to the lowest
 row), taken from a heap, and its pivot column the one held by the fewest
 remaining rows (ties to the lowest column): Markowitz's rule, which keeps
-the fill-in small. The work done is fixed by the input. Everything is a
-``fractions.Fraction``: the solutions are exact. The entries stay small, so
-the cost is object creation: each update v - f·q, of a coefficient or a
-right-hand side, builds one normalized ``Fraction`` (``_minus``) from
-numerators and denominators read once per pivot row and once per factor.
-The simplex pivot of ``lp`` updates its tableau entries with the same
-helper, so the update formula of both exact solvers lives here.
+the fill-in small. The work done is fixed by the input. The solutions are
+exact ``fractions.Fraction``s. The entries stay small, so the cost is object
+creation: each update v - f·q, of a coefficient or a right-hand side, is
+made by ``_minus`` from numerators and denominators read once per pivot row
+and once per factor, as an ``int`` when it is integral and a normalized
+``Fraction`` otherwise, so an integral update builds no ``Fraction``. The
+simplex pivot of ``lp`` updates its tableau entries with the same helper, so
+the update formula of both exact solvers lives here.
 """
 
 from __future__ import annotations
@@ -25,9 +26,14 @@ class SingularSystemError(ValueError):
     """Raised when a system has no solution or no unique solution."""
 
 
-def _minus(v: Fraction | int, n: int, d: int) -> Fraction:
-    """v - n/d for d > 0, as one normalized ``Fraction``."""
-    return Fraction(v.numerator * d - n * v.denominator, v.denominator * d)
+def _minus(v: Fraction | int, n: int, d: int) -> Fraction | int:
+    """v - n/d for d > 0 in canonical form: an ``int`` when it is integral,
+    else a normalized ``Fraction``."""
+    vd = v.denominator
+    num, den = v.numerator * d - n * vd, vd * d
+    if num % den:
+        return Fraction(num, den)
+    return num // den
 
 
 def solve_linear_system(rows: list[dict[int, Fraction]], rhs: list[list[Fraction]],

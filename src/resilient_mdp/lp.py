@@ -16,16 +16,29 @@ exact, which the boundary cases of the resiliency constraints require (e.g.
 a threshold met with equality).
 
 The entries of these tableaus stay under 15 bits, so a pivot costs object
-creation, not arithmetic. Each entry update a - f·p is therefore one
-normalized ``Fraction``, built by ``linsolve._minus`` from numerators and
+creation, not arithmetic. Every value the tableau stores (entries,
+right-hand sides, the reduced-cost row, the scaled pivot row) is kept in
+canonical form: an ``int`` exactly when it is integral, else a normalized
+``Fraction``. Most stored values are zeros, and zero tests, sign tests and
+numerator reads of an ``int`` run in C; an integral update, about a third
+of them on the chain family, builds no ``Fraction``. Each entry update
+a - f·p is made by ``linsolve._minus`` in that form, from numerators and
 denominators read once per pivot row and once per factor; the exact
-elimination of ``linsolve`` updates its entries with the same helper. The
-tableau entries stay such ``Fraction``s. Bland's decisions and the
+elimination of ``linsolve`` updates its entries with the same helper.
+Every division goes through ``Fraction`` (1 / an ``int`` would be a float),
+and ``solve`` returns ``Fraction``s only. Bland's decisions and the
 reduced-cost row make no ``Fraction`` through the operators either: the
 entering test reads the sign of a numerator, the ratio test compares
-rhs_i / a_i by cross-multiplying numerators and (positive) denominators, and
-the reduced-cost row is built and updated after each pivot with ``_minus``
-(``_subtract_multiple``). The values, and so the pivots, are unchanged.
+rhs_i / a_i by cross-multiplying numerators and (positive) denominators,
+and the reduced-cost row is built and updated after each pivot with
+``_minus`` (``_subtract_multiple``).
+
+Exact Bland never returns to a basis. Each stage (phase 1 with its
+artificial entries, phase 2, the secondary phase) records the bases it
+meets, as sets of columns, and a repeat raises ``SolverError``: wrong
+bookkeeping then fails instead of pivoting forever. A program whose dense
+tableau, rows × (columns + 1), would exceed ``MAX_TABLEAU_ENTRIES`` is
+refused with ``ProgramTooLargeError`` before the tableau is built.
 
 Phase 1 starts from one artificial variable per row, basic in its row, but
 never stores their columns: they would hold B⁻¹, which Bland's rule reads
@@ -64,13 +77,24 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+# The most tableau entries, rows × (columns + 1), that ``solve`` builds. The
+# largest chain-family programs under it take a few minutes of CPU time
+# (README, Scaling notes); a program far past it could not be stored.
+MAX_TABLEAU_ENTRIES = 200_000
+
+
 class MalformedProgramError(ValueError):
     pass
 
 
+class ProgramTooLargeError(ValueError):
+    """The program's dense tableau would exceed ``MAX_TABLEAU_ENTRIES``."""
+
+
 class SolverError(RuntimeError):
     """The simplex contradicted itself: a returned point fails a constraint,
-    or phase 1, which is bounded by construction, came out unbounded."""
+    phase 1, which is bounded by construction, came out unbounded, or a stage
+    returned to an earlier basis."""
 
 
 @dataclass
@@ -116,7 +140,8 @@ def solve(lp: LinearProgram, secondary: dict[str, Fraction] | None = None) -> Lp
 
     With ``secondary``, the optimum returned is one that also minimizes
     ``secondary`` among all maxima; the objective value reported is still the
-    primary one.
+    primary one. A program whose dense tableau would exceed
+    ``MAX_TABLEAU_ENTRIES`` raises ``ProgramTooLargeError``.
     """
     _check_well_formed(lp, secondary)
 
@@ -124,18 +149,22 @@ def solve(lp: LinearProgram, secondary: dict[str, Fraction] | None = None) -> Lp
     col = {v: j for j, v in enumerate(lp.variables)}
     nvars = len(lp.variables)
     ncols = nvars + sum(1 for c in lp.constraints if c.relation != EQ)
+    if len(lp.constraints) * (ncols + 1) > MAX_TABLEAU_ENTRIES:
+        raise ProgramTooLargeError(
+            f"a linear program of {len(lp.constraints)} rows and {ncols} columns exceeds "
+            f"the limit of {MAX_TABLEAU_ENTRIES} tableau entries")
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[Fraction | int]] = []
+    rhs: list[Fraction | int] = []
     slack_at = nvars
     for c in lp.constraints:
-        row = [Fraction(0)] * ncols
+        row = [0] * ncols
         for v, q in c.coeffs.items():
-            row[col[v]] += Fraction(q)
+            row[col[v]] = _canonical(Fraction(q))
         if c.relation != EQ:
-            row[slack_at] = Fraction(1 if c.relation == LE else -1)
+            row[slack_at] = 1 if c.relation == LE else -1
             slack_at += 1
-        b = Fraction(c.rhs)
+        b = _canonical(Fraction(c.rhs))
         if b < 0:
             row = [-x for x in row]
             b = -b
@@ -143,9 +172,9 @@ def solve(lp: LinearProgram, secondary: dict[str, Fraction] | None = None) -> Lp
         rhs.append(b)
 
     def cost_row(objective, sign):
-        cost = [Fraction(0)] * ncols
+        cost = [0] * ncols
         for v, q in objective.items():
-            cost[col[v]] += sign * Fraction(q)
+            cost[col[v]] = _canonical(sign * Fraction(q))
         return cost
 
     status, values = _two_phase(
@@ -210,11 +239,12 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
     # right-hand side's, is the phase-1 value.
     tab = [list(rows[i]) + [rhs[i]] for i in range(m)]
     basis = [ncols + i for i in range(m)]
-    zrow = [Fraction(0)] * (ncols + 1)
+    zrow = [0] * (ncols + 1)
     for row in tab:
         _subtract_multiple(zrow, 1, _nonzero(row))
+    seen = set()  # phase 1 is one stage, artificial entries included
     while True:
-        if _optimize(tab, basis, zrow, ncols, range(ncols)) == UNBOUNDED:
+        if _optimize(tab, basis, zrow, ncols, range(ncols), seen) == UNBOUNDED:
             raise SolverError("phase 1 cannot be unbounded")
         if zrow[ncols].numerator < 0:
             return INFEASIBLE, None
@@ -243,7 +273,7 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
 
     # Phase 2: no artificial is basic and none may enter.
     zrow = _reduced_costs(tab, basis, cost)
-    if _optimize(tab, basis, zrow, ncols, range(ncols)) == UNBOUNDED:
+    if _optimize(tab, basis, zrow, ncols, range(ncols), set()) == UNBOUNDED:
         return UNBOUNDED, None
     if secondary is not None:
         # Columns with a nonzero (hence positive) primary reduced cost would
@@ -251,13 +281,13 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
         face = [j for j in range(ncols) if zrow[j] == 0]
         value = _basic_value(tab, basis, cost)
         zrow = _reduced_costs(tab, basis, secondary)
-        if _optimize(tab, basis, zrow, ncols, face) == UNBOUNDED:
+        if _optimize(tab, basis, zrow, ncols, face, set()) == UNBOUNDED:
             raise MalformedProgramError("secondary objective unbounded on the primary optima")
         if _basic_value(tab, basis, cost) != value:
             raise MalformedProgramError("lexicographic phase moved the primary optimum")
     values = [Fraction(0)] * ncols
     for i, b in enumerate(basis):
-        values[b] = tab[i][ncols]
+        values[b] = Fraction(tab[i][ncols])
     return OPTIMAL, values
 
 
@@ -297,7 +327,7 @@ def _basic_value(tab, basis, cost):
 
 
 def _reduced_costs(tab, basis, cost):
-    zrow = [-c for c in cost] + [Fraction(0)]
+    zrow = [-c for c in cost] + [0]
     for i, b in enumerate(basis):
         cb = cost[b]
         if cb:
@@ -305,23 +335,36 @@ def _reduced_costs(tab, basis, cost):
     return zrow
 
 
+def _canonical(x: Fraction) -> Fraction | int:
+    """``x`` as an ``int`` when it is integral, the form of every stored
+    value (see ``linsolve._minus``)."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _nonzero(row):
     return [(j, x) for j, x in enumerate(row) if x]
 
 
 def _subtract_multiple(zrow, f, pairs):
-    """zrow[j] -= f·p for each ``(j, p)`` of ``pairs``, each a normalized
-    ``Fraction`` built by ``_minus``."""
+    """zrow[j] -= f·p for each ``(j, p)`` of ``pairs``, each made by
+    ``_minus`` in canonical form."""
     fn, fd = f.numerator, f.denominator
     for j, p in pairs:
         zrow[j] = _minus(zrow[j], fn * p.numerator, fd * p.denominator)
 
 
-def _optimize(tab, basis, zrow, width, allowed):
+def _optimize(tab, basis, zrow, width, allowed, seen):
     """Primal simplex iterations with Bland's rule over the increasing
     columns ``allowed``; the others are barred. Column ``width`` is the
-    right-hand side."""
+    right-hand side. ``seen`` holds the bases, as sorted column tuples, that
+    the stage has started an iteration from: Bland's rule never returns to
+    one, so a repeat means the tableau or the reduced costs are wrong, and
+    it raises instead of pivoting forever."""
     while True:
+        key = tuple(sorted(basis))
+        if key in seen:
+            raise SolverError("the simplex returned to an earlier basis")
+        seen.add(key)
         enter = next((j for j in allowed if zrow[j].numerator < 0), None)
         if enter is None:
             return OPTIMAL
@@ -355,8 +398,8 @@ def _pivot(tab, basis, i, j, column):
     change only in those columns, and only where ``column`` is nonzero; an
     artificial ``j`` has no stored entries to change."""
     row = tab[i]
-    inv = 1 / column[i]
-    nz = [(c, x * inv) for c, x in enumerate(row) if x]
+    inv = Fraction(1) / column[i]  # 1 / an int entry would be a float
+    nz = [(c, _canonical(x * inv)) for c, x in enumerate(row) if x]
     for c, x in nz:
         row[c] = x
     terms = [(c, x.numerator, x.denominator) for c, x in nz]

@@ -646,6 +646,31 @@ def test_cli_rejects_oversized_transform(tmp_path, capsys, monkeypatch, command)
                    "at cost bound 100000000000; lower the cost bound\n")
 
 
+def test_cli_rejects_oversized_program(fig1_path, capsys, monkeypatch):
+    # fig1 at R = 2: the first program compute_E solves, 14 rows by 20
+    # columns, has 294 tableau entries; with the cap lowered to 100 the
+    # solver refuses it before building the tableau.
+    monkeypatch.setattr(lp_module, "MAX_TABLEAU_ENTRIES", 100)
+    code, out, err = _run(["synthesize", fig1_path, "--threshold", "4/5", "--cost-bound", "2"],
+                          capsys)
+    assert code == 2 and out == ""
+    assert err == ("model too large: a linear program of 14 rows and 20 columns exceeds "
+                   "the limit of 100 tableau entries; lower the cost bound\n")
+
+
+def test_cli_refuses_the_chain_program_at_a_large_budget(tmp_path, capsys):
+    # Chain (3, 3, 1000) has 15 008 transformed states, well under the
+    # transform cap, and an availability program of 15 012 rows; a dense
+    # tableau of that program would need gigabytes.
+    path = tmp_path / "chain.json"
+    path.write_text(docs.serialize_model(chain_model(3, 3)), encoding="utf-8")
+    code, out, err = _run(["synthesize", str(path), "--threshold", "4/5",
+                           "--cost-bound", "1000"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("model too large: a linear program of 15012 rows and ")
+    assert err.endswith(" tableau entries; lower the cost bound\n")
+
+
 @pytest.mark.parametrize("command", ["validate", "synthesize", "verify", "simulate"])
 def test_cli_repeated_state_action_is_invalid(tmp_path, capsys, command):
     # Two entries for up/run: the first fails into e half the time, the

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import resilient_mdp.components as components_module
 import resilient_mdp.lp as lp_module
 from resilient_mdp import synthesize
-from resilient_mdp.linsolve import SingularSystemError, solve_linear_system
+from resilient_mdp.linsolve import SingularSystemError, _minus, solve_linear_system
 from resilient_mdp.lp import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED,
-                              LinearProgram, MalformedProgramError, solve,
+                              LinearProgram, MalformedProgramError, SolverError, solve,
                               solve_lexicographic)
 
 from test_docs_cli import chain_model
@@ -23,11 +23,15 @@ def lp(variables, objective):
     return LinearProgram(variables=list(variables), objective=dict(objective))
 
 
-def test_simple_maximum():
+def _simple_maximum_program():
     p = lp(["x", "y"], {"x": 3, "y": 2})
     p.add({"x": 1, "y": 1}, LE, 4)
     p.add({"x": 1, "y": 3}, LE, 6)
-    sol = solve(p)
+    return p
+
+
+def test_simple_maximum():
+    sol = solve(_simple_maximum_program())
     assert sol.status == OPTIMAL
     assert sol.objective_value == 12
     assert sol.assignment == {"x": Fraction(4), "y": Fraction(0)}
@@ -195,8 +199,8 @@ def test_lexicographic_raises_when_primary_value_moves(monkeypatch):
     # takes it, moves the primary value to 0, and must be caught.
     real_optimize = lp_module._optimize
 
-    def unbarred(tab, basis, zrow, width, allowed):
-        return real_optimize(tab, basis, zrow, width, range(width))
+    def unbarred(tab, basis, zrow, width, allowed, seen):
+        return real_optimize(tab, basis, zrow, width, range(width), seen)
 
     monkeypatch.setattr(lp_module, "_optimize", unbarred)
     p = lp(["x"], {"x": 1})
@@ -274,7 +278,7 @@ def _full_block_two_phase(rows, rhs, cost, ncols, secondary=None, *, pivots):
     def pivot(tab, basis, i, j):
         pivots.append((i, j))
         row = tab[i]
-        inv = 1 / row[j]
+        inv = Fraction(1) / row[j]
         nz = [(c, x * inv) for c, x in enumerate(row) if x]
         for c, x in nz:
             row[c] = x
@@ -295,7 +299,7 @@ def _full_block_two_phase(rows, rhs, cost, ncols, secondary=None, *, pivots):
             for i in range(len(tab)):
                 a = tab[i][enter]
                 if a > 0:
-                    ratio = tab[i][width] / a
+                    ratio = Fraction(tab[i][width]) / a
                     if best_ratio is None or ratio < best_ratio or \
                             (ratio == best_ratio and basis[i] < basis[leave]):
                         leave, best_ratio = i, ratio
@@ -448,7 +452,7 @@ def _operator_pivot(tab, basis, i, j, column):
     """``lp._pivot`` with every entry computed by the ``Fraction`` operators,
     x * (1/p) for the pivot row and a - f * p for the others."""
     row = tab[i]
-    inv = 1 / column[i]
+    inv = Fraction(1) / column[i]
     nz = [(c, x * inv) for c, x in enumerate(row) if x]
     for c, x in nz:
         row[c] = x
@@ -482,10 +486,18 @@ def _exact(values):
     return [(type(x), x.numerator, x.denominator) for x in values]
 
 
+def _canonical(values):
+    """``_exact`` of ``values`` in the form ``lp`` stores them: an ``int``
+    exactly when the value is integral, else a ``Fraction``. A float has no
+    such form and fails here."""
+    return [(int, x.numerator, 1) if x.denominator == 1 else (Fraction, x.numerator, x.denominator)
+            for x in values]
+
+
 def test_reduced_costs_match_the_operator_forms():
     # Inside ``solve``: every reduced-cost row built, every row update (in
     # ``_optimize`` and at phase 1's artificial entries) and every
-    # ``_optimize`` run equal the operator forms exactly, value and type.
+    # ``_optimize`` run equal the operator forms exactly, in canonical form.
     seen = dict.fromkeys(["negative cost", "cancelled", "artificial entry"], 0)
     real_reduced, real_optimize = lp_module._reduced_costs, lp_module._optimize
     real_subtract, real_entering = lp_module._subtract_multiple, lp_module._entering_artificial
@@ -493,17 +505,17 @@ def test_reduced_costs_match_the_operator_forms():
 
     def reduced_costs(tab, basis, cost):
         zrow = real_reduced(tab, basis, cost)
-        assert _exact(zrow) == _exact(_operator_reduced_costs(tab, basis, cost))
+        assert _exact(zrow) == _canonical(_operator_reduced_costs(tab, basis, cost))
         seen["negative cost"] += any(x < 0 for x in zrow)
         return zrow
 
-    def optimize(tab, basis, zrow, width, allowed):
+    def optimize(tab, basis, zrow, width, allowed, seen):
         want = [[list(row) for row in tab], list(basis), list(zrow)]
         want_status = _operator_optimize(*want, width, allowed)
-        status = real_optimize(tab, basis, zrow, width, allowed)
+        status = real_optimize(tab, basis, zrow, width, allowed, seen)
         assert status == want_status
-        assert [_exact(row) for row in tab] == [_exact(row) for row in want[0]]
-        assert (basis, _exact(zrow)) == (want[1], _exact(want[2]))
+        assert [_exact(row) for row in tab] == [_canonical(row) for row in want[0]]
+        assert (basis, _exact(zrow)) == (want[1], _canonical(want[2]))
         return status
 
     def entering_artificial(rows, basis, ncols):
@@ -518,7 +530,7 @@ def test_reduced_costs_match_the_operator_forms():
             want[j] -= f * p
         before = list(zrow)
         real_subtract(zrow, f, pairs)
-        assert _exact(zrow) == _exact(want)
+        assert _exact(zrow) == _canonical(want)
         seen["cancelled"] += any(before[j] and not zrow[j] for j, _ in pairs)
         if artificial and artificial.pop():
             seen["artificial entry"] += 1  # the update right after the choice
@@ -545,7 +557,8 @@ def test_reduced_costs_match_the_operator_forms():
 
 
 def test_pivot_matches_the_operator_update():
-    seen = {"negative pivot": 0, "artificial": 0, "cancelled": 0, "empty column": 0}
+    seen = dict.fromkeys(["negative pivot", "integral pivot", "artificial", "cancelled",
+                          "empty column"], 0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10 ** 9))
@@ -553,15 +566,19 @@ def test_pivot_matches_the_operator_update():
         rng = random.Random(seed)
         m, width = rng.randint(1, 6), rng.randint(2, 9)
 
+        def canonical(x):
+            return x.numerator if x.denominator == 1 else x
+
         def entry():
             if rng.random() < 0.6:
-                return Fraction(0)
-            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 12))
+                return 0
+            return canonical(Fraction(rng.choice([-1, 1]) * rng.randint(1, 40),
+                                      rng.randint(1, 12)))
 
         tab = [[entry() for _ in range(width)] for _ in range(m)]
         for c in rng.sample(range(width), rng.randint(0, 2)):
             for row in tab:
-                row[c] = Fraction(0)
+                row[c] = 0
         i = rng.randrange(m)
         if rng.random() < 0.25:  # an artificial column, given only as ``column``
             j = width + rng.randrange(m)
@@ -569,7 +586,7 @@ def test_pivot_matches_the_operator_update():
         else:
             j = rng.randrange(width)
             column = None
-        pivot = entry() or Fraction(rng.choice([-3, 1, 2]), rng.randint(1, 5))
+        pivot = entry() or canonical(Fraction(rng.choice([-3, 1, 2]), rng.randint(1, 5)))
         for k in range(m):
             if k != i and rng.random() < 0.4:
                 # Row k is a multiple of the pivot row on some columns, so
@@ -577,11 +594,11 @@ def test_pivot_matches_the_operator_update():
                 g = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 4))
                 for c in range(width):
                     if rng.random() < 0.7:
-                        tab[k][c] = g * tab[i][c]
+                        tab[k][c] = canonical(g * tab[i][c])
                 if column is None:
-                    tab[k][j] = g * pivot
+                    tab[k][j] = canonical(g * pivot)
                 else:
-                    column[k] = g * pivot
+                    column[k] = g * pivot  # a solved column holds Fractions
         if column is None:
             tab[i][j] = pivot
             column = [row[j] for row in tab]
@@ -589,18 +606,18 @@ def test_pivot_matches_the_operator_update():
             column[i] = pivot
         basis = rng.sample(range(width + m), m)
 
-        def run(kernel):
+        def run(kernel, form):
             t, b = [list(row) for row in tab], list(basis)
             pairs = kernel(t, b, i, j, list(column))
-            return ([(c, type(x), x.numerator, x.denominator) for c, x in pairs],
-                    [[(type(x), x.numerator, x.denominator) for x in row] for row in t], b)
+            return ([c for c, _ in pairs], form(x for _, x in pairs), [form(row) for row in t], b)
 
-        got = run(lp_module._pivot)
-        assert got == run(_operator_pivot)
+        got = run(lp_module._pivot, _exact)
+        assert got == run(_operator_pivot, _canonical)
         seen["negative pivot"] += pivot < 0
+        seen["integral pivot"] += type(pivot) is int
         seen["artificial"] += j >= width
         seen["cancelled"] += any(
-            tab[k][c] and not got[1][k][c][1]
+            tab[k][c] and not got[2][k][c][1]
             for k in range(m) if k != i and column[k] for c in range(width))
         seen["empty column"] += any(not any(row[c] for row in tab) for c in range(width))
 
@@ -612,7 +629,7 @@ def _division_leaving_row(tab, basis, column, width):
     """Bland's ratio test read off its definition: among the rows with the
     least quotient rhs / entry over the positive entries, the one with the
     lowest basic column."""
-    ratios = {i: tab[i][width] / a for i, a in enumerate(column) if a > 0}
+    ratios = {i: Fraction(tab[i][width]) / a for i, a in enumerate(column) if a > 0}
     if not ratios:
         return None
     least = min(ratios.values())
@@ -679,6 +696,104 @@ def test_synthesize_pivot_counts(k, L, R, pivots):
     assert count == {"pivots": pivots, "solves": 2}
 
 
+def _chain_programs(k, L, R):
+    """The ``(program, secondary)`` pairs that ``synthesize`` solves on the
+    chain family at threshold 4/5."""
+    programs = []
+    real_solve = lp_module.solve
+
+    def recording_solve(prog, secondary=None):
+        programs.append((prog, secondary))
+        return real_solve(prog, secondary)
+
+    with mock.patch.object(lp_module, "solve", recording_solve), \
+            mock.patch.object(components_module, "solve", recording_solve):
+        synthesize(chain_model(k, L), Fraction(4, 5), R)
+    return programs
+
+
+def test_simplex_raises_on_a_wrong_reduced_cost_row():
+    # With the sign of the reduced-cost update flipped, Bland's rule follows
+    # wrong reduced costs and, unchecked, pivots forever. A stage that
+    # returns to a basis, or a phase 1 that comes out unbounded, raises
+    # instead; the pivot cap only keeps a regression from hanging the suite.
+    programs = [(_simple_maximum_program(), None), *_chain_programs(1, 3, 3)]
+    for prog, secondary in programs:
+        assert solve(prog, secondary).status == OPTIMAL
+
+    def flipped(zrow, f, pairs):
+        fn, fd = f.numerator, f.denominator
+        for j, p in pairs:
+            zrow[j] = _minus(zrow[j], -fn * p.numerator, fd * p.denominator)
+
+    pivots = []
+    real_pivot = lp_module._pivot
+
+    def capped_pivot(*args):
+        pivots.append(None)
+        assert len(pivots) < 10 ** 4, "the simplex did not stop"
+        return real_pivot(*args)
+
+    with mock.patch.multiple(lp_module, _subtract_multiple=flipped, _pivot=capped_pivot):
+        with pytest.raises(SolverError, match="earlier basis"):
+            solve(programs[0][0])
+        for prog, secondary in programs[1:]:
+            with pytest.raises(SolverError):
+                solve(prog, secondary)
+    assert pivots, "no mutated run pivoted"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.integers(-50, 50),
+                 st.fractions(min_value=-50, max_value=50, max_denominator=60)),
+       st.integers(-10 ** 4, 10 ** 4), st.integers(1, 60))
+def test_minus_is_canonical(v, n, d):
+    got = _minus(v, n, d)
+    want = v - Fraction(n, d)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+def test_stored_values_are_canonical_and_results_fractions():
+    # Every value ``solve`` stores (tableau, right-hand sides, reduced costs)
+    # is an int exactly when integral and never a float; what ``solve`` and
+    # ``solve_linear_system`` return is a Fraction, so no caller divides two
+    # ints into a float.
+    real_optimize, real_solve_system = lp_module._optimize, lp_module.solve_linear_system
+    results, solved = [], []
+
+    def canonical(values):
+        return all(type(x) is int or type(x) is Fraction and x.denominator != 1
+                   for x in values)
+
+    def optimize(tab, basis, zrow, width, allowed, seen):
+        assert all(canonical(row) for row in tab) and canonical(zrow)
+        status = real_optimize(tab, basis, zrow, width, allowed, seen)
+        assert all(canonical(row) for row in tab) and canonical(zrow)
+        return status
+
+    def solve_system(*args):
+        x = real_solve_system(*args)
+        solved.extend(v for row in x for v in row)
+        return x
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def check(seed):
+        rng = random.Random(seed)
+        prog = _degenerate_program(rng) if rng.random() < 0.5 else _random_program(rng)
+        with mock.patch.multiple(lp_module, _optimize=optimize,
+                                 solve_linear_system=solve_system):
+            sol = solve(prog)
+        if sol.status == OPTIMAL:
+            results.extend([*sol.assignment.values(), sol.objective_value])
+
+    check()
+    for values in (results, solved):
+        assert values and all(type(x) is Fraction for x in values)
+        assert any(x.denominator == 1 for x in values)
+
+
 def test_linear_system_golden():
     sol = solve_linear_system(
         [{0: Fraction(2), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}],
@@ -716,6 +831,7 @@ def test_linear_system_random_roundtrip(seed):
         assert _determinant(rows) == 0  # only a singular matrix may be refused
         return
     assert sol == xs
+    assert all(type(v) is Fraction for row in sol for v in row)
 
 
 def _reference_solve(rows, rhs, n):
