@@ -1,6 +1,9 @@
 """Exact quantitative analysis of scheduler-induced Markov chains.
 
-Everything here is rational arithmetic. Until-probabilities and reach
+Everything here is exact rational arithmetic, done in integers where it
+can be: each row of an induced chain is kept as integer numerators over one
+denominator, so every linear system is built in ``int``s and ``Fraction``s
+are made only for the values returned. Until-probabilities and reach
 probabilities solve one kind of system, (I - P restricted to a state set)
 X = B, with the sparse exact solver of ``linsolve``; long-run averages
 combine those reach probabilities with the stationary distributions of the
@@ -22,6 +25,8 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from .graph import bottom_sccs, reachable_from
 from .linsolve import solve_linear_system
@@ -39,59 +44,94 @@ class InducedChain:
     """Markov chain induced by an MR-scheduler, restricted to reachable states.
 
     ``states`` are host indices in BFS discovery order (the initial state is
-    local index 0); ``rows[i]`` maps local successor index to probability.
+    local index 0). Row i is kept as integers: ``nums[i]`` maps local
+    successor index t to the numerator of P(i, t) over the row's denominator
+    ``dens[i]``, the lcm of the row's reduced denominators, so the linear
+    systems below are built without ``Fraction`` work. ``rows`` gives the
+    same probabilities as ``Fraction``s.
     """
 
     states: list[int]
-    rows: list[dict[int, Fraction]]
+    nums: list[dict[int, int]]
+    dens: list[int]
     index: dict[int, int]
+
+    @classmethod
+    def from_rows(cls, states: list[int], rows: list[dict[int, Fraction]],
+                  index: dict[int, int]) -> InducedChain:
+        """The chain whose ``rows`` are the given probability rows."""
+        dens = [lcm(*(p.denominator for p in row.values())) for row in rows]
+        nums = [{t: p.numerator * (d // p.denominator) for t, p in row.items()}
+                for row, d in zip(rows, dens)]
+        return cls(states, nums, dens, index)
+
+    @cached_property
+    def rows(self) -> list[dict[int, Fraction]]:
+        return [{t: Fraction(x, d) for t, x in num.items()}
+                for num, d in zip(self.nums, self.dens)]
 
     @property
     def n(self) -> int:
         return len(self.states)
 
     def succ_lists(self) -> list[list[int]]:
-        return [sorted(row) for row in self.rows]
+        return [sorted(num) for num in self.nums]
 
 
 def induce_chain(host, scheduler: MrScheduler, init: int) -> InducedChain:
-    """P(s, s') = sum_a sched(s)(a) * P(s, a, s') over states reachable from init."""
+    """P(s, s') = sum_a sched(s)(a) * P(s, a, s') over states reachable from init.
+
+    Each product sched(s)(a) * P(s, a, s') is kept as an integer numerator and
+    denominator; a row's terms are brought to one denominator once."""
     states = [init]
     index = {init: 0}
-    rows: list[dict[int, Fraction]] = []
+    nums: list[dict[int, int]] = []
+    dens: list[int] = []
     queue = deque([init])
     while queue:
         s = queue.popleft()
         if s not in scheduler.choices:
             raise SchedulerDomainError(f"scheduler undefined on reachable state {host.ids[s]}")
-        row: dict[int, Fraction] = {}
+        terms = []
         for act, prob_a in sorted(scheduler.dist(s).items()):
             if prob_a == 0:
                 continue
             dist = host.actions[s].get(act)
             if dist is None:
                 raise SchedulerDomainError(f"action {act!r} not enabled in state {host.ids[s]}")
+            an, ad = prob_a.numerator, prob_a.denominator
             for t, p in dist:
                 if t not in index:
                     index[t] = len(states)
                     states.append(t)
                     queue.append(t)
-                row[index[t]] = row.get(index[t], Fraction(0)) + prob_a * p
-        rows.append(row)
-    return InducedChain(states, rows, index)
+                terms.append((index[t], an * p.numerator, ad * p.denominator))
+        d = lcm(*(den for _, _, den in terms))
+        row: dict[int, int] = {}
+        for k, num, den in terms:
+            num *= d // den
+            row[k] = row[k] + num if k in row else num
+        g = gcd(d, *row.values())  # a product's denominator need not be reduced
+        if g > 1:
+            d //= g
+            row = {k: num // g for k, num in row.items()}
+        nums.append(row)
+        dens.append(d)
+    return InducedChain(states, nums, dens, index)
 
 
 def _solve_restricted(c: InducedChain, unknown: list[int], rhs_of) -> dict[int, list[Fraction]]:
     """Solve (I - P restricted to ``unknown``) X = B exactly.
 
-    ``unknown`` lists local states; B's row for state s is ``rhs_of(s)``.
-    Returns X's row per local state.
+    ``unknown`` lists local states. Row s of the system is scaled by
+    ``c.dens[s]``, so its coefficients are integers, and ``rhs_of(s)`` is
+    B's row for state s times ``c.dens[s]``. Returns X's row per local state.
     """
     col = {s: k for k, s in enumerate(unknown)}
     rows = []
     for s in unknown:
-        row = {col[s]: Fraction(1)}
-        for t, p in c.rows[s].items():
+        row = {col[s]: c.dens[s]}
+        for t, p in c.nums[s].items():
             if t in col:
                 row[col[t]] = row.get(col[t], 0) - p
         rows.append(row)
@@ -99,9 +139,10 @@ def _solve_restricted(c: InducedChain, unknown: list[int], rhs_of) -> dict[int, 
                                                  len(unknown))))
 
 
-def _mass(c: InducedChain, s: int, members) -> Fraction:
-    """Probability of moving from local state s into ``members`` in one step."""
-    return sum((p for t, p in c.rows[s].items() if t in members), Fraction(0))
+def _step_mass(c: InducedChain, s: int, members) -> int:
+    """``c.dens[s]`` times the probability of moving from local state s into
+    ``members`` in one step."""
+    return sum(p for t, p in c.nums[s].items() if t in members)
 
 
 def until_probability(c: InducedChain, stay: set[int], target: set[int]) -> dict[int, Fraction]:
@@ -115,11 +156,11 @@ def until_probability(c: InducedChain, stay: set[int], target: set[int]) -> dict
     # Backward search from target; only stay\target states continue a path.
     pred: list[list[int]] = [[] for _ in range(c.n)]
     for i in loc_stay - loc_target:
-        for j in c.rows[i]:
+        for j in c.nums[i]:
             pred[j].append(i)
     possible = reachable_from(pred, loc_target)
     sol = _solve_restricted(c, sorted(possible - loc_target),
-                            lambda s: [_mass(c, s, loc_target)])
+                            lambda s: [_step_mass(c, s, loc_target)])
     return {s: Fraction(1) if i in loc_target else sol[i][0] if i in sol else Fraction(0)
             for i, s in enumerate(c.states)}
 
@@ -132,7 +173,7 @@ def almost_sure_reach(c: InducedChain, target: set[int]) -> dict[int, bool]:
     one backward search from those BSCCs finds every state that can.
     """
     loc_target = {c.index[s] for s in target if s in c.index}
-    succ = [[] if i in loc_target else sorted(row) for i, row in enumerate(c.rows)]
+    succ = [[] if i in loc_target else sorted(row) for i, row in enumerate(c.nums)]
     bad = [v for comp in bottom_sccs(succ) if loc_target.isdisjoint(comp) for v in comp]
     pred: list[list[int]] = [[] for _ in range(c.n)]
     for i, row in enumerate(succ):
@@ -143,16 +184,28 @@ def almost_sure_reach(c: InducedChain, target: set[int]) -> dict[int, bool]:
 
 
 def stationary_distribution(c: InducedChain, comp: list[int]) -> dict[int, Fraction]:
-    """Stationary distribution of an irreducible BSCC, local-indexed."""
+    """Stationary distribution of an irreducible BSCC, local-indexed.
+
+    The unknowns are y_t = pi(t) / d_t with d_t = ``c.dens[t]``, so the
+    balance rows d_s·y_s - sum_t y_t·nums[t][s] = 0 are integer. They sum to
+    zero, so one of them is redundant. The longest, whose elimination would
+    fill the most, is replaced by y_s = 1, and pi is y scaled to sum 1 at
+    the end, with no dense sum row to eliminate.
+    """
     col = {s: k for k, s in enumerate(comp)}
-    rows = [{k: Fraction(1)} for k in range(len(comp))]
-    for t in comp:  # balance: pi(s) - sum_t pi(t) P(t, s) = 0
-        for s, p in c.rows[t].items():
-            if s in col:
-                rows[col[s]][col[t]] = rows[col[s]].get(col[t], 0) - p
-    rows.append(dict.fromkeys(range(len(comp)), Fraction(1)))  # sum pi = 1
-    sol = solve_linear_system(rows, [[Fraction(0)]] * len(comp) + [[Fraction(1)]], len(comp))
-    return {s: x for s, (x,) in zip(comp, sol)}
+    rows = [{k: c.dens[s]} for k, s in enumerate(comp)]
+    for t in comp:
+        for s, p in c.nums[t].items():
+            rows[col[s]][col[t]] = rows[col[s]].get(col[t], 0) - p
+    fixed = max(range(len(comp)), key=lambda k: len(rows[k]))
+    rows[fixed] = {fixed: 1}
+    rhs = [[0]] * len(comp)
+    rhs[fixed] = [1]
+    ys = [y for (y,) in solve_linear_system(rows, rhs, len(comp))]
+    den = lcm(*(y.denominator for y in ys))
+    mass = [c.dens[s] * y.numerator * (den // y.denominator) for s, y in zip(comp, ys)]
+    total = sum(mass)
+    return {s: Fraction(m, total) for s, m in zip(comp, mass)}
 
 
 def long_run_values(c: InducedChain, value_fns) -> list[Fraction]:
@@ -161,7 +214,8 @@ def long_run_values(c: InducedChain, value_fns) -> list[Fraction]:
 
     The BSCCs, their reach probabilities (one system, one right-hand side per
     BSCC) and their stationary distributions are computed once for all
-    functions. Each mean sums only the states where its function is nonzero.
+    functions. Each mean sums only the states where its function is nonzero,
+    in integers over one denominator.
     """
     comps = bottom_sccs(c.succ_lists())
     members = [set(comp) for comp in comps]
@@ -169,11 +223,19 @@ def long_run_values(c: InducedChain, value_fns) -> list[Fraction]:
         reach = [Fraction(0 in m) for m in members]
     else:
         transient = [i for i in range(c.n) if not any(i in m for m in members)]
-        reach = _solve_restricted(c, transient, lambda s: [_mass(c, s, m) for m in members])[0]
+        reach = _solve_restricted(c, transient, lambda s: [_step_mass(c, s, m) for m in members])[0]
     pis = [stationary_distribution(c, comp) for comp in comps]
-    return [sum((r * sum((pi[i] * v for i in comp if (v := f(c.states[i]))), Fraction(0))
+    return [sum((r * _mean(pi, [(i, v) for i in comp if (v := f(c.states[i]))])
                  for r, comp, pi in zip(reach, comps, pis)), Fraction(0))
             for f in value_fns]
+
+
+def _mean(pi: dict[int, Fraction], values: list) -> Fraction:
+    """sum pi[i]·v over the pairs (i, v) of ``values``, made as one Fraction."""
+    terms = [(pi[i].numerator * v.numerator, pi[i].denominator * v.denominator)
+             for i, v in values]
+    den = lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 def long_run_value(c: InducedChain, value_of) -> Fraction:
@@ -238,8 +300,9 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
     for e in mt.errors():
         if e not in chain.index:
             continue  # unreachable under this scheduler; nothing to check
-        res = sum((p * q[chain.states[t]]
-                   for t, p in chain.rows[chain.index[e]].items()), Fraction(0))
+        k = chain.index[e]
+        res = sum((x * q[chain.states[t]] for t, x in chain.nums[k].items()),
+                  Fraction(0)) / chain.dens[k]
         per_error[e] = ErrorCheck(res, res >= threshold, asrep_all[e])
 
     avail, *means = long_run_values(chain, [mt.payoff] + [_lookup(weights[e]) for e in per_error])

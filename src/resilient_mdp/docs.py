@@ -9,6 +9,7 @@ exactly. A ``version``, when present, must be the integer 1.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -38,8 +39,16 @@ _NUMBER = re.compile(
 
 def parse_fraction(text) -> Fraction:
     """Exact rational from an "a/b" string or a terminating decimal string,
-    whose exponent, if any, is at most ``MAX_EXPONENT`` in magnitude."""
-    text = str(text)
+    whose exponent, if any, is at most ``MAX_EXPONENT`` in magnitude.
+
+    Documents repeat a few probabilities many times, so each distinct string
+    is parsed once; ``Fraction``s are immutable and safe to share. A rejected
+    string is not remembered and raises again on every call."""
+    return _parse_fraction(str(text))
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_fraction(text: str) -> Fraction:
     number = _NUMBER.fullmatch(text)
     try:
         if number is None:

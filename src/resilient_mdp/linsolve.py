@@ -1,4 +1,4 @@
-"""Exact sparse linear-system solving over rationals.
+"""Exact sparse linear-system solving over rationals, on integer rows.
 
 Rows are ``{column: coefficient}`` maps, and each column keeps the set of
 remaining rows that hold it, so eliminating a column touches only the rows
@@ -6,47 +6,54 @@ it occurs in; several right-hand sides share one elimination. The pivot row
 is always the remaining row with the fewest entries (ties to the lowest
 row), taken from a heap, and its pivot column the one held by the fewest
 remaining rows (ties to the lowest column): Markowitz's rule, which keeps
-the fill-in small. The work done is fixed by the input. The solutions are
-exact ``fractions.Fraction``s. The entries stay small, so the cost is object
-creation: each update v - f·q, of a coefficient or a right-hand side, is
-made by ``_minus`` from numerators and denominators read once per pivot row
-and once per factor, as an ``int`` when it is integral and a normalized
-``Fraction`` otherwise, so an integral update builds no ``Fraction``. The
-simplex pivot of ``lp`` updates its tableau entries with the same helper, so
-the update formula of both exact solvers lives here.
+the fill-in small. The work done is fixed by the input.
+
+The elimination is fraction-free (Bareiss, Math. Comp. 1968, without his
+exact division, which Markowitz's order does not allow): every stored value
+is an ``int``. Each input row is scaled once, with its right-hand sides, by
+the lcm of its denominators. A row then holds integer coefficients, and its
+right-hand sides are integer numerators over one integer denominator of the
+row. Eliminating column c from row i with pivot row r, whose column-c
+entries are f and p, replaces the coefficients by s·row_i - m·row_r / g,
+where g is the gcd of row r's other coefficients and s, m are p and f·g
+divided by their gcd: the smallest integer multiple of the rational update.
+So the nonzero pattern, and with it the pivot order, is that of rational
+elimination. A row scaled by s > 1 is divided by the gcd of its
+coefficients again. A pivot row with no other coefficient changes only the
+right-hand sides of row i (s = 1), which keeps that update as cheap as it is
+in rational arithmetic even when row i is long. Back-substitution keeps, per
+right-hand side, integer numerators over one common denominator, the lcm of
+the denominators of the values solved so far. The solutions are the only
+``fractions.Fraction``s the solver builds.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class SingularSystemError(ValueError):
     """Raised when a system has no solution or no unique solution."""
 
 
-def _minus(v: Fraction | int, n: int, d: int) -> Fraction | int:
-    """v - n/d for d > 0 in canonical form: an ``int`` when it is integral,
-    else a normalized ``Fraction``."""
-    vd = v.denominator
-    num, den = v.numerator * d - n * vd, vd * d
-    if num % den:
-        return Fraction(num, den)
-    return num // den
-
-
-def solve_linear_system(rows: list[dict[int, Fraction]], rhs: list[list[Fraction]],
-                        n: int) -> list[list[Fraction]]:
+def solve_linear_system(rows: list[dict[int, Fraction | int]],
+                        rhs: list[list[Fraction | int]], n: int) -> list[list[Fraction]]:
     """Solve A X = B exactly for unknowns 0..n-1; returns X row by row.
 
     ``rows[i]`` holds the nonzero entries of row i of A and ``rhs[i]`` row i
-    of B, one value per right-hand side. There may be more equations than
-    unknowns; the system must be consistent and of full column rank,
-    otherwise SingularSystemError is raised.
+    of B, one value per right-hand side, as ``int``s or ``Fraction``s. There
+    may be more equations than unknowns; the system must be consistent and
+    of full column rank, otherwise SingularSystemError is raised.
     """
-    a = [{j: q for j, q in row.items() if q} for row in rows]
-    b = [list(values) for values in rhs]
+    a: list[dict[int, int]] = []
+    b: list[list[int]] = []
+    for row, values in zip(rows, rhs):
+        scale = lcm(*[q.denominator for q in row.values()], *[v.denominator for v in values])
+        a.append({j: q.numerator * (scale // q.denominator) for j, q in row.items() if q})
+        b.append([v.numerator * (scale // v.denominator) for v in values])
+    den = [1] * len(a)   # row i reads sum_j a[i][j]·x_j = b[i][k] / den[i]
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(a):
         for j in row:
@@ -54,7 +61,7 @@ def solve_linear_system(rows: list[dict[int, Fraction]], rhs: list[list[Fraction
     heap = [(len(row), i) for i, row in enumerate(a)]
     heapq.heapify(heap)
     done = [False] * len(a)
-    pivots: list[tuple[int, int]] = []
+    pivots: list[tuple[int, int, int]] = []   # (row, column, pivot entry)
     while heap:
         size, r = heapq.heappop(heap)
         if done[r] or size != len(a[r]):
@@ -68,18 +75,26 @@ def solve_linear_system(rows: list[dict[int, Fraction]], rhs: list[list[Fraction
         for j in pivot_row:
             holders[j].discard(r)
         c = min(pivot_row, key=lambda j: (len(holders[j]), j))
-        inv = Fraction(1) / pivot_row.pop(c)
-        for j in pivot_row:
-            pivot_row[j] *= inv
-        b[r] = [v * inv for v in b[r]]
-        terms = [(j, q.numerator, q.denominator) for j, q in pivot_row.items()]
-        pivot = [(v.numerator, v.denominator) for v in b[r]]
+        p = pivot_row.pop(c)
+        content = gcd(*pivot_row.values())   # 0 when p is the only entry
+        terms = ([(j, q // content) for j, q in pivot_row.items()] if content > 1
+                 else list(pivot_row.items()))
+        # Row r gives x_c = rb / ru - (its other terms) / p, with ru > 0.
+        ru = p * den[r]
+        rb = b[r] if ru > 0 else [-v for v in b[r]]
+        ru = abs(ru)
+        rhs_zero = not any(rb)
         for i in holders.pop(c):
             row = a[i]
             f = row.pop(c)
-            fn, fd = f.numerator, f.denominator
-            for j, qn, qd in terms:
-                v = _minus(row.get(j, 0), fn * qn, fd * qd)
+            g = gcd(p, f * content)
+            s, m = p // g, f * content // g
+            if s < 0:
+                s, m = -s, -m
+            if s != 1:
+                row = a[i] = {j: v * s for j, v in row.items()}
+            for j, q in terms:
+                v = row.get(j, 0) - m * q
                 if v:
                     if j not in row:
                         holders[j].add(i)
@@ -87,13 +102,46 @@ def solve_linear_system(rows: list[dict[int, Fraction]], rhs: list[list[Fraction
                 else:
                     del row[j]
                     holders[j].discard(i)
-            b[i] = [_minus(v, fn * qn, fd * qd) for v, (qn, qd) in zip(b[i], pivot)]
+            # The right-hand sides become s·(b[i] / den[i] - f·rb / ru).
+            d = den[i]
+            if rhs_zero:
+                values = [s * v for v in b[i]]
+            else:
+                h = gcd(d, ru)
+                u, w = ru // h, d // h
+                d *= u   # lcm(den[i], ru)
+                values = [s * (v * u - f * x * w) for v, x in zip(b[i], rb)]
+            if s != 1:  # only a scaled row can have a common factor to divide out
+                e = gcd(*row.values())
+                if e > 1:
+                    row = a[i] = {j: v // e for j, v in row.items()}
+                    d *= e
+            e = gcd(d, *values)
+            if e > 1:
+                d //= e
+                values = [v // e for v in values]
+            b[i], den[i] = values, d
             heapq.heappush(heap, (len(row), i))
-        pivots.append((r, c))
+        pivots.append((r, c, p))
     if len(pivots) < n:
         raise SingularSystemError("rank deficient system")
-    x: list[list[Fraction]] = [[]] * n
-    for r, c in reversed(pivots):  # later pivots never involve earlier columns
-        x[c] = [v - sum((q * x[j][k] for j, q in a[r].items()), Fraction(0))
-                for k, v in enumerate(b[r])]
+    x: list[list[Fraction]] = [[] for _ in range(n)]
+    for k in range(len(rhs[0]) if rhs else 0):
+        num, common = [0] * n, 1   # the values solved so far are num[j] / common
+        for r, c, p in reversed(pivots):  # later pivots never involve earlier columns
+            # x_c = (b[r][k] / den[r] - sum_j a[r][j]·x_j) / p = t / (pd·common)
+            pd = p * den[r]
+            t = b[r][k] * common - den[r] * sum(q * num[j] for j, q in a[r].items())
+            if t % pd == 0:
+                num[c] = t // pd
+                continue
+            d = pd * common
+            g = gcd(t, d) if d > 0 else -gcd(t, d)
+            t, d = t // g, d // g   # x_c = t / d in lowest terms, d > 0
+            grow = d // gcd(d, common)
+            common *= grow
+            num = [v * grow for v in num]
+            num[c] = t * (common // d)
+        for j in range(n):
+            x[j].append(Fraction(num[j], common))
     return x

@@ -22,9 +22,8 @@ canonical form: an ``int`` exactly when it is integral, else a normalized
 ``Fraction``. Most stored values are zeros, and zero tests, sign tests and
 numerator reads of an ``int`` run in C; an integral update, about a third
 of them on the chain family, builds no ``Fraction``. Each entry update
-a - f·p is made by ``linsolve._minus`` in that form, from numerators and
-denominators read once per pivot row and once per factor; the exact
-elimination of ``linsolve`` updates its entries with the same helper.
+a - f·p is made by ``_minus`` in that form, from numerators and
+denominators read once per pivot row and once per factor.
 Every division goes through ``Fraction`` (1 / an ``int`` would be a float),
 and ``solve`` returns ``Fraction``s only. Bland's decisions and the
 reduced-cost row make no ``Fraction`` through the operators either: the
@@ -68,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linsolve import _minus, solve_linear_system
+from .linsolve import solve_linear_system
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -335,9 +334,19 @@ def _reduced_costs(tab, basis, cost):
     return zrow
 
 
+def _minus(v: Fraction | int, n: int, d: int) -> Fraction | int:
+    """v - n/d for d > 0 in canonical form: an ``int`` when it is integral,
+    else a normalized ``Fraction``."""
+    vd = v.denominator
+    num, den = v.numerator * d - n * vd, vd * d
+    if num % den:
+        return Fraction(num, den)
+    return num // den
+
+
 def _canonical(x: Fraction) -> Fraction | int:
     """``x`` as an ``int`` when it is integral, the form of every stored
-    value (see ``linsolve._minus``)."""
+    value (see ``_minus``)."""
     return x.numerator if x.denominator == 1 else x
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 @dataclass(frozen=True)
@@ -14,10 +15,14 @@ class MrScheduler:
 
     def __post_init__(self):
         for s, dist in self.choices.items():
-            total = sum(dist.values(), Fraction(0))
-            if total != 1:
+            if len(dist) == 1 and 1 in dist.values():
+                continue  # one action, played with probability 1
+            d = lcm(*(p.denominator for p in dist.values()))
+            nums = [p.numerator * (d // p.denominator) for p in dist.values()]
+            if sum(nums) != d:
+                total = sum(dist.values(), Fraction(0))
                 raise ValueError(f"scheduler distribution at state {s} sums to {total}")
-            if any(p < 0 for p in dist.values()):
+            if min(nums) < 0:
                 raise ValueError(f"negative probability at state {s}")
 
     def dist(self, s: int) -> dict[str, Fraction]:

@@ -106,8 +106,10 @@ def expected_total_reward(host, scheduler: MrScheduler, start: int) -> Fraction:
     if chain.states[0] == goal:
         return Fraction(0)
     non_goal = [i for i in range(chain.n) if chain.states[i] != goal]
-    return _solve_restricted(chain, non_goal,
-                             lambda i: [Fraction(host.reward(chain.states[i]))])[0][0]
+    # Row i of the system is scaled by chain.dens[i], its right-hand side too.
+    return _solve_restricted(
+        chain, non_goal,
+        lambda i: [chain.dens[i] * Fraction(host.reward(chain.states[i]))])[0][0]
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,20 @@ def test_fraction_parsing():
         docs.parse_fraction("one half")
 
 
+def test_fraction_parsing_remembers_only_accepted_strings():
+    # The grammar holds the same with every accepted string already parsed
+    # once, an accepted string gives the one shared Fraction, and a rejected
+    # string is not remembered: it raises again on every call.
+    test_fraction_parsing()
+    test_fraction_parsing()
+    assert docs.parse_fraction("3/8") is docs.parse_fraction("3/8")
+    assert docs.parse_fraction(1) is docs.parse_fraction("1")
+    for text in ("1/0", "one half", f"1e{docs.MAX_EXPONENT + 1}", "1/2_0", "٣/٤", ""):
+        for _ in range(3):
+            with pytest.raises(DocumentError):
+                docs.parse_fraction(text)
+
+
 def test_model_round_trip(fig1):
     assert docs.parse_model(json.loads(docs.serialize_model(fig1))) == fig1
 

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 import resilient_mdp.components as components_module
 import resilient_mdp.lp as lp_module
 from resilient_mdp import synthesize
-from resilient_mdp.linsolve import SingularSystemError, _minus, solve_linear_system
+from resilient_mdp.linsolve import SingularSystemError, solve_linear_system
 from resilient_mdp.lp import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED,
-                              LinearProgram, MalformedProgramError, SolverError, solve,
-                              solve_lexicographic)
+                              LinearProgram, MalformedProgramError, SolverError, _minus,
+                              solve, solve_lexicographic)
 
 from test_docs_cli import chain_model
 
