@@ -47,8 +47,7 @@ class InducedChain:
     local index 0). Row i is kept as integers: ``nums[i]`` maps local
     successor index t to the numerator of P(i, t) over the row's denominator
     ``dens[i]``, the lcm of the row's reduced denominators, so the linear
-    systems below are built without ``Fraction`` work. ``rows`` gives the
-    same probabilities as ``Fraction``s.
+    systems below are built without ``Fraction`` work.
     """
 
     states: list[int]
@@ -56,17 +55,11 @@ class InducedChain:
     dens: list[int]
     index: dict[int, int]
 
-    @classmethod
-    def from_rows(cls, states: list[int], rows: list[dict[int, Fraction]],
-                  index: dict[int, int]) -> InducedChain:
-        """The chain whose ``rows`` are the given probability rows."""
-        dens = [lcm(*(p.denominator for p in row.values())) for row in rows]
-        nums = [{t: p.numerator * (d // p.denominator) for t, p in row.items()}
-                for row, d in zip(rows, dens)]
-        return cls(states, nums, dens, index)
-
     @cached_property
     def rows(self) -> list[dict[int, Fraction]]:
+        """P(i, t) as ``Fraction``s, row i mapping successor t to it: the view
+        for callers that read the chain's probabilities (the analysis here
+        reads ``nums`` and ``dens``)."""
         return [{t: Fraction(x, d) for t, x in num.items()}
                 for num, d in zip(self.nums, self.dens)]
 

@@ -21,10 +21,11 @@ So the nonzero pattern, and with it the pivot order, is that of rational
 elimination. A row scaled by s > 1 is divided by the gcd of its
 coefficients again. A pivot row with no other coefficient changes only the
 right-hand sides of row i (s = 1), which keeps that update as cheap as it is
-in rational arithmetic even when row i is long. Back-substitution keeps, per
-right-hand side, integer numerators over one common denominator, the lcm of
-the denominators of the values solved so far. The solutions are the only
-``fractions.Fraction``s the solver builds.
+in rational arithmetic even when row i is long. Back-substitution keeps each
+solved value as an integer numerator and denominator, and brings only the
+values a row reads to their lcm, so its work stays proportional to the
+nonzeros. The solutions are the only ``fractions.Fraction``s the solver
+builds.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def solve_linear_system(rows: list[dict[int, Fraction | int]],
                 u, w = ru // h, d // h
                 d *= u   # lcm(den[i], ru)
                 values = [s * (v * u - f * x * w) for v, x in zip(b[i], rb)]
-            if s != 1:  # only a scaled row can have a common factor to divide out
+            if s != 1:  # an unscaled row is left unreduced; only scaling grows it
                 e = gcd(*row.values())
                 if e > 1:
                     row = a[i] = {j: v // e for j, v in row.items()}
@@ -127,21 +128,19 @@ def solve_linear_system(rows: list[dict[int, Fraction | int]],
         raise SingularSystemError("rank deficient system")
     x: list[list[Fraction]] = [[] for _ in range(n)]
     for k in range(len(rhs[0]) if rhs else 0):
-        num, common = [0] * n, 1   # the values solved so far are num[j] / common
+        num, dn = [0] * n, [1] * n   # x_j = num[j] / dn[j], dn[j] > 0
         for r, c, p in reversed(pivots):  # later pivots never involve earlier columns
-            # x_c = (b[r][k] / den[r] - sum_j a[r][j]·x_j) / p = t / (pd·common)
+            # x_c = (b[r][k] / den[r] - sum_j a[r][j]·x_j) / p = t / (pd·l), l = lcm of the dn[j]
+            row = a[r]
+            l = lcm(*[dn[j] for j in row])
+            t = b[r][k] * l - den[r] * sum(q * num[j] * (l // dn[j]) for j, q in row.items())
             pd = p * den[r]
-            t = b[r][k] * common - den[r] * sum(q * num[j] for j, q in a[r].items())
             if t % pd == 0:
-                num[c] = t // pd
+                num[c], dn[c] = t // pd, l
                 continue
-            d = pd * common
+            d = pd * l
             g = gcd(t, d) if d > 0 else -gcd(t, d)
-            t, d = t // g, d // g   # x_c = t / d in lowest terms, d > 0
-            grow = d // gcd(d, common)
-            common *= grow
-            num = [v * grow for v in num]
-            num[c] = t * (common // d)
+            num[c], dn[c] = t // g, d // g
         for j in range(n):
-            x[j].append(Fraction(num[j], common))
+            x[j].append(Fraction(num[j], dn[j]))
     return x

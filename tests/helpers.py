@@ -12,14 +12,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from resilient_mdp.analyze import _solve_restricted, almost_sure_reach, induce_chain
+from resilient_mdp.analyze import (InducedChain, _solve_restricted, almost_sure_reach,
+                                   induce_chain)
 from resilient_mdp.components import ComponentTriple, flow_balance, switch_states
 from resilient_mdp.graph import strongly_connected_components
 from resilient_mdp.lp import EQ, GE, OPTIMAL, LinearProgram, LpSolution, solve
 from resilient_mdp.sched import MrScheduler
 from resilient_mdp.synth import TAU, _flow_policy
 from resilient_mdp.transform import TransformedMdp, build_weights
+
+
+def chain_from_rows(states: list[int], rows: list[dict[int, Fraction]],
+                    index: dict[int, int]) -> InducedChain:
+    """The induced chain whose ``rows`` are the given probability rows."""
+    dens = [lcm(*(p.denominator for p in row.values())) for row in rows]
+    nums = [{t: p.numerator * (d // p.denominator) for t, p in row.items()}
+            for row, d in zip(rows, dens)]
+    return InducedChain(states, nums, dens, index)
 
 
 @dataclass(frozen=True)

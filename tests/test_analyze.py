@@ -18,7 +18,7 @@ from resilient_mdp.synth import FiniteMemoryScheduler
 from resilient_mdp.transform import build_weights
 
 from conftest import beta_always, random_model
-from helpers import expected_total_reward
+from helpers import chain_from_rows, expected_total_reward
 from test_docs_cli import chain_model, gamble_scheduler
 
 
@@ -142,7 +142,7 @@ def _random_chain(rng: random.Random) -> InducedChain:
         weights = {j: rng.randint(1, 4) for j in sorted(targets)}
         total = sum(weights.values())
         rows.append({j: Fraction(w, total) for j, w in weights.items()})
-    return InducedChain.from_rows(list(range(start)), rows, {i: i for i in range(start)})
+    return chain_from_rows(list(range(start)), rows, {i: i for i in range(start)})
 
 
 def _almost_sure_reach_per_state(c: InducedChain, target: set[int]) -> dict[int, bool]:
@@ -215,7 +215,7 @@ def test_stationary_distribution_on_random_irreducible_chains(seed):
         targets.update(rng.sample(range(n), rng.randint(0, min(3, n))))
         weights = {t: rng.randint(1, 5) for t in sorted(targets)}
         rows.append({t: Fraction(w, sum(weights.values())) for t, w in weights.items()})
-    c = InducedChain.from_rows(list(range(n)), rows, {s: s for s in range(n)})
+    c = chain_from_rows(list(range(n)), rows, {s: s for s in range(n)})
     assert [sorted(comp) for comp in bottom_sccs(c.succ_lists())] == [list(range(n))]
     pi = stationary_distribution(c, rng.sample(range(n), n))
     assert all(pi[s] > 0 for s in range(n))
@@ -229,7 +229,7 @@ def _rerooted(c: InducedChain, s: int) -> InducedChain:
     order = list(range(c.n))
     order[0], order[s] = s, 0
     rows = [{order[t]: p for t, p in c.rows[old].items()} for old in order]
-    return InducedChain.from_rows([c.states[old] for old in order], rows,
+    return chain_from_rows([c.states[old] for old in order], rows,
                                   {c.states[old]: new for new, old in enumerate(order)})
 
 

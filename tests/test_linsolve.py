@@ -96,6 +96,22 @@ def test_linear_system_matches_the_fraction_elimination(seed, kind):
         assert got is SingularSystemError
 
 
+def test_solutions_with_a_new_prime_in_every_denominator():
+    # p_i·x_i = 1 and p_i·y_i - y_{i+1} = 1: every solved value brings a
+    # factor that no value solved before it has.
+    primes = [p for p in range(2, 300) if all(p % q for q in range(2, p))]
+    n = len(primes)
+    rhs = [[1]] * n
+    x = solve_linear_system([{i: p} for i, p in enumerate(primes)], rhs, n)
+    assert x == [[Fraction(1, p)] for p in primes]
+    y = solve_linear_system([{i: p, i + 1: -1} if i + 1 < n else {i: p}
+                             for i, p in enumerate(primes)], rhs, n)
+    expected = [Fraction(1, primes[-1])]
+    for p in reversed(primes[:-1]):
+        expected.append((1 + expected[-1]) / p)
+    assert y == [[v] for v in reversed(expected)]
+
+
 class _CountingFraction(Fraction):
     """A ``Fraction`` that counts how many are made under its name."""
 
