@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import bottom_sccs, strongly_connected_components
-from .lp import EQ, GE, OPTIMAL, LinearProgram, LpSolution, solve
+from .lp import EQ, GE, OPTIMAL, LinearProgram, LpSolution, common_denominator, solve
 from .sched import MrScheduler
 from .transform import TransformedMdp, build_weights
 
@@ -86,7 +86,7 @@ def flow_balance(states, enabled, actions, var) -> dict[int, dict[str, Fraction]
             v = var(s, a)
             for t, p in actions[s][a]:
                 row = rows.setdefault(t, {})
-                row[v] = row.get(v, Fraction(0)) - p
+                row[v] = row[v] - p if v in row else -p
     return rows
 
 
@@ -148,14 +148,15 @@ def extract_components(mt: TransformedMdp, acts: dict[int, list[str]],
     for s in sorted(acts):
         for a in acts[s]:
             v = solution.assignment.get(_xv(mt, s, a), Fraction(0))
-            if v > 0:
+            if v.numerator > 0:
                 x[(s, a)] = v
+    freq = dict(zip(x, common_denominator(list(x.values()))[0]))  # over one denominator
     support_states = sorted({s for s, _ in x})
     pos = {s: k for k, s in enumerate(support_states)}
     succ = [[] for _ in support_states]
     for (s, a) in x:
         for t, p in mt.actions[s][a]:
-            if p > 0:
+            if p.numerator > 0:
                 if t not in pos:  # a target with no frequency
                     raise ValueError("x support SCC must be bottom")
                 succ[pos[s]].append(pos[t])
@@ -166,11 +167,11 @@ def extract_components(mt: TransformedMdp, acts: dict[int, list[str]],
     for comp in comps:
         members = [support_states[v] for v in comp]
         action_sets = {s: tuple(sorted(a for (t, a) in x if t == s)) for s in members}
-        mass = {s: sum((x[(s, a)] for a in action_sets[s]), Fraction(0)) for s in members}
-        choices = {s: {a: x[(s, a)] / mass[s] for a in action_sets[s]} for s in members}
-        payoff = sum((mt.payoff(s) * xs for s, xs in mass.items()), Fraction(0))
+        mass = {s: sum(freq[(s, a)] for a in action_sets[s]) for s in members}
+        choices = {s: {a: Fraction(freq[(s, a)], mass[s]) for a in action_sets[s]} for s in members}
+        payoff = sum(mt.payoff(s) * ms for s, ms in mass.items())
         triples.append(ComponentTriple(tuple(members), action_sets, MrScheduler(choices),
-                                       payoff / sum(mass.values())))
+                                       Fraction(payoff, sum(mass.values()))))
     return triples
 
 

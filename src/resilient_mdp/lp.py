@@ -22,15 +22,13 @@ canonical form: an ``int`` exactly when it is integral, else a normalized
 ``Fraction``. Most stored values are zeros, and zero tests, sign tests and
 numerator reads of an ``int`` run in C; an integral update, about a third
 of them on the chain family, builds no ``Fraction``. Each entry update
-a - f·p is made by ``_minus`` in that form, from numerators and
-denominators read once per pivot row and once per factor.
-Every division goes through ``Fraction`` (1 / an ``int`` would be a float),
-and ``solve`` returns ``Fraction``s only. Bland's decisions and the
-reduced-cost row make no ``Fraction`` through the operators either: the
-entering test reads the sign of a numerator, the ratio test compares
-rhs_i / a_i by cross-multiplying numerators and (positive) denominators,
-and the reduced-cost row is built and updated after each pivot with
-``_minus`` (``_subtract_multiple``).
+a - f·p is made by ``_minus``, from numerators and denominators read once
+per pivot row and once per factor, and every other value, such as the
+scaled pivot row x / p, by ``_quotient`` from integers. ``solve`` applies
+no ``Fraction`` operator: the entering test reads the sign of a numerator,
+the ratio test cross-multiplies numerators and (positive) denominators,
+and objective values are integer dot products. It takes ``int``s and
+``Fraction``s only, and returns ``Fraction``s.
 
 Exact Bland never returns to a basis. Each stage (phase 1 with its
 artificial entries, phase 2, the secondary phase) records the bases it
@@ -58,14 +56,15 @@ with a nonzero primary reduced cost are barred, which leaves exactly the
 optimal face, and Bland's rule continues on the secondary reduced costs over
 the other columns. The primary value cannot move; that is checked.
 
-Every returned optimal assignment is re-checked against all constraints
-before being handed back.
+Every returned optimal assignment is re-checked, in integers, against all
+constraints of the program (not the tableau) before being handed back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .linsolve import solve_linear_system
 
@@ -110,6 +109,7 @@ class LinearProgram:
     objective: dict[str, Fraction] = field(default_factory=dict)
 
     def add(self, coeffs: dict[str, Fraction], relation: str, rhs) -> None:
+        _check_exact(rhs, "right-hand side")
         self.constraints.append(Constraint(dict(coeffs), relation, Fraction(rhs)))
 
     def dump(self) -> str:
@@ -158,22 +158,19 @@ def solve(lp: LinearProgram, secondary: dict[str, Fraction] | None = None) -> Lp
     slack_at = nvars
     for c in lp.constraints:
         row = [0] * ncols
+        sign = -1 if c.rhs.numerator < 0 else 1  # so that the right-hand side is >= 0
         for v, q in c.coeffs.items():
-            row[col[v]] = _canonical(Fraction(q))
+            row[col[v]] = _quotient(sign * q.numerator, q.denominator)
         if c.relation != EQ:
-            row[slack_at] = 1 if c.relation == LE else -1
+            row[slack_at] = sign if c.relation == LE else -sign
             slack_at += 1
-        b = _canonical(Fraction(c.rhs))
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
         rows.append(row)
-        rhs.append(b)
+        rhs.append(_quotient(sign * c.rhs.numerator, c.rhs.denominator))
 
     def cost_row(objective, sign):
         cost = [0] * ncols
         for v, q in objective.items():
-            cost[col[v]] = _canonical(sign * Fraction(q))
+            cost[col[v]] = _quotient(sign * q.numerator, q.denominator)
         return cost
 
     status, values = _two_phase(
@@ -184,8 +181,8 @@ def solve(lp: LinearProgram, secondary: dict[str, Fraction] | None = None) -> Lp
 
     assignment = dict(zip(lp.variables, values))
     _verify(lp, assignment)
-    obj = sum((Fraction(q) * assignment[v] for v, q in lp.objective.items()), Fraction(0))
-    return LpSolution(OPTIMAL, assignment, obj)
+    return LpSolution(OPTIMAL, assignment,
+                      _dot((q, assignment[v]) for v, q in lp.objective.items()))
 
 
 def solve_lexicographic(lp: LinearProgram, secondary: dict[str, Fraction]) -> LpSolution:
@@ -201,30 +198,47 @@ def solve_lexicographic(lp: LinearProgram, secondary: dict[str, Fraction]) -> Lp
     return solve(lp, secondary)
 
 
+def _check_exact(q, what: str) -> None:
+    if not isinstance(q, (int, Fraction)):
+        raise MalformedProgramError(f"{what} {q!r} is not an int or a Fraction")
+
+
 def _check_well_formed(lp: LinearProgram, secondary) -> None:
     declared = set(lp.variables)
     if len(declared) != len(lp.variables):
         raise MalformedProgramError("duplicate variable ids")
-    for v in [*lp.objective, *(secondary or ())]:
+    for v, q in [*lp.objective.items(), *(secondary or {}).items()]:
         if v not in declared:
             raise MalformedProgramError(f"objective references unknown variable {v!r}")
+        _check_exact(q, "objective coefficient")
     for c in lp.constraints:
         if c.relation not in (LE, EQ, GE):
             raise MalformedProgramError(f"bad relation {c.relation!r}")
-        for v in c.coeffs:
+        _check_exact(c.rhs, "right-hand side")
+        for v, q in c.coeffs.items():
             if v not in declared:
                 raise MalformedProgramError(f"constraint references unknown variable {v!r}")
+            _check_exact(q, "coefficient")
 
 
 def _verify(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
+    """Check ``assignment`` against ``lp`` in integers: the nonzero values
+    over one common denominator, each row over the lcm of its denominators."""
+    nonzero = [v for v, x in assignment.items() if x]
+    nums, den = common_denominator([assignment[v] for v in nonzero])
+    scaled = dict(zip(nonzero, nums))
     for c in lp.constraints:
-        lhs = sum((Fraction(q) * assignment[v] for v, q in c.coeffs.items()), Fraction(0))
-        ok = (lhs <= c.rhs if c.relation == LE else
-              lhs == c.rhs if c.relation == EQ else lhs >= c.rhs)
+        terms = [(q, scaled[v]) for v, q in c.coeffs.items() if v in scaled]
+        row_den = lcm(c.rhs.denominator, *[q.denominator for q, _ in terms])
+        lhs = sum(q.numerator * (row_den // q.denominator) * x for q, x in terms)
+        rhs = c.rhs.numerator * (row_den // c.rhs.denominator) * den
+        ok = (lhs <= rhs if c.relation == LE else
+              lhs == rhs if c.relation == EQ else lhs >= rhs)
         if not ok:
-            raise SolverError(f"solver produced infeasible point: {lhs} {c.relation} {c.rhs}")
+            raise SolverError("solver produced infeasible point: "
+                              f"{Fraction(lhs, row_den * den)} {c.relation} {c.rhs}")
     for v in lp.variables:
-        if assignment[v] < 0:
+        if assignment[v].numerator < 0:
             raise SolverError(f"nonnegativity violated for {v}")
 
 
@@ -261,7 +275,7 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
     drop_rows = []
     for i in range(m):
         if basis[i] >= ncols:
-            pivot_col = next((j for j in range(ncols) if tab[i][j] != 0), None)
+            pivot_col = next((j for j in range(ncols) if tab[i][j]), None)
             if pivot_col is None:
                 drop_rows.append(i)  # redundant row
             else:
@@ -277,7 +291,7 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
     if secondary is not None:
         # Columns with a nonzero (hence positive) primary reduced cost would
         # lower the primary value; barring them leaves the optimal face.
-        face = [j for j in range(ncols) if zrow[j] == 0]
+        face = [j for j in range(ncols) if zrow[j].numerator == 0]
         value = _basic_value(tab, basis, cost)
         zrow = _reduced_costs(tab, basis, secondary)
         if _optimize(tab, basis, zrow, ncols, face, set()) == UNBOUNDED:
@@ -307,8 +321,9 @@ def _entering_artificial(rows, basis, ncols):
     y = solve_linear_system(_basis_columns(rows, basis, ncols),
                             [[Fraction(-1 if b >= ncols else 0)] for b in basis], len(rows))
     basic = set(basis)
-    return next(((k, 1 + yk) for k, (yk,) in enumerate(y)
-                 if ncols + k not in basic and 1 + yk < 0), None)
+    return next(((k, _quotient(yk.numerator + yk.denominator, yk.denominator))
+                 for k, (yk,) in enumerate(y)
+                 if ncols + k not in basic and yk.numerator + yk.denominator < 0), None)
 
 
 def _artificial_column(rows, basis, ncols, k):
@@ -322,15 +337,28 @@ def _artificial_column(rows, basis, ncols, k):
 
 
 def _basic_value(tab, basis, cost):
-    return sum((cost[b] * row[-1] for b, row in zip(basis, tab)), Fraction(0))
+    return _dot((cost[b], row[-1]) for b, row in zip(basis, tab)).as_integer_ratio()
+
+
+def _dot(pairs) -> Fraction:
+    """The sum of a·b over ``pairs``, in integers over one common denominator."""
+    terms = [(a.numerator * b.numerator, a.denominator * b.denominator) for a, b in pairs if a and b]
+    den = lcm(*[d for _, d in terms])
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
+
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """The numerators of ``values`` over the lcm of their denominators, and that lcm."""
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _reduced_costs(tab, basis, cost):
-    zrow = [-c for c in cost] + [0]
+    zrow = [_quotient(-c.numerator, c.denominator) if c else 0 for c in cost] + [0]
     for i, b in enumerate(basis):
         cb = cost[b]
         if cb:
-            _subtract_multiple(zrow, -cb, _nonzero(tab[i]))
+            _subtract_multiple(zrow, _quotient(-cb.numerator, cb.denominator), _nonzero(tab[i]))
     return zrow
 
 
@@ -344,10 +372,9 @@ def _minus(v: Fraction | int, n: int, d: int) -> Fraction | int:
     return num // den
 
 
-def _canonical(x: Fraction) -> Fraction | int:
-    """``x`` as an ``int`` when it is integral, the form of every stored
-    value (see ``_minus``)."""
-    return x.numerator if x.denominator == 1 else x
+def _quotient(n: int, d: int) -> Fraction | int:
+    """n/d for d != 0 in the canonical form of ``_minus``."""
+    return Fraction(n, d) if n % d else n // d
 
 
 def _nonzero(row):
@@ -407,8 +434,8 @@ def _pivot(tab, basis, i, j, column):
     change only in those columns, and only where ``column`` is nonzero; an
     artificial ``j`` has no stored entries to change."""
     row = tab[i]
-    inv = Fraction(1) / column[i]  # 1 / an int entry would be a float
-    nz = [(c, _canonical(x * inv)) for c, x in enumerate(row) if x]
+    pn, pd = column[i].numerator, column[i].denominator
+    nz = [(c, _quotient(x.numerator * pd, x.denominator * pn)) for c, x in enumerate(row) if x]
     for c, x in nz:
         row[c] = x
     terms = [(c, x.numerator, x.denominator) for c, x in nz]

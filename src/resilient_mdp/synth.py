@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from . import analyze
 from .components import ComponentTriple, compute_E, flow_balance, switch_states
-from .lp import EQ, GE, INFEASIBLE, OPTIMAL, LinearProgram, LpSolution, solve_lexicographic
+from .lp import (EQ, GE, INFEASIBLE, OPTIMAL, LinearProgram, LpSolution, common_denominator,
+                 solve_lexicographic)
 from .model import TAU, MdpWithRepair, validate_repair_assumption, validate_structure
 from .sched import MrScheduler
 from .transform import TransformedMdp, transform
@@ -92,7 +93,8 @@ def build_resiliency_lp(n: GoalMdp, threshold: Fraction) -> LinearProgram:
             for a in n.enabled(s):
                 coeffs[_var(mt, s, a)] = Fraction(1)
         for a in n.enabled(e):
-            coeffs[_var(mt, e, a)] = coeffs.get(_var(mt, e, a), Fraction(0)) - threshold
+            v = _var(mt, e, a)
+            coeffs[v] = coeffs[v] - threshold if v in coeffs else -threshold
         lp.add(coeffs, GE, 0)
 
     lp.objective = {_var(mt, s, TAU): n.comps[k].avail
@@ -154,7 +156,7 @@ def extract_scheduler(n: GoalMdp, solution: LpSolution) -> ComposedScheduler:
         raise ValueError("need an optimal solution")
     mt = n.mt
     y = solution.assignment
-    selected = sorted({k for s, k in n.switch.items() if y[_var(mt, s, TAU)] > 0})
+    selected = sorted({k for s, k in n.switch.items() if y[_var(mt, s, TAU)].numerator > 0})
     components = [n.comps[k] for k in selected]
     in_component = {s for comp in components for s in comp.states}
     choices = {s: _flow_policy(mt, y, s, mt.enabled(s))
@@ -165,10 +167,10 @@ def extract_scheduler(n: GoalMdp, solution: LpSolution) -> ComposedScheduler:
 def _flow_policy(mt: TransformedMdp, y: dict[str, Fraction], s: int,
                  acts: list[str]) -> dict[str, Fraction]:
     """Flow-proportional over ``acts`` where s has positive flow, uniform otherwise."""
-    mass = {a: y[_var(mt, s, a)] for a in acts}
-    total = sum(mass.values(), Fraction(0))
+    mass, _ = common_denominator([y[_var(mt, s, a)] for a in acts])
+    total = sum(mass)
     if total > 0:
-        return {a: v / total for a, v in mass.items()}
+        return {a: Fraction(v, total) for a, v in zip(acts, mass)}
     return {a: Fraction(1, len(acts)) for a in acts}
 
 

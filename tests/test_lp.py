@@ -12,7 +12,7 @@ import resilient_mdp.components as components_module
 import resilient_mdp.lp as lp_module
 from resilient_mdp import synthesize
 from resilient_mdp.linsolve import SingularSystemError, solve_linear_system
-from resilient_mdp.lp import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED,
+from resilient_mdp.lp import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, Constraint,
                               LinearProgram, MalformedProgramError, SolverError, _minus,
                               solve, solve_lexicographic)
 
@@ -88,6 +88,26 @@ def test_malformed_programs_rejected():
     r.add({"x": 1}, "<>", 1)
     with pytest.raises(MalformedProgramError):
         solve(r)
+    # A float has no exact value: 0.1 would be read as its binary fraction,
+    # 36028797018963968/3602879701896397 for p below, instead of x = 10.
+    p = lp(["x"], {"x": 1})
+    p.add({"x": 0.1}, LE, 1)
+    with pytest.raises(MalformedProgramError, match="coefficient 0.1 "):
+        solve(p)
+    with pytest.raises(MalformedProgramError, match="right-hand side 0.1 "):
+        lp(["x"], {"x": 1}).add({"x": 1}, LE, 0.1)
+    q = lp(["x"], {"x": 0.5})
+    q.constraints.append(Constraint({"x": 1}, LE, 0.1))
+    with pytest.raises(MalformedProgramError, match="objective coefficient 0.5 "):
+        solve(q)
+    q.objective = {"x": 1}
+    with pytest.raises(MalformedProgramError, match="right-hand side 0.1 "):
+        solve(q)
+    q.constraints[0].rhs = 1
+    with pytest.raises(MalformedProgramError, match="objective coefficient 0.5 "):
+        solve_lexicographic(q, {"x": 0.5})
+    p.constraints[0].coeffs["x"] = Fraction(1, 10)
+    assert solve(p).assignment == {"x": Fraction(10)}
 
 
 def test_lexicographic_prefers_small_secondary():
@@ -792,6 +812,129 @@ def test_stored_values_are_canonical_and_results_fractions():
     for values in (results, solved):
         assert values and all(type(x) is Fraction for x in values)
         assert any(x.denominator == 1 for x in values)
+
+
+def _fraction_verify(prog, assignment):
+    """``lp._verify`` by the ``Fraction`` operators: each row's left-hand
+    side summed and compared as a ``Fraction``, then the signs."""
+    for c in prog.constraints:
+        lhs = sum((Fraction(q) * assignment[v] for v, q in c.coeffs.items()), Fraction(0))
+        ok = (lhs <= c.rhs if c.relation == LE else
+              lhs == c.rhs if c.relation == EQ else lhs >= c.rhs)
+        if not ok:
+            raise SolverError(f"solver produced infeasible point: {lhs} {c.relation} {c.rhs}")
+    for v in prog.variables:
+        if assignment[v] < 0:
+            raise SolverError(f"nonnegativity violated for {v}")
+
+
+_exact_values = st.one_of(st.integers(-4, 4),
+                          st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def _exact_programs(draw):
+    """Programs with ``int`` and ``Fraction`` entries, right-hand sides of
+    either sign and all three relations, kept bounded."""
+    names = [f"v{k}" for k in range(draw(st.integers(1, 4)))]
+    prog = lp(names, {v: draw(_exact_values) for v in names})
+    for _ in range(draw(st.integers(1, 4))):
+        support = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        prog.constraints.append(Constraint({v: draw(_exact_values) for v in support},
+                                           draw(st.sampled_from([LE, EQ, GE])),
+                                           draw(_exact_values)))
+    prog.add(dict.fromkeys(names, 1), LE, 10)
+    return prog
+
+
+def test_integer_verify_matches_the_fraction_form():
+    seen = dict.fromkeys(["accepted", "accepted equality", "infeasible point",
+                          "nonnegativity"], 0)
+
+    def verdict(check, prog, point):
+        try:
+            check(prog, point)
+        except SolverError as exc:
+            return str(exc)
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        prog = data.draw(_exact_programs())
+        names = prog.variables
+        sol = solve(prog)
+        base = sol.assignment if sol.status == OPTIMAL else {
+            v: data.draw(st.fractions(min_value=0, max_value=4, max_denominator=6)) for v in names}
+        v, k = data.draw(st.sampled_from(names)), data.draw(st.integers(1, 6))
+        points = [base, {**base, v: base[v] + Fraction(1, k)},
+                  {**base, v: base[v] - Fraction(1, k)}, {**base, v: Fraction(-1, k)}]
+        for point in points:
+            got = verdict(lp_module._verify, prog, point)
+            assert got == verdict(_fraction_verify, prog, point)
+            if got is None:
+                seen["accepted"] += 1
+                seen["accepted equality"] += any(
+                    c.relation == EQ and any(point[u] for u in c.coeffs)
+                    for c in prog.constraints)
+            else:
+                seen["infeasible point" if "infeasible" in got else "nonnegativity"] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+_FRACTION_OPERATORS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__", "__neg__", "__lt__", "__le__", "__gt__",
+                       "__ge__", "__eq__"]
+
+
+def test_solve_applies_no_fraction_operator():
+    # ``solve`` computes through ``_minus``, ``_quotient`` and integer
+    # reads only, on chain (1,3,3)'s two programs and on random programs
+    # through every phase and outcome.
+    rng = random.Random(11)
+    unbounded = lp(["x", "y"], {"x": 1})
+    unbounded.add({"x": 1}, LE, 2)
+    programs = [*_chain_programs(1, 3, 3), (unbounded, {"y": Fraction(-1)}),
+                (lp(["x"], {"x": Fraction(1, 2)}), None)]
+    for _ in range(300):
+        prog = _degenerate_program(rng) if rng.random() < 0.5 else _random_program(rng)
+        secondary = ({v: Fraction(rng.randint(-3, 3)) for v in prog.variables}
+                     if rng.random() < 0.5 else None)
+        programs.append((prog, secondary))
+    calls = []
+
+    def counting(name):
+        real = getattr(Fraction, name)
+
+        def operator(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        return operator
+
+    patches = {name: counting(name) for name in _FRACTION_OPERATORS}
+    real_entering = lp_module._entering_artificial
+    entered = []
+
+    def entering_artificial(*args):
+        enter = real_entering(*args)
+        entered.append(enter is not None)
+        return enter
+
+    outcomes = []
+    with mock.patch.object(lp_module, "_entering_artificial", entering_artificial):
+        with mock.patch.multiple(Fraction, **patches):
+            assert Fraction(1, 2) + 1 > 1 and calls == ["__add__", "__gt__"]
+            calls.clear()
+            for prog, secondary in programs:
+                try:
+                    outcomes.append(solve(prog, secondary).status)
+                except MalformedProgramError:
+                    outcomes.append(MalformedProgramError)
+    assert calls == []
+    assert set(outcomes) == {OPTIMAL, INFEASIBLE, UNBOUNDED, MalformedProgramError}
+    assert any(entered), "no program entered an artificial column"
 
 
 def test_linear_system_golden():
