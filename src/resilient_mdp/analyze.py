@@ -25,7 +25,6 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .graph import bottom_sccs, reachable_from
@@ -54,14 +53,6 @@ class InducedChain:
     nums: list[dict[int, int]]
     dens: list[int]
     index: dict[int, int]
-
-    @cached_property
-    def rows(self) -> list[dict[int, Fraction]]:
-        """P(i, t) as ``Fraction``s, row i mapping successor t to it: the view
-        for callers that read the chain's probabilities (the analysis here
-        reads ``nums`` and ``dens``)."""
-        return [{t: Fraction(x, d) for t, x in num.items()}
-                for num, d in zip(self.nums, self.dens)]
 
     @property
     def n(self) -> int:

@@ -30,25 +30,22 @@ the ratio test cross-multiplies numerators and (positive) denominators,
 and objective values are integer dot products. It takes ``int``s and
 ``Fraction``s only, and returns ``Fraction``s.
 
-Exact Bland never returns to a basis. Each stage (phase 1 with its
-artificial entries, phase 2, the secondary phase) records the bases it
-meets, as sets of columns, and a repeat raises ``SolverError``: wrong
-bookkeeping then fails instead of pivoting forever. A program whose dense
-tableau, rows × (columns + 1), would exceed ``MAX_TABLEAU_ENTRIES`` is
-refused with ``ProgramTooLargeError`` before the tableau is built.
+Exact Bland never returns to a basis. Each stage (phase 1, phase 2, the
+secondary phase) records the bases it meets, as sets of columns, and a
+repeat raises ``SolverError``: wrong bookkeeping then fails instead of
+pivoting forever. A program whose dense tableau, rows × (columns + 1),
+would exceed ``MAX_TABLEAU_ENTRIES`` is refused with
+``ProgramTooLargeError`` before the tableau is built.
 
 Phase 1 starts from one artificial variable per row, basic in its row, but
-never stores their columns: they would hold B⁻¹, which Bland's rule reads
-only when no structural or slack column can enter, since those come first in
-its order. The tableau has the same shape in both phases, the structural and
-slack columns plus the right-hand side. When no stored column can enter, a
-phase-1 value below 0 proves the program infeasible, and with no artificial
-left in the basis every artificial reduced cost is 1. Otherwise the duals
-y·B = c_B are solved exactly from the original rows (``linsolve``); an
-artificial k with reduced cost 1 + y_k < 0 enters with its column B⁻¹e_k,
-rebuilt the same way, and phase 1 goes on. Row operations never mix columns,
-so the pivots are exactly those of the tableau with the full artificial
-block.
+never stores their columns: an artificial that leaves the basis never enters
+again (the standard two-phase rule), so only the structural and slack
+columns are candidates, and the tableau has the same shape in both phases,
+those columns plus the right-hand side. This is sound: fixing a nonbasic
+artificial at 0 keeps every feasible point of the program, at phase-1 value
+0, so phase 1 reaches 0 exactly when the program is feasible, and a value
+below 0 proves it infeasible. Bland's rule over a subset of the columns
+still terminates.
 
 A secondary objective is minimized in the same tableau (the lexicographic
 rule of Dantzig, Orden and Wolfe, 1955): at the primary optimum, the columns
@@ -65,8 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-
-from .linsolve import solve_linear_system
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -247,29 +242,19 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
     secondary.x over the optimal face."""
     m = len(rows)
     # Phase 1: artificial i (column ncols + i, never stored) is basic in row
-    # i; maximize minus their sum. The reduced costs are 0 on the artificials
-    # and minus the column sums on the stored columns, whose last entry, the
-    # right-hand side's, is the phase-1 value.
+    # i, and once it leaves it never enters again; maximize minus their sum.
+    # The reduced costs are 0 on the artificials and minus the column sums on
+    # the stored columns, whose last entry, the right-hand side's, is the
+    # phase-1 value.
     tab = [list(rows[i]) + [rhs[i]] for i in range(m)]
     basis = [ncols + i for i in range(m)]
     zrow = [0] * (ncols + 1)
     for row in tab:
         _subtract_multiple(zrow, 1, _nonzero(row))
-    seen = set()  # phase 1 is one stage, artificial entries included
-    while True:
-        if _optimize(tab, basis, zrow, ncols, range(ncols), seen) == UNBOUNDED:
-            raise SolverError("phase 1 cannot be unbounded")
-        if zrow[ncols].numerator < 0:
-            return INFEASIBLE, None
-        enter = _entering_artificial(rows, basis, ncols)
-        if enter is None:
-            break
-        k, f = enter
-        column = _artificial_column(rows, basis, ncols, k)
-        leave = _leaving_row(tab, basis, column, ncols)
-        if leave is None:
-            raise SolverError("phase 1 cannot be unbounded")
-        _subtract_multiple(zrow, f, _pivot(tab, basis, leave, ncols + k, column))
+    if _optimize(tab, basis, zrow, ncols, range(ncols), set()) == UNBOUNDED:
+        raise SolverError("phase 1 cannot be unbounded")
+    if zrow[ncols].numerator < 0:
+        return INFEASIBLE, None
 
     # Drive remaining artificials out of the basis (they are at value 0).
     drop_rows = []
@@ -302,38 +287,6 @@ def _two_phase(rows, rhs, cost, ncols, secondary=None):
     for i, b in enumerate(basis):
         values[b] = Fraction(tab[i][ncols])
     return OPTIMAL, values
-
-
-def _basis_columns(rows, basis, ncols):
-    """The basis matrix B by columns, ``{row: entry}`` each, from the
-    original rows: column ncols + i is the unit column of artificial i."""
-    return [{i: row[b] for i, row in enumerate(rows) if row[b]} if b < ncols
-            else {b - ncols: Fraction(1)} for b in basis]
-
-
-def _entering_artificial(rows, basis, ncols):
-    """Bland's choice among the artificials once no stored column can enter
-    phase 1: the first nonbasic artificial k whose reduced cost 1 + y_k is
-    negative, where y·B = c_B, as ``(k, 1 + y_k)``; None if there is none."""
-    if all(b < ncols for b in basis):
-        return None  # y = 0, so every artificial reduced cost is 1
-    # One equation per basic column: y·B_p = -1 for an artificial, else 0.
-    y = solve_linear_system(_basis_columns(rows, basis, ncols),
-                            [[Fraction(-1 if b >= ncols else 0)] for b in basis], len(rows))
-    basic = set(basis)
-    return next(((k, _quotient(yk.numerator + yk.denominator, yk.denominator))
-                 for k, (yk,) in enumerate(y)
-                 if ncols + k not in basic and yk.numerator + yk.denominator < 0), None)
-
-
-def _artificial_column(rows, basis, ncols, k):
-    """The tableau column of artificial k, B⁻¹e_k, solved exactly."""
-    eqs: list[dict[int, Fraction]] = [{} for _ in rows]
-    for p, col in enumerate(_basis_columns(rows, basis, ncols)):
-        for i, x in col.items():
-            eqs[i][p] = x
-    unit = [[Fraction(int(i == k))] for i in range(len(rows))]
-    return [x for (x,) in solve_linear_system(eqs, unit, len(rows))]
 
 
 def _basic_value(tab, basis, cost):
@@ -431,8 +384,7 @@ def _leaving_row(tab, basis, column, width):
 def _pivot(tab, basis, i, j, column):
     """Pivot on entry (i, j), whose column is ``column``, in place and return
     the scaled pivot row's nonzero ``(column, value)`` pairs. Other rows
-    change only in those columns, and only where ``column`` is nonzero; an
-    artificial ``j`` has no stored entries to change."""
+    change only in those columns, and only where ``column`` is nonzero."""
     row = tab[i]
     pn, pd = column[i].numerator, column[i].denominator
     nz = [(c, _quotient(x.numerator * pd, x.denominator * pn)) for c, x in enumerate(row) if x]

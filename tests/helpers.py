@@ -24,9 +24,14 @@ from resilient_mdp.synth import TAU, _flow_policy
 from resilient_mdp.transform import TransformedMdp, build_weights
 
 
+def chain_rows(c: InducedChain) -> list[dict[int, Fraction]]:
+    """P(i, t) of the chain as ``Fraction``s, row i mapping successor t to it."""
+    return [{t: Fraction(x, d) for t, x in num.items()} for num, d in zip(c.nums, c.dens)]
+
+
 def chain_from_rows(states: list[int], rows: list[dict[int, Fraction]],
                     index: dict[int, int]) -> InducedChain:
-    """The induced chain whose ``rows`` are the given probability rows."""
+    """The induced chain whose ``chain_rows`` are the given probability rows."""
     dens = [lcm(*(p.denominator for p in row.values())) for row in rows]
     nums = [{t: p.numerator * (d // p.denominator) for t, p in row.items()}
             for row, d in zip(rows, dens)]

@@ -18,8 +18,8 @@ from resilient_mdp.graph import strongly_connected_components
 from resilient_mdp.lp import INFEASIBLE
 
 from conftest import beta_always, fig1_model, random_model
-from helpers import (expected_total_reward, goal_mr_scheduler, lift_path, path_cost,
-                     path_payoff, project_path, reference_goal_mdp)
+from helpers import (chain_rows, expected_total_reward, goal_mr_scheduler, lift_path,
+                     path_cost, path_payoff, project_path, reference_goal_mdp)
 from test_transform import _random_base_path
 
 
@@ -185,7 +185,7 @@ def test_criterion_8_structural_lemma_suite(capsys):
                     if mt.triple[i] is not None and not mt.is_op(i)}
             pr = until_probability(chain, stay, set(mt.op_copies_of(e)))
             other = sum((p * pr[chain.states[t]]
-                         for t, p in chain.rows[chain.index[e]].items()),
+                         for t, p in chain_rows(chain)[chain.index[e]].items()),
                         Fraction(0))
             if check.res_probability != other:
                 ok, detail = False, "repair-success probability mismatch"

@@ -18,7 +18,7 @@ from resilient_mdp.synth import FiniteMemoryScheduler
 from resilient_mdp.transform import build_weights
 
 from conftest import beta_always, random_model
-from helpers import chain_from_rows, expected_total_reward
+from helpers import chain_from_rows, chain_rows, expected_total_reward
 from test_docs_cli import chain_model, gamble_scheduler
 
 
@@ -36,7 +36,7 @@ def test_induced_chain_rows_sum_to_one(fig1):
     # α-branches absent; reachable: s_init, error, rep-copies 0..2, two op2
     # copies, the pending rep copy (after budget overrun) and base op2.
     assert chain.n == 9
-    for row in chain.rows:
+    for row in chain_rows(chain):
         assert sum(row.values(), Fraction(0)) == 1
 
 
@@ -149,7 +149,7 @@ def _almost_sure_reach_per_state(c: InducedChain, target: set[int]) -> dict[int,
     """Reference: one forward search per state, looking for a bottom SCC
     disjoint from target once target states are made absorbing."""
     loc_target = {c.index[s] for s in target if s in c.index}
-    succ = [[] if i in loc_target else sorted(row) for i, row in enumerate(c.rows)]
+    succ = [[] if i in loc_target else sorted(row) for i, row in enumerate(chain_rows(c))]
     bad = set()
     for comp in bottom_sccs(succ):
         if not any(v in loc_target for v in comp):
@@ -181,7 +181,7 @@ def test_long_run_values_on_random_chains(seed):
         pi = stationary_distribution(c, comp)
         assert sum(pi.values()) == 1
         for s in comp:  # pi P = pi, exactly
-            assert sum((pi[t] * c.rows[t].get(s, 0) for t in comp), Fraction(0)) == pi[s]
+            assert sum((pi[t] * chain_rows(c)[t].get(s, 0) for t in comp), Fraction(0)) == pi[s]
     f = {s: rng.randint(-3, 3) for s in range(c.n)}
     g = {s: Fraction(rng.randint(0, 5), rng.randint(1, 3)) for s in range(c.n)}
     assert long_run_values(c, [f.get, g.get]) == [long_run_value(c, f.get),
@@ -197,7 +197,7 @@ def test_long_run_values_on_random_chains(seed):
     shares.update({s: [Fraction(owner[s] == k) for k in range(len(comps))] for s in owner})
     for s in transient:
         for k in range(len(comps)):
-            assert shares[s][k] == sum((p * shares[t][k] for t, p in c.rows[s].items()),
+            assert shares[s][k] == sum((p * shares[t][k] for t, p in chain_rows(c)[s].items()),
                                        Fraction(0))
 
 
@@ -228,7 +228,7 @@ def _rerooted(c: InducedChain, s: int) -> InducedChain:
     """The same chain with local state s swapped into the initial position."""
     order = list(range(c.n))
     order[0], order[s] = s, 0
-    rows = [{order[t]: p for t, p in c.rows[old].items()} for old in order]
+    rows = [{order[t]: p for t, p in chain_rows(c)[old].items()} for old in order]
     return chain_from_rows([c.states[old] for old in order], rows,
                                   {c.states[old]: new for new, old in enumerate(order)})
 
@@ -299,7 +299,7 @@ def test_verify_res_probability_equals_bounded_reach():
                     if mt.triple[i] is not None and not mt.is_op(i)}
             pr = until_probability(chain, stay, op_e)
             expect = sum((p * pr[chain.states[t]]
-                          for t, p in chain.rows[chain.index[e]].items()),
+                          for t, p in chain_rows(chain)[chain.index[e]].items()),
                          Fraction(0))
             assert check.res_probability == expect
         checked += 1
@@ -328,7 +328,7 @@ def test_verify_res_probability_matches_per_error_until(seed, any_target, bound)
     for e, check in report.per_error.items():
         pr = until_probability(chain, triples, set(mt.op_copies_of(e)))
         assert check.res_probability == sum(
-            (p * pr[chain.states[t]] for t, p in chain.rows[chain.index[e]].items()),
+            (p * pr[chain.states[t]] for t, p in chain_rows(chain)[chain.index[e]].items()),
             Fraction(0))
 
 
@@ -420,7 +420,7 @@ def test_until_agrees_with_monte_carlo(fig1):
                 break
             r = rng.random()
             acc = 0.0
-            for t, p in sorted(chain.rows[pos].items()):
+            for t, p in sorted(chain_rows(chain)[pos].items()):
                 acc += float(p)
                 if r < acc:
                     pos = t

@@ -16,6 +16,7 @@ from resilient_mdp.linsolve import SingularSystemError, solve_linear_system
 
 import fraction_reference
 from conftest import random_model
+from helpers import chain_rows
 from test_docs_cli import chain_model, gamble_scheduler
 
 KINDS = ("square", "overdetermined", "rank-deficient", "inconsistent")
@@ -152,6 +153,18 @@ def test_elimination_builds_fractions_only_for_the_solutions(monkeypatch):
         assert x == fraction_reference.solve_linear_system(rows, rhs, n)
 
 
+def test_solutions_are_fractions_also_when_integral():
+    # Every value returned is a Fraction, integral ones and those of an
+    # all-int system included, so no caller divides two ints into a float.
+    rng = random.Random(7)
+    systems = [_stationary_system(1, 3, 3)]
+    systems += [_system(rng, kind)[:3] for kind in ("square", "overdetermined") for _ in range(40)]
+    solved = [v for rows, rhs, n in systems for row in solve_linear_system(rows, rhs, n)
+              for v in row]
+    assert all(type(x) is Fraction for x in solved)
+    assert any(x.denominator == 1 for x in solved)
+
+
 def _random_scheduler(mt, rng: random.Random) -> MrScheduler:
     choices = {}
     for i in range(mt.n):
@@ -193,6 +206,6 @@ def test_verify_matches_the_fraction_chain_analysis_on_the_chain_family(k, L, R)
     chain = induce_chain(mt, sched, mt.initial)
     (comp,) = bottom_sccs(chain.succ_lists())
     states, _, rows = fraction_reference.induce_rows(mt, sched, mt.initial)
-    assert chain.states == states and chain.rows == rows
+    assert chain.states == states and chain_rows(chain) == rows
     want = fraction_reference.stationary_distribution(rows, comp)
     assert stationary_distribution(chain, comp) == want
