@@ -23,9 +23,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .graph import bottom_sccs, reachable_from
 from .linsolve import solve_linear_system
@@ -38,21 +38,23 @@ class SchedulerDomainError(ValueError):
     """The scheduler does not cover a reachable state."""
 
 
-@dataclass
 class InducedChain:
     """Markov chain induced by an MR-scheduler, restricted to reachable states.
 
     ``states`` are host indices in BFS discovery order (the initial state is
-    local index 0). Row i is kept as integers: ``nums[i]`` maps local
-    successor index t to the numerator of P(i, t) over the row's denominator
-    ``dens[i]``, the lcm of the row's reduced denominators, so the linear
-    systems below are built without ``Fraction`` work.
+    local index 0), and ``index`` maps a host index to its local one. Row i
+    is kept as integers: ``nums[i]`` maps local successor index t to the
+    numerator of P(i, t) over the row's denominator ``dens[i]``, the lcm of
+    the row's reduced denominators, so the linear systems below are built
+    without ``Fraction`` work.
     """
 
-    states: list[int]
-    nums: list[dict[int, int]]
-    dens: list[int]
-    index: dict[int, int]
+    def __init__(self, states: list[int], nums: list[dict[int, int]], dens: list[int],
+                 index: dict[int, int]):
+        self.states = states
+        self.nums = nums
+        self.dens = dens
+        self.index = index
 
     @property
     def n(self) -> int:
@@ -231,15 +233,13 @@ def _lookup(weight: dict[int, Fraction]):
     return lambda s: weight.get(s, 0)
 
 
-@dataclass
-class ErrorCheck:
+class ErrorCheck(NamedTuple):
     res_probability: Fraction
     res_ok: bool
     asrep_ok: bool
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     per_error: dict[int, ErrorCheck]
     availability: Fraction
     mp: dict[int, Fraction]
@@ -293,8 +293,7 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
     return VerificationReport(per_error, avail, dict(zip(per_error, means)))
 
 
-@dataclass
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     best_availability: Fraction | None
     witness: MrScheduler | None
     candidates: int
@@ -345,8 +344,7 @@ def brute_force_optimum(mt: TransformedMdp, threshold: Fraction,
     return BruteForceResult(best, witness, count)
 
 
-@dataclass
-class SimulationStats:
+class SimulationStats(NamedTuple):
     trials: int
     steps: int
     mean_payoff_per_step: Fraction | None

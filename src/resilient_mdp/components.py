@@ -15,8 +15,8 @@ components the optimum passes over (see ``compute_E``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import bottom_sccs, strongly_connected_components
 from .lp import EQ, GE, OPTIMAL, LinearProgram, LpSolution, common_denominator, solve
@@ -123,8 +123,7 @@ def build_multi_mp_lp(mt: TransformedMdp, members: list[int], acts: dict[int, li
     return lp
 
 
-@dataclass(frozen=True)
-class ComponentTriple:
+class ComponentTriple(NamedTuple):
     states: tuple[int, ...]
     action_sets: dict[int, tuple[str, ...]]
     scheduler: MrScheduler

@@ -12,11 +12,11 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import MdpWithRepair, make_mdp
-from .sched import MrScheduler
+from .sched import DistributionError, MrScheduler
 from .synth import ComposedScheduler
 from .transform import TransformedMdp
 
@@ -153,8 +153,7 @@ def _dist_from_data(data, where: str) -> dict[str, Fraction]:
     return {str(a): parse_fraction(p) for a, p in data.items()}
 
 
-@dataclass
-class SchedulerDocument:
+class SchedulerDocument(NamedTuple):
     """Parsed scheduler artifact: decisions are keyed by transformed-state id."""
 
     threshold: Fraction
@@ -177,8 +176,9 @@ class SchedulerDocument:
                     choices[mt.index[sid]] = dict(dist)
         try:
             return MrScheduler(choices)
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from exc
+        except DistributionError as exc:
+            # The same message, naming the state by its id.
+            raise DocumentError(str(DistributionError(mt.ids[exc.state], exc.problem))) from exc
 
 
 def parse_scheduler(data) -> SchedulerDocument:

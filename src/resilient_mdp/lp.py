@@ -59,9 +59,9 @@ constraints of the program (not the tableau) before being handed back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -90,18 +90,21 @@ class SolverError(RuntimeError):
     returned to an earlier basis."""
 
 
-@dataclass
 class Constraint:
-    coeffs: dict[str, Fraction]
-    relation: str
-    rhs: Fraction
+    __slots__ = ("coeffs", "relation", "rhs")
+
+    def __init__(self, coeffs: dict[str, Fraction], relation: str, rhs: Fraction):
+        self.coeffs = coeffs
+        self.relation = relation
+        self.rhs = rhs
 
 
-@dataclass
 class LinearProgram:
-    variables: list[str]
-    constraints: list[Constraint] = field(default_factory=list)
-    objective: dict[str, Fraction] = field(default_factory=dict)
+    def __init__(self, variables: list[str], constraints: list[Constraint] | None = None,
+                 objective: dict[str, Fraction] | None = None):
+        self.variables = variables
+        self.constraints = [] if constraints is None else constraints
+        self.objective = {} if objective is None else objective
 
     def add(self, coeffs: dict[str, Fraction], relation: str, rhs) -> None:
         _check_exact(rhs, "right-hand side")
@@ -122,8 +125,7 @@ def _poly(coeffs: dict[str, Fraction]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-@dataclass
-class LpSolution:
+class LpSolution(NamedTuple):
     status: str
     assignment: dict[str, Fraction] | None = None
     objective_value: Fraction | None = None

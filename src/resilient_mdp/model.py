@@ -9,8 +9,8 @@ inspected even when it is broken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import reachable_from
 
@@ -23,15 +23,13 @@ STATE_KINDS = (OPERATIONAL, ERROR, REPAIR)
 TAU = "τ"  # reserved action id: the goal MDP's switch into a component
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     where: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -44,23 +42,28 @@ class ValidationReport:
         return "\n".join(f"[{v.rule}] {v.where}: {v.message}" for v in self.violations)
 
 
-@dataclass(frozen=True)
 class MdpWithRepair:
     """States are indexed densely in input order; ids are arbitrary strings.
 
     ``actions[i]`` maps an action id to the successor distribution of state i,
-    a list of (state index, probability) pairs.
+    a list of (state index, probability) pairs. ``index`` maps an id back to
+    its state. Attributes cannot be assigned; two models are equal when their
+    ``_fields`` are.
     """
 
-    ids: tuple[str, ...]
-    kinds: tuple[str, ...]
-    rewards: tuple[int, ...]
-    actions: tuple[dict[str, list[tuple[int, Fraction]]], ...]
-    initial: int
-    index: dict[str, int] = field(repr=False, default_factory=dict)
+    _fields = ("ids", "kinds", "rewards", "actions", "initial")
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.ids)})
+    def __init__(self, ids: tuple[str, ...], kinds: tuple[str, ...], rewards: tuple[int, ...],
+                 actions: tuple[dict[str, list[tuple[int, Fraction]]], ...], initial: int):
+        self.__dict__.update(ids=ids, kinds=kinds, rewards=rewards, actions=actions,
+                             initial=initial, index={s: i for i, s in enumerate(ids)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: models are immutable")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, f) == getattr(other, f) for f in self._fields)
 
     @property
     def n(self) -> int:

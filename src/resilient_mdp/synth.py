@@ -16,8 +16,8 @@ repair cost so far), "pending" or nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import analyze
 from .components import ComponentTriple, compute_E, flow_balance, switch_states
@@ -38,8 +38,7 @@ class VerificationFailedError(AssertionError):
     """The synthesized scheduler failed its mandatory exact re-verification."""
 
 
-@dataclass(frozen=True)
-class GoalMdp:
+class GoalMdp(NamedTuple):
     """The transformed MDP plus the switch action: at a switch state s, τ
     settles in the component ``comps[switch[s]]`` and collects its
     availability as a one-time reward."""
@@ -125,8 +124,7 @@ class FiniteMemoryScheduler:
         return self.mt.successor(mem, act, nxt)
 
 
-@dataclass
-class ComposedScheduler:
+class ComposedScheduler(NamedTuple):
     """Transient scheduler on F plus the adopted component schedulers.
 
     Memoryless on the transformed MDP: the component scheduler takes over on
@@ -174,8 +172,7 @@ def _flow_policy(mt: TransformedMdp, y: dict[str, Fraction], s: int,
     return {a: Fraction(1, len(acts)) for a in acts}
 
 
-@dataclass
-class SynthesisResult:
+class SynthesisResult(NamedTuple):
     feasible: bool
     scheduler: ComposedScheduler | None = None
     availability: Fraction | None = None

@@ -18,7 +18,6 @@ rendering on the base model walks ``TransformedMdp.successor``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import ERROR, OPERATIONAL, REPAIR, MdpWithRepair
@@ -32,16 +31,20 @@ class TransformTooLargeError(ValueError):
     """The reachable transformed model has more than ``MAX_STATES`` states."""
 
 
-@dataclass(frozen=True)
 class TransformedMdp(MdpWithRepair):
     """Repair copies are operational or repair states; every state has the
     reward of its base state."""
 
-    base: MdpWithRepair = field(kw_only=True)
-    cost_bound: int = field(kw_only=True)
-    back: tuple[int, ...] = field(kw_only=True)     # state -> base state index
-    triple: tuple[tuple[int, int, int] | None, ...] = field(kw_only=True)  # (e, s, r) copies
-    pending: tuple[bool, ...] = field(kw_only=True)  # post-overrun copies, repair unfinished
+    _fields = MdpWithRepair._fields + ("base", "cost_bound", "back", "triple", "pending")
+
+    def __init__(self, ids, kinds, rewards, actions, initial, *, base: MdpWithRepair,
+                 cost_bound: int,
+                 back: tuple[int, ...],  # state -> base state index
+                 triple: tuple[tuple[int, int, int] | None, ...],  # (e, s, r) copies
+                 pending: tuple[bool, ...]):  # post-overrun copies, repair unfinished
+        super().__init__(ids, kinds, rewards, actions, initial)
+        self.__dict__.update(base=base, cost_bound=cost_bound, back=back, triple=triple,
+                             pending=pending)
 
     def op_copies_of(self, e: int) -> list[int]:
         """Repair copies <e, s, r> with s operational (the Op_e set)."""

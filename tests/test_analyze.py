@@ -14,6 +14,7 @@ from resilient_mdp.analyze import (InducedChain, SchedulerDomainError, Simulatio
 from resilient_mdp.analyze import _draw_table
 from resilient_mdp.graph import bottom_sccs, reachable_from
 from resilient_mdp.model import ERROR, OPERATIONAL
+from resilient_mdp.sched import DistributionError
 from resilient_mdp.synth import FiniteMemoryScheduler
 from resilient_mdp.transform import build_weights
 
@@ -51,6 +52,17 @@ def test_domain_error_on_missing_state(fig1):
     sched = MrScheduler({mt.initial: {"a": Fraction(1)}})
     with pytest.raises(SchedulerDomainError):
         induce_chain(mt, sched, mt.initial)
+
+
+@pytest.mark.parametrize("dist, problem", [
+    ({"a": Fraction(1, 2), "b": Fraction(2, 5)}, "sums to 9/10"),
+    ({"a": Fraction(3, 2), "b": Fraction(-1, 2)}, "has a negative probability"),
+], ids=["sum-not-one", "negative"])
+def test_scheduler_rejects_a_distribution_and_names_its_state(dist, problem):
+    with pytest.raises(DistributionError) as info:
+        MrScheduler({0: {"a": Fraction(1)}, 7: dist})
+    assert (info.value.state, info.value.problem) == (7, problem)
+    assert str(info.value) == f"scheduler distribution at state 7 {problem}"
 
 
 def test_until_probability_fig1(fig1):

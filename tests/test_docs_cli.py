@@ -555,6 +555,12 @@ def _op1_rule_in_first_component(scheduler):
     scheduler["components"][0]["choice"].append({"state": "op1", "choice": {"a": "1"}})
 
 
+def _rep0_choice(choice):
+    def edit(model, scheduler):
+        next(r for r in scheduler["transient"] if r["state"] == "error#rep#0")["choice"] = choice
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda m, s: s["transient"][0].__delitem__("state"), "missing key 'state'"),
     (lambda m, s: s.update(transient=7), "'transient' in scheduler document must be a list"),
@@ -576,6 +582,11 @@ def _op1_rule_in_first_component(scheduler):
      "state 'op2' is listed in component 0 and again in component 1"),
     (lambda m, s: _op1_rule_in_first_component(s),
      "component 0 has a rule for state 'op1' outside its states"),
+    # Named by the document's state id, not the transformed model's index.
+    (_rep0_choice({"α": "1/2", "β": "2/5"}),
+     "scheduler distribution at state error#rep#0 sums to 9/10"),
+    (_rep0_choice({"α": "3/2", "β": "-1/2"}),
+     "scheduler distribution at state error#rep#0 has a negative probability"),
     # Edits that return the model file's text: nesting too deep for the
     # decoder, and an integer over CPython's 4300-digit limit.
     (lambda m, s: "[" * 100_000 + "]" * 100_000, "exceeds the JSON reader's limits"),
@@ -585,7 +596,8 @@ def _op1_rule_in_first_component(scheduler):
         "states-not-list", "to-not-list", "threshold-zero", "threshold-above-one",
         "transient-rule-repeated", "component-rule-repeated", "component-rule-for-transient",
         "state-in-transient-and-component", "state-in-two-components",
-        "component-rule-outside-states", "model-nested-too-deep", "reward-over-digit-limit"])
+        "component-rule-outside-states", "distribution-sum-not-one", "negative-probability",
+        "model-nested-too-deep", "reward-over-digit-limit"])
 def test_cli_malformed_documents_are_parse_errors(tmp_path, capsys, edit, message):
     model, scheduler = copy.deepcopy(_fig1_documents())
     original = copy.deepcopy(model)

@@ -1,4 +1,4 @@
-"""Static checks of the package source, read with ``ast``.
+"""Checks of the package source, read with ``ast``, and of what importing it loads.
 
 ``python -O`` strips ``assert`` statements, so the package must not rely on
 them. Every import is at module level, and the package's own modules import
@@ -7,6 +7,9 @@ each other without a cycle, so no module needs a deferred import.
 
 import ast
 import graphlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import resilient_mdp
@@ -56,3 +59,17 @@ def test_package_import_graph_is_acyclic():
     graph = {name: _package_imports(tree) for name, tree in MODULES.items()}
     assert "transform" in graph["components"] and "analyze" not in graph["components"]
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError, naming a cycle
+
+
+def test_import_does_not_load_dataclasses():
+    # Every command-line call pays the import. ``dataclasses`` brings in
+    # ``inspect`` and execs generated code for each decorated class, most of
+    # the package's import time, so its records are NamedTuples and plain
+    # classes (README, Scaling notes).
+    # ``-S`` keeps the environment's site hooks out of what is checked.
+    code = ("import sys, resilient_mdp, resilient_mdp.cli; "
+            "print('dataclasses' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(resilient_mdp.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "False\n"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilient_mdp import MdpWithRepair, build_weights, make_mdp, transform
+from resilient_mdp import (MdpWithRepair, MrScheduler, TransformedMdp, build_weights, make_mdp,
+                           transform)
 from helpers import (InvalidPathError, PathRecord, lift_path, path_cost, path_payoff,
                      project_path)
 
@@ -19,6 +20,20 @@ def test_fig1_reachable_fragment(fig1):
                 "error#rep#0", "error#rep#1", "error#rep#2",
                 "error#op1#1", "error#op1#2", "error#op2#1", "error#op2#2"}
     assert set(mt.ids) == expected
+
+
+def test_models_and_schedulers_refuse_assignment_and_compare_by_value(fig1):
+    mt = transform(fig1, 2)
+    sched = MrScheduler({0: {"a": Fraction(1)}})
+    for record, name in ((fig1, "ids"), (mt, "base"), (mt, "new"), (sched, "choices")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    fields = dict(base=fig1, cost_bound=2, back=mt.back, triple=mt.triple, pending=mt.pending)
+    same = TransformedMdp(mt.ids, mt.kinds, mt.rewards, mt.actions, mt.initial, **fields)
+    assert same == mt and same.index == mt.index and transform(fig1, 1) != mt != fig1
+    assert TransformedMdp(mt.ids, mt.kinds, mt.rewards, mt.actions, mt.initial,
+                          **dict(fields, cost_bound=3)) != mt
+    assert MrScheduler({0: {"a": Fraction(1)}}) == sched != MrScheduler({})
 
 
 def test_budget_overrun_enters_pending_copies(fig1):
