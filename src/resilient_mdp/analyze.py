@@ -20,6 +20,7 @@ program's objective in ``synth.synthesize``, and the verdict of ``verify``.
 
 from __future__ import annotations
 
+import itertools
 import random
 from bisect import bisect_right
 from collections import deque
@@ -229,10 +230,6 @@ def long_run_value(c: InducedChain, value_of) -> Fraction:
     return long_run_values(c, [value_of])[0]
 
 
-def _lookup(weight: dict[int, Fraction]):
-    return lambda s: weight.get(s, 0)
-
-
 class ErrorCheck(NamedTuple):
     res_probability: Fraction
     res_ok: bool
@@ -289,7 +286,7 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
                   Fraction(0)) / chain.dens[k]
         per_error[e] = ErrorCheck(res, res >= threshold, asrep_all[e])
 
-    avail, *means = long_run_values(chain, [mt.payoff] + [_lookup(weights[e]) for e in per_error])
+    avail, *means = long_run_values(chain, [mt.payoff] + [weights[e].get for e in per_error])
     return VerificationReport(per_error, avail, dict(zip(per_error, means)))
 
 
@@ -327,16 +324,9 @@ def brute_force_optimum(mt: TransformedMdp, threshold: Fraction,
     best: Fraction | None = None
     witness = None
     count = 0
-    stack = [(0, dict(base))]
-    while stack:
-        k, partial = stack.pop()
-        if k < len(choice_states):
-            for choice in reversed(options[k]):
-                nxt = dict(partial)
-                nxt[choice_states[k]] = choice
-                stack.append((k + 1, nxt))
-            continue
+    for combo in itertools.product(*options):
         count += 1
+        partial = base | dict(zip(choice_states, combo))
         report = verify_resilient(mt, MrScheduler(partial), threshold)
         if report.ok and (best is None or report.availability > best):
             best = report.availability

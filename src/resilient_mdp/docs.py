@@ -159,8 +159,7 @@ class SchedulerDocument(NamedTuple):
     threshold: Fraction
     cost_bound: int
     availability: Fraction | None
-    transient: dict[str, dict[str, Fraction]]
-    components: list[dict]  # {"states": [ids], "choice": {id: dist}, "availability": Fraction}
+    choices: dict[str, dict[str, Fraction]]  # transient and component rules alike
 
     def to_mr(self, mt: TransformedMdp) -> MrScheduler:
         """Decisions as a memoryless scheduler on a transformed MDP.
@@ -168,14 +167,9 @@ class SchedulerDocument(NamedTuple):
         Entries for states absent from this particular reachable fragment are
         dropped; missing reachable states surface later as domain errors.
         """
-        choices: dict[int, dict[str, Fraction]] = {}
-        parts = [self.transient] + [comp["choice"] for comp in self.components]
-        for part in parts:
-            for sid, dist in part.items():
-                if sid in mt.index:
-                    choices[mt.index[sid]] = dict(dist)
         try:
-            return MrScheduler(choices)
+            return MrScheduler({mt.index[sid]: dict(dist) for sid, dist in self.choices.items()
+                                if sid in mt.index})
         except DistributionError as exc:
             # The same message, naming the state by its id.
             raise DocumentError(str(DistributionError(mt.ids[exc.state], exc.problem))) from exc
@@ -186,18 +180,26 @@ def parse_scheduler(data) -> SchedulerDocument:
     cost_bound = _require(data, "costBound", "scheduler document")
     if not isinstance(cost_bound, int) or isinstance(cost_bound, bool) or cost_bound < 0:
         raise DocumentError(f"costBound must be a nonnegative integer, got {cost_bound!r}")
-    transient = _rules(_require_list(data, "transient", "scheduler document"), "transient rule")
+    choices = _rules(_require_list(data, "transient", "scheduler document"), "transient rule")
+    # Every state belongs to at most one part of the document, ``transient``
+    # or one component's ``states``, and a component has rules only for its
+    # own states; otherwise ``choices`` would silently keep one of two rules.
+    part_of = dict.fromkeys(choices, "transient")
     listed = (_require_list(data, "components", "scheduler document")
               if "components" in data else [])
-    components = []
-    for entry in listed:
-        components.append({
-            "states": [str(s) for s in _require_list(entry, "states", "component entry")],
-            "choice": _rules(_require_list(entry, "choice", "component entry"),
-                             "component rule"),
-            "availability": parse_fraction(_require(entry, "availability", "component entry")),
-        })
-    _check_parts(transient, components)
+    for k, entry in enumerate(listed):
+        for state in map(str, _require_list(entry, "states", "component entry")):
+            if state in part_of:
+                raise DocumentError(f"state {state!r} is listed in {part_of[state]} "
+                                    f"and again in component {k}")
+            part_of[state] = f"component {k}"
+        for state, dist in _rules(_require_list(entry, "choice", "component entry"),
+                                  "component rule").items():
+            if part_of.get(state) != f"component {k}":
+                raise DocumentError(f"component {k} has a rule for state {state!r} "
+                                    f"outside its states")
+            choices[state] = dist
+        parse_fraction(_require(entry, "availability", "component entry"))  # checked, not kept
     threshold = parse_fraction(_require(data, "threshold", "scheduler document"))
     if not 0 < threshold <= 1:
         raise DocumentError(f"threshold must be in (0, 1], got {threshold}")
@@ -206,27 +208,8 @@ def parse_scheduler(data) -> SchedulerDocument:
         threshold=threshold,
         cost_bound=cost_bound,
         availability=None if avail is None else parse_fraction(avail),
-        transient=transient,
-        components=components,
+        choices=choices,
     )
-
-
-def _check_parts(transient: dict, components: list[dict]) -> None:
-    """Every state belongs to at most one part of the document, ``transient``
-    or one component's ``states``, and a component has rules only for its
-    own states; otherwise ``to_mr`` would silently keep one of two rules."""
-    part_of = dict.fromkeys(transient, "transient")
-    for k, comp in enumerate(components):
-        for state in comp["states"]:
-            if state in part_of:
-                raise DocumentError(f"state {state!r} is listed in {part_of[state]} "
-                                    f"and again in component {k}")
-            part_of[state] = f"component {k}"
-    for k, comp in enumerate(components):
-        for state in comp["choice"]:
-            if part_of.get(state) != f"component {k}":
-                raise DocumentError(f"component {k} has a rule for state {state!r} "
-                                    f"outside its states")
 
 
 def _rules(entries: list, where: str) -> dict[str, dict[str, Fraction]]:

@@ -1,9 +1,9 @@
 """Strongly connected components and reachability on small directed graphs.
 
 Graphs are given as adjacency lists over integer nodes 0..n-1. The SCC
-routine is an iterative Tarjan (explicit stack, no recursion limit issues)
+routine is an iterative Kosaraju (explicit stack, no recursion limit issues)
 and returns components in reverse topological order of the condensation,
-i.e. a component is listed before any component it can reach. Components
+i.e. a component is listed after every component it can reach. Components
 are therefore deterministic for a fixed adjacency list.
 """
 
@@ -11,52 +11,38 @@ from __future__ import annotations
 
 
 def strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative. Returns SCCs in reverse topological order."""
+    """Kosaraju–Sharir, iterative. Returns SCCs in reverse topological order."""
     n = len(succ)
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-
+    seen = [False] * n
+    finished: list[int] = []  # nodes in the order their depth-first search ends
     for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if index[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if recurse:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return sccs
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if v < 0:  # ~v marks the end of v's search
+                finished.append(~v)
+            elif not seen[v]:
+                seen[v] = True
+                stack.append(~v)
+                stack.extend(w for w in succ[v] if not seen[w])
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for v, targets in enumerate(succ):
+        for w in targets:
+            pred[w].append(v)
+    # Backwards from each root, latest finish first, the nodes not yet taken
+    # that reach the root form its SCC; SCCs come out in topological order.
+    sccs = []
+    for root in reversed(finished):
+        if seen[root]:
+            seen[root] = False
+            comp = [root]
+            for v in comp:  # comp grows while it is walked
+                for u in pred[v]:
+                    if seen[u]:
+                        seen[u] = False
+                        comp.append(u)
+            sccs.append(sorted(comp))
+    return sccs[::-1]
 
 
 def bottom_sccs(succ: list[list[int]]) -> list[list[int]]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from resilient_mdp import (build_weights, compute_E, make_mdp, mec_decomposition, synthesize,
                            transform)
-from resilient_mdp.analyze import _lookup, induce_chain, long_run_value, long_run_values
+from resilient_mdp.analyze import induce_chain, long_run_value, long_run_values
 from resilient_mdp.components import build_multi_mp_lp, extract_components
 from resilient_mdp.docs import serialize_scheduler
 from resilient_mdp.graph import strongly_connected_components
@@ -243,7 +243,7 @@ def _recompute_components(mt, threshold) -> int:
         chain = induce_chain(mt, c.scheduler, c.states[0])
         assert set(chain.states) <= set(c.states)
         assert long_run_value(chain, mt.payoff) == c.avail
-        for mean in long_run_values(chain, [_lookup(w) for w in weights.values()]):
+        for mean in long_run_values(chain, [w.get for w in weights.values()]):
             assert mean >= 0
     return len(comps)
 

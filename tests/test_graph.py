@@ -44,8 +44,11 @@ def test_sccs_match_reachability_oracle():
     for _ in range(50):
         n = rng.randint(1, 9)
         succ = [[w for w in range(n) if rng.random() < 0.3] for _ in range(n)]
-        got = sorted(map(sorted, strongly_connected_components(succ)))
-        assert got == _brute_scc(succ)
+        comps = strongly_connected_components(succ)
+        assert sorted(map(sorted, comps)) == _brute_scc(succ)
+        # Reverse topological order: an edge never leads to a later component.
+        position = {v: k for k, comp in enumerate(comps) for v in comp}
+        assert all(position[w] <= position[v] for v in range(n) for w in succ[v])
 
 
 def test_deep_graph_no_recursion_limit():
@@ -53,3 +56,6 @@ def test_deep_graph_no_recursion_limit():
     succ = [[v + 1] for v in range(n - 1)] + [[]]
     comps = strongly_connected_components(succ)
     assert len(comps) == n
+    # A cycle is one SCC, so the search over predecessors goes just as deep.
+    cycle = [[(v + 1) % n] for v in range(n)]
+    assert strongly_connected_components(cycle) == [list(range(n))]
