@@ -28,11 +28,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .graph import bottom_sccs, reachable_from
+from .graph import bottom_sccs, predecessors, reachable_from
 from .linsolve import solve_linear_system
 from .model import ERROR, OPERATIONAL
 from .sched import MrScheduler
-from .transform import TransformedMdp, build_weights
+from .transform import TransformedMdp, build_weights, exact_threshold
 
 
 class SchedulerDomainError(ValueError):
@@ -141,11 +141,9 @@ def until_probability(c: InducedChain, stay: set[int], target: set[int]) -> dict
     loc_stay = {c.index[s] for s in stay if s in c.index}
     loc_target = {c.index[s] for s in target if s in c.index}
     # Backward search from target; only stay\target states continue a path.
-    pred: list[list[int]] = [[] for _ in range(c.n)]
-    for i in loc_stay - loc_target:
-        for j in c.nums[i]:
-            pred[j].append(i)
-    possible = reachable_from(pred, loc_target)
+    inner = loc_stay - loc_target
+    succ = [list(row) if i in inner else [] for i, row in enumerate(c.nums)]
+    possible = reachable_from(predecessors(succ), loc_target)
     sol = _solve_restricted(c, sorted(possible - loc_target),
                             lambda s: [_step_mass(c, s, loc_target)])
     return {s: Fraction(1) if i in loc_target else sol[i][0] if i in sol else Fraction(0)
@@ -162,11 +160,7 @@ def almost_sure_reach(c: InducedChain, target: set[int]) -> dict[int, bool]:
     loc_target = {c.index[s] for s in target if s in c.index}
     succ = [[] if i in loc_target else sorted(row) for i, row in enumerate(c.nums)]
     bad = [v for comp in bottom_sccs(succ) if loc_target.isdisjoint(comp) for v in comp]
-    pred: list[list[int]] = [[] for _ in range(c.n)]
-    for i, row in enumerate(succ):
-        for j in row:
-            pred[j].append(i)
-    doomed = reachable_from(pred, bad)
+    doomed = reachable_from(predecessors(succ), bad)
     return {s: i not in doomed for i, s in enumerate(c.states)}
 
 
@@ -267,6 +261,7 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
     schedulers after any history then coincide with the scheduler itself, so
     per-state checks at each reachable error are sound and complete.
     """
+    threshold = exact_threshold(threshold)
     chain = induce_chain(mt, scheduler, mt.initial)
     triples = {i for i in range(mt.n) if mt.triple[i] is not None}
     op_states = {i for i in range(mt.n) if mt.is_op(i)}

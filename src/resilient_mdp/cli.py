@@ -132,7 +132,7 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_synthesize(args, out) -> int:
-    m = _validated_model(args.model)
+    m = docs.load_model(args.model)  # ``synthesize`` validates it
     threshold = _threshold(args.threshold)
     cost_bound = _cost_bound(args.cost_bound)
     result = synthesize(m, threshold, cost_bound)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graph import bottom_sccs, strongly_connected_components
+from .graph import strongly_connected_components
 from .lp import EQ, GE, OPTIMAL, LinearProgram, LpSolution, common_denominator, solve
 from .sched import MrScheduler
 from .transform import TransformedMdp, build_weights
@@ -32,8 +32,9 @@ def mec_decomposition(mt: TransformedMdp, enabled: dict[int, list[str]]
     ``enabled`` maps each state of the sub-MDP to its allowed actions; an
     action with a target outside the map leaves the sub-MDP. Standard
     iteration: split into SCCs, disable actions leaving their SCC, drop
-    action-less states, repeat until stable. Singleton SCCs without an
-    internal action are discarded.
+    action-less states, repeat until stable. Each state left keeps an action
+    with all its targets in its SCC, so a singleton MEC has a self-loop
+    (``validate_structure`` refuses the empty distribution that would not).
     """
     enabled = {s: list(acts) for s, acts in enabled.items()}
     while True:
@@ -61,16 +62,8 @@ def mec_decomposition(mt: TransformedMdp, enabled: dict[int, list[str]]
                 changed = True
         if not changed:
             break
-    mecs = []
-    for comp in comps:
-        members = sorted(states[v] for v in comp)
-        if len(members) == 1:
-            s = members[0]
-            if not any(t == s for a in enabled[s] for t, _ in mt.actions[s][a]):
-                continue
-        mecs.append((members, {s: sorted(enabled[s]) for s in members}))
-    mecs.sort(key=lambda me: me[0][0])
-    return mecs
+    mecs = sorted(sorted(states[v] for v in comp) for comp in comps)  # disjoint: by first state
+    return [(members, {s: sorted(enabled[s]) for s in members}) for members in mecs]
 
 
 def flow_balance(states, enabled, actions, var) -> dict[int, dict[str, Fraction]]:
@@ -131,14 +124,15 @@ class ComponentTriple(NamedTuple):
 
 
 def extract_components(mt: TransformedMdp, acts: dict[int, list[str]],
-                       solution: LpSolution) -> list[ComponentTriple]:
-    """Read component triples off the frequencies of a solution over the
-    actions ``acts``.
+                       solution: LpSolution) -> ComponentTriple:
+    """Read the component triple off the frequencies of a vertex solution
+    over the actions ``acts``.
 
     The support of x is a union of bottom SCCs (a stationary measure only
-    charges closed recurrent classes); each such SCC yields a triple with the
-    frequency-proportional scheduler. That scheduler's chain is irreducible
-    on the SCC and x restricted to it is stationary, so the availability is
+    charges closed recurrent classes), and at a vertex it is one bottom SCC
+    (see ``compute_E``); any other support raises ``ValueError``. The triple
+    has the frequency-proportional scheduler. That scheduler's chain is
+    irreducible on the SCC and x is stationary, so the availability is
     sum payoff(s) x_s / sum x_s over the SCC, with x_s = sum_a x[s|a].
     """
     if solution.status != OPTIMAL:
@@ -150,28 +144,20 @@ def extract_components(mt: TransformedMdp, acts: dict[int, list[str]],
             if v.numerator > 0:
                 x[(s, a)] = v
     freq = dict(zip(x, common_denominator(list(x.values()))[0]))  # over one denominator
-    support_states = sorted({s for s, _ in x})
-    pos = {s: k for k, s in enumerate(support_states)}
-    succ = [[] for _ in support_states]
+    members = sorted({s for s, _ in x})
+    pos = {s: k for k, s in enumerate(members)}
+    succ = [[] for _ in members]
     for (s, a) in x:
-        for t, p in mt.actions[s][a]:
-            if p.numerator > 0:
-                if t not in pos:  # a target with no frequency
-                    raise ValueError("x support SCC must be bottom")
-                succ[pos[s]].append(pos[t])
-    comps = bottom_sccs(succ)
-    if sum(map(len, comps)) != len(support_states):
+        succ[pos[s]].extend(pos.get(t) for t, p in mt.actions[s][a] if p.numerator > 0)
+    # One closed SCC: no target without frequency (None), and each state reaches the others.
+    if any(None in row for row in succ) or len(strongly_connected_components(succ)) != 1:
         raise ValueError("x support SCC must be bottom")
-    triples = []
-    for comp in comps:
-        members = [support_states[v] for v in comp]
-        action_sets = {s: tuple(sorted(a for (t, a) in x if t == s)) for s in members}
-        mass = {s: sum(freq[(s, a)] for a in action_sets[s]) for s in members}
-        choices = {s: {a: Fraction(freq[(s, a)], mass[s]) for a in action_sets[s]} for s in members}
-        payoff = sum(mt.payoff(s) * ms for s, ms in mass.items())
-        triples.append(ComponentTriple(tuple(members), action_sets, MrScheduler(choices),
-                                       Fraction(payoff, sum(mass.values()))))
-    return triples
+    action_sets = {s: tuple(sorted(a for (t, a) in x if t == s)) for s in members}
+    mass = {s: sum(freq[(s, a)] for a in action_sets[s]) for s in members}
+    choices = {s: {a: Fraction(freq[(s, a)], mass[s]) for a in action_sets[s]} for s in members}
+    payoff = sum(mt.payoff(s) * ms for s, ms in mass.items())
+    return ComponentTriple(tuple(members), action_sets, MrScheduler(choices),
+                           Fraction(payoff, sum(mass.values())))
 
 
 def switch_states(mt: TransformedMdp, states) -> list[int]:
@@ -193,8 +179,8 @@ def compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentTriple]:
     """Worklist over MECs producing the full set of usable component triples.
 
     Start from the MECs of the whole model. Solve each MEC's program: if it
-    is infeasible, drop the MEC; otherwise keep the extracted triples and
-    push the MECs of what remains once the triples' states are removed. An
+    is infeasible, drop the MEC; otherwise keep the extracted triple and
+    push the MECs of what remains once the triple's states are removed. An
     unusable triple (see ``switch_states``) is never kept: the MEC is solved
     again for the most anchor mass, below. The result is sorted by
     decreasing availability, then by states, so its order does not depend
@@ -257,16 +243,15 @@ def compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentTriple]:
         sol = solve(lp)
         if sol.status != OPTIMAL:
             continue
-        triples = extract_components(mt, acts, sol)
-        if not all(switch_states(mt, tr.states) for tr in triples):
+        triple = extract_components(mt, acts, sol)
+        if not switch_states(mt, triple.states):
             anchors = {_xv(mt, s, a): Fraction(-1) for s in members
                        if mt.is_op(s) or mt.memory(s) is None for a in acts[s]}
-            triples = [tr for tr in extract_components(mt, acts, solve(lp, anchors))
-                       if switch_states(mt, tr.states)]
-            if not triples:
+            triple = extract_components(mt, acts, solve(lp, anchors))
+            if not switch_states(mt, triple.states):
                 continue
-        out.extend(triples)
-        used = {s for tr in triples for s in tr.states}
+        out.append(triple)
+        used = set(triple.states)
         work.extend(mec_decomposition(mt, {s: a for s, a in acts.items() if s not in used}))
     out.sort(key=lambda tr: (-tr.avail, tr.states))
     return out

@@ -226,7 +226,8 @@ def scheduler_to_data(composed: ComposedScheduler, threshold: Fraction,
                       availability: Fraction | None) -> dict:
     mt = composed.mt
     m = mt.base
-    mr = composed.as_mr()
+    mr = composed.mr
+    in_component = {s for comp in composed.components for s in comp.states}
     rules = []
     for i in range(mt.n):
         memory = mt.memory(i)
@@ -241,7 +242,7 @@ def scheduler_to_data(composed: ComposedScheduler, threshold: Fraction,
         "costBound": mt.cost_bound,
         "availability": None if availability is None else str(availability),
         "transient": [{"state": mt.ids[s], "choice": _dist_to_data(dist)}
-                      for s, dist in sorted(composed.transient.choices.items())],
+                      for s, dist in sorted(mr.choices.items()) if s not in in_component],
         "components": [
             {"states": [mt.ids[s] for s in comp.states],
              "choice": [{"state": mt.ids[s],

@@ -25,10 +25,7 @@ def strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
                 seen[v] = True
                 stack.append(~v)
                 stack.extend(w for w in succ[v] if not seen[w])
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for v, targets in enumerate(succ):
-        for w in targets:
-            pred[w].append(v)
+    pred = predecessors(succ)
     # Backwards from each root, latest finish first, the nodes not yet taken
     # that reach the root form its SCC; SCCs come out in topological order.
     sccs = []
@@ -43,6 +40,15 @@ def strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
                         comp.append(u)
             sccs.append(sorted(comp))
     return sccs[::-1]
+
+
+def predecessors(succ: list[list[int]]) -> list[list[int]]:
+    """The reversed graph: node w lists every v with an edge v -> w."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for v, targets in enumerate(succ):
+        for w in targets:
+            pred[w].append(v)
+    return pred
 
 
 def bottom_sccs(succ: list[list[int]]) -> list[list[int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graph import reachable_from
+from .graph import predecessors, reachable_from
 
 OPERATIONAL = "op"
 ERROR = "err"
@@ -167,13 +167,9 @@ def validate_repair_assumption(m: MdpWithRepair) -> ValidationReport:
     outside Op u Err. Any positive-probability transition from an error into
     V is a violation: from that successor, some path hits Err before Op.
     """
-    pred: list[list[int]] = [[] for _ in range(m.n)]
-    for i in range(m.n):
-        if m.kinds[i] not in (OPERATIONAL, ERROR):
-            for dist in m.actions[i].values():
-                for t, _ in dist:
-                    pred[t].append(i)
-    bad = reachable_from(pred, m.errors())
+    succ = [[] if m.kinds[i] in (OPERATIONAL, ERROR) else
+            [t for dist in m.actions[i].values() for t, _ in dist] for i in range(m.n)]
+    bad = reachable_from(predecessors(succ), m.errors())
     out = []
     for e in m.errors():
         for act in m.enabled(e):

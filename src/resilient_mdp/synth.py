@@ -25,7 +25,7 @@ from .lp import (EQ, GE, INFEASIBLE, OPTIMAL, LinearProgram, LpSolution, common_
                  solve_lexicographic)
 from .model import TAU, MdpWithRepair, validate_repair_assumption, validate_structure
 from .sched import MrScheduler
-from .transform import TransformedMdp, transform
+from .transform import TransformedMdp, exact_threshold, transform
 
 
 class InvalidModelError(ValueError):
@@ -125,31 +125,27 @@ class FiniteMemoryScheduler:
 
 
 class ComposedScheduler(NamedTuple):
-    """Transient scheduler on F plus the adopted component schedulers.
-
-    Memoryless on the transformed MDP: the component scheduler takes over on
-    first entry into its state set and is never left.
+    """The memoryless scheduler ``mr`` on the transformed MDP: a transient
+    part on F, and on the state set of each adopted component that
+    component's scheduler, which takes over on first entry and is never left.
     """
 
     mt: TransformedMdp
-    transient: MrScheduler
+    mr: MrScheduler
     components: list[ComponentTriple]
 
     def as_mr(self) -> MrScheduler:
-        choices = dict(self.transient.choices)
-        for comp in self.components:
-            for s in comp.states:
-                choices[s] = dict(comp.scheduler.dist(s))
-        return MrScheduler(choices)
+        return self.mr
 
     def render(self) -> FiniteMemoryScheduler:
-        return FiniteMemoryScheduler(self.mt, self.as_mr())
+        return FiniteMemoryScheduler(self.mt, self.mr)
 
 
 def extract_scheduler(n: GoalMdp, solution: LpSolution) -> ComposedScheduler:
     """Decompose an optimal flow into transient and component parts: the
     components are those with switch flow, the transient scheduler is
-    flow-proportional on the other states."""
+    flow-proportional on the other states. The two are merged, and checked,
+    into one memoryless scheduler."""
     if solution.status != OPTIMAL:
         raise ValueError("need an optimal solution")
     mt = n.mt
@@ -159,6 +155,8 @@ def extract_scheduler(n: GoalMdp, solution: LpSolution) -> ComposedScheduler:
     in_component = {s for comp in components for s in comp.states}
     choices = {s: _flow_policy(mt, y, s, mt.enabled(s))
                for s in range(mt.n) if s not in in_component}
+    for comp in components:
+        choices.update(comp.scheduler.choices)
     return ComposedScheduler(mt, MrScheduler(choices), components)
 
 
@@ -192,7 +190,7 @@ def synthesize(m: MdpWithRepair, threshold: Fraction, cost_bound: int) -> Synthe
     scheduler, then re-verify everything exactly. A verification mismatch is
     raised, never papered over.
     """
-    threshold = Fraction(threshold)
+    threshold = exact_threshold(threshold)
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
     for report in (validate_structure(m), validate_repair_assumption(m)):
@@ -211,7 +209,7 @@ def synthesize(m: MdpWithRepair, threshold: Fraction, cost_bound: int) -> Synthe
         raise VerificationFailedError(f"unexpected LP status {solution.status}")
 
     scheduler = extract_scheduler(n, solution)
-    report = analyze.verify_resilient(mt, scheduler.as_mr(), threshold)
+    report = analyze.verify_resilient(mt, scheduler.mr, threshold)
     if not report.ok:
         raise VerificationFailedError("synthesized scheduler failed verification:\n"
                                       + report.render(mt, threshold))

@@ -91,11 +91,19 @@ def _successor_key(m: MdpWithRepair, passed, target: int):
     return passed, target
 
 
+def exact_threshold(threshold) -> Fraction:
+    """``threshold`` as a ``Fraction``. A float is refused: it would stand
+    for the binary double nearest the value meant, not the value."""
+    if isinstance(threshold, float):
+        raise TypeError(f"threshold must be a Fraction, an int or a str, not {threshold!r}")
+    return Fraction(threshold)
+
+
 def build_weights(mt: TransformedMdp, threshold: Fraction) -> dict[int, dict[int, Fraction]]:
     """Per-error weight function over transformed states (sparse, zero
     omitted): 1 - threshold on the error's operational copies, -threshold
     where its repair overruns the budget."""
-    threshold = Fraction(threshold)
+    threshold = exact_threshold(threshold)
     out: dict[int, dict[int, Fraction]] = {e: {} for e in mt.errors()}
     of_error = {mt.back[e]: e for e in out}
     for i, t in enumerate(mt.triple):
@@ -115,6 +123,8 @@ def build_weights(mt: TransformedMdp, threshold: Fraction) -> dict[int, dict[int
 def transform(m: MdpWithRepair, cost_bound: int) -> TransformedMdp:
     """Build the reachable fragment of the cost-annotated MDP, or raise
     ``TransformTooLargeError`` once it would exceed ``MAX_STATES`` states."""
+    if type(cost_bound) is not int:
+        raise TypeError(f"cost bound must be an int, got {cost_bound!r}")
     if cost_bound < 0:
         raise ValueError("cost bound must be nonnegative")
     keys = [(None, m.initial)]

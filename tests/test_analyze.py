@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilient_mdp import (MrScheduler, brute_force_optimum, induce_chain,
-                           make_mdp, simulate, transform, verify_resilient)
+                           make_mdp, simulate, synthesize, transform, verify_resilient)
 from resilient_mdp.analyze import (InducedChain, SchedulerDomainError, SimulationStats,
                                    almost_sure_reach, long_run_value,
                                    long_run_values,
@@ -279,6 +279,16 @@ def test_verify_beta_always_fails_at_four_fifths(fig1):
     assert not report.ok
 
 
+def test_verify_refuses_a_float_threshold(fig1):
+    # At the double nearest 0.8, above 4/5, the optimal 4/5 scheduler would
+    # read as not resilient.
+    result = synthesize(fig1, Fraction(4, 5), 2)
+    mt, mr = result.goal_mdp.mt, result.scheduler.as_mr()
+    with pytest.raises(TypeError, match="threshold must be a Fraction, an int or a str"):
+        verify_resilient(mt, mr, 0.8)
+    assert verify_resilient(mt, mr, "4/5").ok
+
+
 def test_verify_alpha_always_ok_any_threshold(fig1):
     mt = transform(fig1, 2)
     report = verify_resilient(mt, alpha_always(mt), Fraction(1))
@@ -403,14 +413,19 @@ def test_brute_force_grid_reaches_randomized_optimum(fig1):
     assert res.witness.dist(r1)["β"] == Fraction(4, 5)
 
 
-def test_brute_force_rejects_large_models():
+def test_brute_force_rejects_large_models(fig1):
     rng = random.Random(3)
     while True:
         mt = transform(random_model(rng), 3)
         if mt.n > 14:
             break
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="limited to 14 states"):
         brute_force_optimum(mt, Fraction(1, 2))
+    with pytest.raises(ValueError, match="few nondeterministic states"):
+        brute_force_optimum(transform(fig1, 2), Fraction(1, 2), max_choice_states=1)
+    three = make_mdp([("s", "op", 1)], [("s", a, [("s", 1)]) for a in "abc"], "s")
+    with pytest.raises(ValueError, match="two actions per state"):
+        brute_force_optimum(transform(three, 0), Fraction(1, 2))
 
 
 def test_until_agrees_with_monte_carlo(fig1):

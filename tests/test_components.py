@@ -151,11 +151,10 @@ def test_extract_components_are_bottom_and_normalized():
     mt = transform(chain_model(2, 3), 3)
     (members, acts), = mec_decomposition(mt, _full(mt))
     sol = solve(build_multi_mp_lp(mt, members, acts, build_weights(mt, Fraction(4, 5))))
-    triples = extract_components(mt, acts, sol)
-    assert triples
-    for t in triples:
-        for s in t.states:
-            assert sum(t.scheduler.dist(s).values(), Fraction(0)) == 1
+    t = extract_components(mt, acts, sol)
+    assert t.states
+    for s in t.states:
+        assert sum(t.scheduler.dist(s).values(), Fraction(0)) == 1
 
 
 def test_extract_components_rejects_non_bottom_support(fig1):

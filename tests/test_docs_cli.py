@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import resilient_mdp
 import resilient_mdp.lp as lp_module
+import resilient_mdp.synth as synth_module
 from resilient_mdp import MrScheduler, cli, docs, make_mdp, synthesize, transform
 from resilient_mdp.docs import DocumentError
 from resilient_mdp.lp import LinearProgram, SolverError
@@ -217,6 +218,30 @@ def test_cli_synthesize_usage_errors(fig1_path, capsys):
     code, _, err = _run(["synthesize", fig1_path, "--threshold", "1/2",
                          "--cost-bound", "x"], capsys)
     assert code == 3 and "cost bound" in err
+    code, _, err = _run(["synthesize", fig1_path, "--threshold", "1/2",
+                         "--cost-bound", "-1"], capsys)
+    assert code == 3 and "cost bound must be nonnegative" in err
+    # Past CPython's 4300-digit limit for int(), which raises ValueError.
+    code, _, err = _run(["synthesize", fig1_path, "--threshold", "1/2",
+                         "--cost-bound", "1" + "0" * 5000], capsys)
+    assert code == 3 and "cost bound must be a decimal integer" in err
+
+
+def test_cli_synthesize_validates_the_model_once(fig1_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(check):
+        def wrapper(m):
+            calls.append(check.__name__)
+            return check(m)
+        return wrapper
+
+    for module in (cli, synth_module):
+        for name in ("validate_structure", "validate_repair_assumption"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    assert _run(["synthesize", fig1_path, "--threshold", "4/5", "--cost-bound", "2"],
+                capsys)[0] == 0
+    assert calls == ["validate_structure", "validate_repair_assumption"]
 
 
 def test_cli_synthesize_dumps(fig1_path, capsys):

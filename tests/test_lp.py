@@ -89,6 +89,10 @@ def test_malformed_programs_rejected():
     r.add({"x": 1}, "<>", 1)
     with pytest.raises(MalformedProgramError):
         solve(r)
+    g = lp(["x"], {"x": 1})
+    g.add({"ghost": 1}, LE, 1)
+    with pytest.raises(MalformedProgramError, match="constraint references unknown variable"):
+        solve(g)
     # A float has no exact value: 0.1 would be read as its binary fraction,
     # 36028797018963968/3602879701896397 for p below, instead of x = 10.
     p = lp(["x"], {"x": 1})

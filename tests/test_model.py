@@ -11,6 +11,7 @@ from conftest import random_model
 def test_fig1_validates(fig1):
     assert validate_structure(fig1).ok
     assert validate_repair_assumption(fig1).ok
+    assert validate_structure(fig1).render() == "ok"
 
 
 def test_payoff_and_cost_sides(fig1):

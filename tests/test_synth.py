@@ -398,6 +398,18 @@ def test_threshold_domain_checked(fig1):
         synthesize(fig1, Fraction(3, 2), 1)
 
 
+def test_inexact_inputs_refused(fig1):
+    # The float 0.8 is 3602879701896397/4503599627370496: synthesis would
+    # solve for that, not for 4/5. A float or bool bound would be written
+    # into the document, whose reader refuses it.
+    with pytest.raises(TypeError, match="threshold must be a Fraction, an int or a str"):
+        synthesize(fig1, 0.8, 2)
+    for bound in (2.0, True):
+        with pytest.raises(TypeError, match="cost bound must be an int"):
+            synthesize(fig1, Fraction(4, 5), bound)
+    assert synthesize(fig1, "4/5", 2).availability == Fraction(9, 10)
+
+
 def test_extract_requires_optimal(fig1):
     mt, comps, n, lp = _pipeline(fig1, Fraction(1, 2), 0)
     sol = solve(lp)

@@ -167,6 +167,14 @@ def test_state_count_bound():
         assert mt.n <= m.n + n_err * m.n * (bound + 1) + n_rep
 
 
+def test_cost_bound_is_a_nonnegative_int(fig1):
+    for bound in (2.0, True, "2"):
+        with pytest.raises(TypeError, match="cost bound must be an int"):
+            transform(fig1, bound)
+    with pytest.raises(ValueError, match="cost bound must be nonnegative"):
+        transform(fig1, -1)
+
+
 def test_project_example(fig1):
     mt = transform(fig1, 2)
     p = PathRecord(("s_init", "a", "error", "a", "error#rep#0", "β", "error#op2#1"))
