@@ -1,16 +1,25 @@
 """Exact quantitative analysis of scheduler-induced Markov chains.
 
-Everything here is exact rational arithmetic, done in integers where it
-can be: each row of an induced chain is kept as integer numerators over one
-denominator, so every linear system is built in ``int``s and ``Fraction``s
-are made only for the values returned. Until-probabilities and reach
-probabilities solve one kind of system, (I - P restricted to a state set)
-X = B, with the sparse exact solver of ``linsolve``; long-run averages
-combine those reach probabilities with the stationary distributions of the
-bottom strongly connected components, each computed once per chain; the
-qualitative almost-sure checks are graph analysis. A seeded Monte Carlo
-simulator and a small brute-force optimum search double as independent
-cross-checks for the LP pipeline.
+Everything here is exact rational arithmetic, done in integers: each row of
+an induced chain is kept as integer numerators over one denominator, every
+linear system is built in ``int``s, and an input probability or threshold
+is read through its numerator and denominator. No ``Fraction`` operator is
+applied, and a ``Fraction`` is made only for a value a function returns
+itself: an until-probability, a long-run mean, a report's values, a
+simulated mean. Comparisons with the threshold cross-multiply. Values
+passed between the layers stay integer: ``linsolve.solve_linear_system``
+returns (numerator, denominator) pairs, and ``stationary_distribution``
+returns integer masses over their sum.
+
+Until-probabilities and reach probabilities solve one kind of system,
+(I - P restricted to a state set) X = B, with the sparse exact solver of
+``linsolve``; long-run averages combine those reach probabilities with the
+stationary distributions of the bottom strongly connected components. The
+bottom SCCs are found once per chain and serve the long-run averages and
+the qualitative almost-sure check, which is graph analysis. A seeded Monte
+Carlo simulator, whose draw tables are integer cumulative sums, and a small
+brute-force optimum search double as independent cross-checks for the LP
+pipeline.
 
 Synthesis values its end components without this module: ``components``
 reads each availability off the program's own recurrent frequencies. The
@@ -25,6 +34,7 @@ import random
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -33,6 +43,10 @@ from .linsolve import solve_linear_system
 from .model import ERROR, OPERATIONAL
 from .sched import MrScheduler
 from .transform import TransformedMdp, build_weights, exact_threshold
+
+
+# The values ``until_probability`` settles by graph analysis share these.
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 class SchedulerDomainError(ValueError):
@@ -64,6 +78,12 @@ class InducedChain:
     def succ_lists(self) -> list[list[int]]:
         return [sorted(num) for num in self.nums]
 
+    @cached_property
+    def bsccs(self) -> list[list[int]]:
+        """The bottom SCCs, local-indexed and sorted by smallest member,
+        found on first use and shared by every analysis of the chain."""
+        return bottom_sccs(self.succ_lists())
+
 
 def induce_chain(host, scheduler: MrScheduler, init: int) -> InducedChain:
     """P(s, s') = sum_a sched(s)(a) * P(s, a, s') over states reachable from init.
@@ -81,12 +101,12 @@ def induce_chain(host, scheduler: MrScheduler, init: int) -> InducedChain:
             raise SchedulerDomainError(f"scheduler undefined on reachable state {host.ids[s]}")
         terms = []
         for act, prob_a in sorted(scheduler.dist(s).items()):
-            if prob_a == 0:
+            an, ad = prob_a.numerator, prob_a.denominator
+            if not an:
                 continue
             dist = host.actions[s].get(act)
             if dist is None:
                 raise SchedulerDomainError(f"action {act!r} not enabled in state {host.ids[s]}")
-            an, ad = prob_a.numerator, prob_a.denominator
             for t, p in dist:
                 if t not in index:
                     index[t] = len(states)
@@ -107,12 +127,14 @@ def induce_chain(host, scheduler: MrScheduler, init: int) -> InducedChain:
     return InducedChain(states, nums, dens, index)
 
 
-def _solve_restricted(c: InducedChain, unknown: list[int], rhs_of) -> dict[int, list[Fraction]]:
+def _solve_restricted(c: InducedChain, unknown: list[int],
+                      rhs_of) -> dict[int, list[tuple[int, int]]]:
     """Solve (I - P restricted to ``unknown``) X = B exactly.
 
     ``unknown`` lists local states. Row s of the system is scaled by
     ``c.dens[s]``, so its coefficients are integers, and ``rhs_of(s)`` is
-    B's row for state s times ``c.dens[s]``. Returns X's row per local state.
+    B's row for state s times ``c.dens[s]``. Returns X's row per local
+    state, as ``solve_linear_system``'s (numerator, denominator) pairs.
     """
     col = {s: k for k, s in enumerate(unknown)}
     rows = []
@@ -132,11 +154,20 @@ def _step_mass(c: InducedChain, s: int, members) -> int:
     return sum(p for t, p in c.nums[s].items() if t in members)
 
 
+def _ratio_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """sum n/d over the (n, d) pairs of ``terms``, d > 0, as a numerator over
+    the lcm of the d."""
+    den = lcm(*(d for _, d in terms))
+    return sum(n * (den // d) for n, d in terms), den
+
+
 def until_probability(c: InducedChain, stay: set[int], target: set[int]) -> dict[int, Fraction]:
     """Exact Pr(stay U target) per state, host-indexed.
 
     States that cannot reach ``target`` through ``stay`` have probability 0 by
-    graph analysis; the rest solve the standard linear system.
+    graph analysis, and states in ``target`` 1; these share the constants
+    ``ZERO`` and ``ONE``. The rest solve the standard linear system, and
+    only their values are made as new ``Fraction``s.
     """
     loc_stay = {c.index[s] for s in stay if s in c.index}
     loc_target = {c.index[s] for s in target if s in c.index}
@@ -146,7 +177,7 @@ def until_probability(c: InducedChain, stay: set[int], target: set[int]) -> dict
     possible = reachable_from(predecessors(succ), loc_target)
     sol = _solve_restricted(c, sorted(possible - loc_target),
                             lambda s: [_step_mass(c, s, loc_target)])
-    return {s: Fraction(1) if i in loc_target else sol[i][0] if i in sol else Fraction(0)
+    return {s: ONE if i in loc_target else Fraction(*sol[i][0]) if i in sol else ZERO
             for i, s in enumerate(c.states)}
 
 
@@ -154,18 +185,24 @@ def almost_sure_reach(c: InducedChain, target: set[int]) -> dict[int, bool]:
     """Pr(eventually target) = 1, per state, by BSCC analysis.
 
     With target states made absorbing, reaching target almost surely is
-    equivalent to not being able to reach a bottom SCC disjoint from target;
-    one backward search from those BSCCs finds every state that can.
+    equivalent to not being able to reach a bottom SCC disjoint from target.
+    Those are the chain's own BSCCs that miss target: such a BSCC stays
+    closed when target is made absorbing, and no other closed set is
+    created. One backward search from them, through non-target states,
+    finds every state that can reach one.
     """
     loc_target = {c.index[s] for s in target if s in c.index}
-    succ = [[] if i in loc_target else sorted(row) for i, row in enumerate(c.nums)]
-    bad = [v for comp in bottom_sccs(succ) if loc_target.isdisjoint(comp) for v in comp]
+    bad = [v for comp in c.bsccs if loc_target.isdisjoint(comp) for v in comp]
+    succ = [[] if i in loc_target else list(row) for i, row in enumerate(c.nums)]
     doomed = reachable_from(predecessors(succ), bad)
     return {s: i not in doomed for i, s in enumerate(c.states)}
 
 
-def stationary_distribution(c: InducedChain, comp: list[int]) -> dict[int, Fraction]:
-    """Stationary distribution of an irreducible BSCC, local-indexed.
+def stationary_distribution(c: InducedChain,
+                            comp: list[int]) -> tuple[dict[int, int], int]:
+    """Stationary distribution of an irreducible BSCC, local-indexed, as
+    integer masses over their sum: pi(s) = masses[s] / total, with the
+    masses positive and coprime, so the pair is unique.
 
     The unknowns are y_t = pi(t) / d_t with d_t = ``c.dens[t]``, so the
     balance rows d_s·y_s - sum_t y_t·nums[t][s] = 0 are integer. They sum to
@@ -183,10 +220,11 @@ def stationary_distribution(c: InducedChain, comp: list[int]) -> dict[int, Fract
     rhs = [[0]] * len(comp)
     rhs[fixed] = [1]
     ys = [y for (y,) in solve_linear_system(rows, rhs, len(comp))]
-    den = lcm(*(y.denominator for y in ys))
-    mass = [c.dens[s] * y.numerator * (den // y.denominator) for s, y in zip(comp, ys)]
-    total = sum(mass)
-    return {s: Fraction(m, total) for s, m in zip(comp, mass)}
+    den = lcm(*(d for _, d in ys))
+    mass = [c.dens[s] * y * (den // d) for s, (y, d) in zip(comp, ys)]
+    g = gcd(*mass)
+    masses = {s: m // g for s, m in zip(comp, mass)}
+    return masses, sum(masses.values())
 
 
 def long_run_values(c: InducedChain, value_fns) -> list[Fraction]:
@@ -195,28 +233,27 @@ def long_run_values(c: InducedChain, value_fns) -> list[Fraction]:
 
     The BSCCs, their reach probabilities (one system, one right-hand side per
     BSCC) and their stationary distributions are computed once for all
-    functions. Each mean sums only the states where its function is nonzero,
-    in integers over one denominator.
+    functions. A value function returns ints or ``Fraction``s (or None for
+    0). Each mean sums only the states where its function is nonzero, in
+    integers, and is made as one ``Fraction``.
     """
-    comps = bottom_sccs(c.succ_lists())
+    comps = c.bsccs
     members = [set(comp) for comp in comps]
     if any(0 in m for m in members):
-        reach = [Fraction(0 in m) for m in members]
+        reach = [(int(0 in m), 1) for m in members]
     else:
         transient = [i for i in range(c.n) if not any(i in m for m in members)]
         reach = _solve_restricted(c, transient, lambda s: [_step_mass(c, s, m) for m in members])[0]
     pis = [stationary_distribution(c, comp) for comp in comps]
-    return [sum((r * _mean(pi, [(i, v) for i in comp if (v := f(c.states[i]))])
-                 for r, comp, pi in zip(reach, comps, pis)), Fraction(0))
-            for f in value_fns]
-
-
-def _mean(pi: dict[int, Fraction], values: list) -> Fraction:
-    """sum pi[i]·v over the pairs (i, v) of ``values``, made as one Fraction."""
-    terms = [(pi[i].numerator * v.numerator, pi[i].denominator * v.denominator)
-             for i, v in values]
-    den = lcm(*(d for _, d in terms))
-    return Fraction(sum(n * (den // d) for n, d in terms), den)
+    values = []
+    for f in value_fns:
+        terms = []
+        for (r, rd), comp, (masses, total) in zip(reach, comps, pis):
+            num, den = _ratio_sum([(masses[i] * v.numerator, v.denominator)
+                                   for i in comp if (v := f(c.states[i]))])
+            terms.append((r * num, rd * den * total))
+        values.append(Fraction(*_ratio_sum(terms)))
+    return values
 
 
 def long_run_value(c: InducedChain, value_of) -> Fraction:
@@ -262,6 +299,7 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
     per-state checks at each reachable error are sound and complete.
     """
     threshold = exact_threshold(threshold)
+    tn, td = threshold.numerator, threshold.denominator
     chain = induce_chain(mt, scheduler, mt.initial)
     triples = {i for i in range(mt.n) if mt.triple[i] is not None}
     op_states = {i for i in range(mt.n) if mt.is_op(i)}
@@ -277,9 +315,10 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
         if e not in chain.index:
             continue  # unreachable under this scheduler; nothing to check
         k = chain.index[e]
-        res = sum((x * q[chain.states[t]] for t, x in chain.nums[k].items()),
-                  Fraction(0)) / chain.dens[k]
-        per_error[e] = ErrorCheck(res, res >= threshold, asrep_all[e])
+        terms = [(x, q[chain.states[t]]) for t, x in chain.nums[k].items()]
+        num, den = _ratio_sum([(x * p.numerator, p.denominator) for x, p in terms])
+        den *= chain.dens[k]
+        per_error[e] = ErrorCheck(Fraction(num, den), num * td >= tn * den, asrep_all[e])
 
     avail, *means = long_run_values(chain, [mt.payoff] + [weights[e].get for e in per_error])
     return VerificationReport(per_error, avail, dict(zip(per_error, means)))
@@ -368,8 +407,9 @@ def simulate(m, policy, steps: int, trials: int, seed: int,
     ``update(state, memory, action, next_state) -> memory``. Both must be pure
     functions of their arguments: within one call each decision, transition
     and memory update is computed once, as a draw table or successor, and
-    reused. A step does only integer work; the mean payoff is formed once,
-    from the visit counts.
+    reused. Probabilities are ints or ``Fraction``s. A step does only integer
+    work, and the mean payoff is the one ``Fraction`` made, from the visit
+    counts.
     """
     visits = [0] * m.n
     is_error = [kind == ERROR for kind in m.kinds]
@@ -406,8 +446,10 @@ def simulate(m, policy, steps: int, trials: int, seed: int,
                     episode_cost = None
             if at.bounds is None:
                 at.actions, at.bounds = _draw_table(policy.decide(s, at.memory).items())
+                at.split = _split(at.bounds)
                 at.moves = [None] * len(at.actions)
-            i = bisect_right(at.bounds, draw(64))
+            r = draw(64)
+            i = r >= at.split if at.split is not None else bisect_right(at.bounds, r)
             act = at.actions[i]
             move = at.moves[i]
             if move is None:
@@ -416,10 +458,12 @@ def simulate(m, policy, steps: int, trials: int, seed: int,
                     if act not in m.actions[s]:
                         raise SchedulerDomainError(
                             f"action {act!r} not enabled in state {m.ids[s]}")
-                    table = transitions[s, act] = _draw_table(m.actions[s][act])
+                    targets, bounds = _draw_table(m.actions[s][act])
+                    table = transitions[s, act] = (targets, _split(bounds), bounds)
                 move = at.moves[i] = (*table, [None] * len(table[0]))
-            targets, bounds, successors = move
-            j = bisect_right(bounds, draw(64))
+            targets, split, bounds, successors = move
+            r = draw(64)
+            j = r >= split if split is not None else bisect_right(bounds, r)
             nxt = successors[j]
             if nxt is None:
                 t = targets[j]
@@ -439,7 +483,7 @@ class _Node:
     per-action successors are filled on first use, so a pair that only the
     last step reaches is never decided."""
 
-    __slots__ = ("state", "memory", "actions", "bounds", "moves")
+    __slots__ = ("state", "memory", "actions", "bounds", "split", "moves")
 
     def __init__(self, state: int, memory):
         self.state = state
@@ -454,16 +498,26 @@ def _draw_table(pairs) -> tuple[list, list[int]]:
     the bounds never decrease. A 64-bit draw r picks the first key whose
     bound exceeds r, i.e. the first key whose cumulative probability exceeds
     r / 2**64, exactly; the last bound is raised to at least 2**64 so that
-    the last key takes every draw past a total below one.
+    the last key takes every draw past a total below one. The cumulative
+    probabilities are integer sums over the lcm of the denominators.
     """
-    dist: dict = {}
-    for key, p in pairs:
-        dist[key] = dist.get(key, 0) + Fraction(p)
-    keys = sorted(dist, key=str)
+    pairs = [(key, p.numerator, p.denominator) for key, p in pairs]
+    den = lcm(*(d for _, _, d in pairs))
+    mass: dict = {}
+    for key, n, d in pairs:
+        mass[key] = mass.get(key, 0) + n * (den // d)
+    keys = sorted(mass, key=str)
     bounds = []
-    acc = Fraction(0)
+    acc = 0
     for key in keys:
-        acc += dist[key]
-        bounds.append(-((-acc.numerator << 64) // acc.denominator))
+        acc += mass[key]
+        bounds.append(-((-acc << 64) // den))
     bounds[-1] = max(bounds[-1], 1 << 64)
     return keys, bounds
+
+
+def _split(bounds: list[int]) -> int | None:
+    """For a table of one or two keys, the draw from which on key 1 is
+    picked (never, for one key, whose bound is at least 2**64 and so above
+    every 64-bit draw); None for a longer table, read by bisection."""
+    return bounds[0] if len(bounds) <= 2 else None

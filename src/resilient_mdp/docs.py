@@ -13,12 +13,14 @@ import functools
 import json
 import re
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import MdpWithRepair, make_mdp
 from .sched import DistributionError, MrScheduler
-from .synth import ComposedScheduler
 from .transform import TransformedMdp
+
+if TYPE_CHECKING:  # an annotation only: documents do not depend on synthesis
+    from .synth import ComposedScheduler
 
 MODEL_FORMAT = "mdp-with-repair"
 SCHEDULER_FORMAT = "resilient-scheduler"

@@ -24,8 +24,11 @@ right-hand sides of row i (s = 1), which keeps that update as cheap as it is
 in rational arithmetic even when row i is long. Back-substitution keeps each
 solved value as an integer numerator and denominator, and brings only the
 values a row reads to their lcm, so its work stays proportional to the
-nonzeros. The solutions are the only ``fractions.Fraction``s the solver
-builds.
+nonzeros. The solver builds no ``fractions.Fraction`` and applies no
+``Fraction`` operator: it reads the numerators and denominators of its
+input and returns each solved value as an integer pair (numerator,
+denominator) in lowest terms, so a caller forms a ``Fraction`` only for the
+values it returns itself.
 """
 
 from __future__ import annotations
@@ -40,13 +43,15 @@ class SingularSystemError(ValueError):
 
 
 def solve_linear_system(rows: list[dict[int, Fraction | int]],
-                        rhs: list[list[Fraction | int]], n: int) -> list[list[Fraction]]:
+                        rhs: list[list[Fraction | int]], n: int) -> list[list[tuple[int, int]]]:
     """Solve A X = B exactly for unknowns 0..n-1; returns X row by row.
 
     ``rows[i]`` holds the nonzero entries of row i of A and ``rhs[i]`` row i
     of B, one value per right-hand side, as ``int``s or ``Fraction``s. There
     may be more equations than unknowns; the system must be consistent and
-    of full column rank, otherwise SingularSystemError is raised.
+    of full column rank, otherwise SingularSystemError is raised. X[j][k] is
+    the pair (numerator, denominator) of x_j on right-hand side k, in lowest
+    terms with a positive denominator.
     """
     a: list[dict[int, int]] = []
     b: list[list[int]] = []
@@ -126,7 +131,7 @@ def solve_linear_system(rows: list[dict[int, Fraction | int]],
         pivots.append((r, c, p))
     if len(pivots) < n:
         raise SingularSystemError("rank deficient system")
-    x: list[list[Fraction]] = [[] for _ in range(n)]
+    x: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for k in range(len(rhs[0]) if rhs else 0):
         num, dn = [0] * n, [1] * n   # x_j = num[j] / dn[j], dn[j] > 0
         for r, c, p in reversed(pivots):  # later pivots never involve earlier columns
@@ -142,5 +147,6 @@ def solve_linear_system(rows: list[dict[int, Fraction | int]],
             g = gcd(t, d) if d > 0 else -gcd(t, d)
             num[c], dn[c] = t // g, d // g
         for j in range(n):
-            x[j].append(Fraction(num[j], dn[j]))
+            g = gcd(num[j], dn[j])
+            x[j].append((num[j] // g, dn[j] // g))
     return x

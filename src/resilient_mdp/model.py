@@ -10,6 +10,7 @@ inspected even when it is broken.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .graph import predecessors, reachable_from
@@ -116,7 +117,7 @@ def make_mdp(states, transitions, initial) -> MdpWithRepair:
                 found.append(Violation("dangling-reference", where,
                                        f"transition references unknown target {to}"))
                 continue
-            entries.append((index[to], Fraction(prob)))
+            entries.append((index[to], prob if isinstance(prob, Fraction) else Fraction(prob)))
         if str(act) in actions[index[frm]]:
             found.append(Violation("duplicate-action", where,
                                    "action listed more than once for this state"))
@@ -131,7 +132,8 @@ def make_mdp(states, transitions, initial) -> MdpWithRepair:
 
 def validate_structure(m: MdpWithRepair) -> ValidationReport:
     """Check references, repeated actions, distributions, trap states,
-    rewards and kind tags."""
+    rewards and kind tags. A distribution is summed in integers, over the
+    lcm of its denominators."""
     out: list[Violation] = list(getattr(m, "_input_violations", ()))
     for i, sid in enumerate(m.ids):
         if "#" in sid:
@@ -148,11 +150,12 @@ def validate_structure(m: MdpWithRepair) -> ValidationReport:
             out.append(Violation("trap-state", sid, "state has no enabled action"))
         for act in m.enabled(i):
             dist = m.actions[i][act]
-            total = sum((p for _, p in dist), Fraction(0))
-            if total != 1:
+            den = lcm(*(p.denominator for _, p in dist))
+            total = sum(p.numerator * (den // p.denominator) for _, p in dist)
+            if total != den:
                 out.append(Violation("bad-distribution", f"{sid}/{act}",
-                                     f"distribution sums to {total}"))
-            if any(p <= 0 for _, p in dist):
+                                     f"distribution sums to {Fraction(total, den)}"))
+            if any(p.numerator <= 0 for _, p in dist):
                 out.append(Violation("bad-distribution", f"{sid}/{act}",
                                      "nonpositive transition probability"))
     return ValidationReport(tuple(out))

@@ -102,8 +102,11 @@ def exact_threshold(threshold) -> Fraction:
 def build_weights(mt: TransformedMdp, threshold: Fraction) -> dict[int, dict[int, Fraction]]:
     """Per-error weight function over transformed states (sparse, zero
     omitted): 1 - threshold on the error's operational copies, -threshold
-    where its repair overruns the budget."""
+    where its repair overruns the budget. The two values are made once and
+    shared."""
     threshold = exact_threshold(threshold)
+    tn, td = threshold.numerator, threshold.denominator
+    gain, loss = Fraction(td - tn, td), Fraction(-tn, td)
     out: dict[int, dict[int, Fraction]] = {e: {} for e in mt.errors()}
     of_error = {mt.back[e]: e for e in out}
     for i, t in enumerate(mt.triple):
@@ -111,12 +114,12 @@ def build_weights(mt: TransformedMdp, threshold: Fraction) -> dict[int, dict[int
         if e is None:
             continue  # no repair tracked at i
         if mt.is_op(i):
-            out[e][i] = 1 - threshold
+            out[e][i] = gain
         elif _passed_on(mt.base, mt.cost_bound, mt.memory(i), mt.back[i]) == PENDING:
             # An overrun copy, or e itself when its own cost exceeds R: then
             # repair can never succeed within budget; the error state itself
             # carries the penalty so no end component may contain it.
-            out[e][i] = -threshold
+            out[e][i] = loss
     return out
 
 

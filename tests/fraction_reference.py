@@ -4,7 +4,9 @@ The sparse elimination and the chain analysis behind ``verify`` as they
 were before both moved to integer rows: every coefficient, right-hand side
 and probability is a ``Fraction``, the stationary distribution comes from
 the balance rows plus a dense row sum pi = 1, and each update is written
-with the ``Fraction`` operators. The tests compare the package with them.
+with the ``Fraction`` operators. The tests compare the package with them;
+``solve_linear_system`` and ``stationary_distribution`` return their values
+in the package's integer forms.
 """
 
 from __future__ import annotations
@@ -12,14 +14,22 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 from resilient_mdp.analyze import ErrorCheck, SchedulerDomainError, VerificationReport
 from resilient_mdp.graph import bottom_sccs, reachable_from
 from resilient_mdp.linsolve import SingularSystemError
 from resilient_mdp.transform import build_weights
 
+from helpers import fraction_pairs
+
 
 def solve_linear_system(rows, rhs, n):
+    """X as (numerator, denominator) pairs in lowest terms."""
+    return fraction_pairs(_eliminate(rows, rhs, n))
+
+
+def _eliminate(rows, rhs, n):
     """Markowitz-ordered sparse elimination, one ``Fraction`` per update."""
     a = [{j: Fraction(q) for j, q in row.items() if q} for row in rows]
     b = [[Fraction(v) for v in values] for values in rhs]
@@ -103,8 +113,7 @@ def _solve_restricted(rows, unknown, rhs_of):
             if t in col:
                 row[col[t]] = row.get(col[t], 0) - p
         system.append(row)
-    return dict(zip(unknown, solve_linear_system(system, [rhs_of(s) for s in unknown],
-                                                 len(unknown))))
+    return dict(zip(unknown, _eliminate(system, [rhs_of(s) for s in unknown], len(unknown))))
 
 
 def _mass(rows, s, members):
@@ -134,6 +143,14 @@ def _almost_sure(rows, target):
 
 
 def stationary_distribution(rows, comp):
+    """pi as integer masses over their sum, which is the lcm of pi's
+    denominators; the masses are then coprime."""
+    pi = _stationary(rows, comp)
+    total = lcm(*(x.denominator for x in pi.values()))
+    return {s: x.numerator * (total // x.denominator) for s, x in pi.items()}, total
+
+
+def _stationary(rows, comp):
     col = {s: k for k, s in enumerate(comp)}
     system = [{k: Fraction(1)} for k in range(len(comp))]
     for t in comp:
@@ -141,7 +158,7 @@ def stationary_distribution(rows, comp):
             if s in col:
                 system[col[s]][col[t]] = system[col[s]].get(col[t], 0) - p
     system.append(dict.fromkeys(range(len(comp)), Fraction(1)))
-    sol = solve_linear_system(system, [[Fraction(0)]] * len(comp) + [[Fraction(1)]], len(comp))
+    sol = _eliminate(system, [[Fraction(0)]] * len(comp) + [[Fraction(1)]], len(comp))
     return {s: x for s, (x,) in zip(comp, sol)}
 
 
@@ -154,7 +171,7 @@ def _long_run_values(states, rows, value_fns):
         transient = [i for i in range(len(states)) if not any(i in m for m in members)]
         reach = _solve_restricted(rows, transient,
                                   lambda s: [_mass(rows, s, m) for m in members])[0]
-    pis = [stationary_distribution(rows, comp) for comp in comps]
+    pis = [_stationary(rows, comp) for comp in comps]
     return [sum((r * sum((pi[i] * f(states[i]) for i in comp), Fraction(0))
                  for r, comp, pi in zip(reach, comps, pis)), Fraction(0))
             for f in value_fns]

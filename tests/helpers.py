@@ -29,6 +29,12 @@ def chain_rows(c: InducedChain) -> list[dict[int, Fraction]]:
     return [{t: Fraction(x, d) for t, x in num.items()} for num, d in zip(c.nums, c.dens)]
 
 
+def fraction_pairs(x: list[list]) -> list[list[tuple[int, int]]]:
+    """A matrix of ints or ``Fraction``s as (numerator, denominator) pairs in
+    lowest terms, the form ``solve_linear_system`` returns."""
+    return [[(v.numerator, v.denominator) for v in row] for row in x]
+
+
 def chain_from_rows(states: list[int], rows: list[dict[int, Fraction]],
                     index: dict[int, int]) -> InducedChain:
     """The induced chain whose ``chain_rows`` are the given probability rows."""
@@ -122,10 +128,11 @@ def expected_total_reward(host, scheduler: MrScheduler, start: int) -> Fraction:
     if chain.states[0] == goal:
         return Fraction(0)
     non_goal = [i for i in range(chain.n) if chain.states[i] != goal]
-    # Row i of the system is scaled by chain.dens[i], its right-hand side too.
-    return _solve_restricted(
+    # Row i of the system is scaled by chain.dens[i], its right-hand side too;
+    # the solution comes as a (numerator, denominator) pair.
+    return Fraction(*_solve_restricted(
         chain, non_goal,
-        lambda i: [chain.dens[i] * Fraction(host.reward(chain.states[i]))])[0][0]
+        lambda i: [chain.dens[i] * Fraction(host.reward(chain.states[i]))])[0][0])
 
 
 @dataclass(frozen=True)

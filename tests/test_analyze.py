@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilient_mdp import (MrScheduler, brute_force_optimum, induce_chain,
-                           make_mdp, simulate, synthesize, transform, verify_resilient)
+import resilient_mdp.analyze as analyze_module
+from resilient_mdp import (MrScheduler, brute_force_optimum, induce_chain, make_mdp, simulate,
+                           synthesize, transform, validate_structure, verify_resilient)
 from resilient_mdp.analyze import (InducedChain, SchedulerDomainError, SimulationStats,
                                    almost_sure_reach, long_run_value,
                                    long_run_values,
@@ -21,6 +23,8 @@ from resilient_mdp.transform import build_weights
 from conftest import beta_always, random_model
 from helpers import chain_from_rows, chain_rows, expected_total_reward
 from test_docs_cli import chain_model, gamble_scheduler
+from test_linsolve import _random_scheduler
+from test_lp import fraction_operator_calls
 
 
 def alpha_always(mt):
@@ -99,8 +103,8 @@ def test_stationary_distribution_two_cycle():
                  "s")
     sched = MrScheduler({0: {"a": Fraction(1)}, 1: {"a": Fraction(1)}})
     chain = induce_chain(m, sched, 0)
-    pi = stationary_distribution(chain, [0, 1])
-    assert pi == {0: Fraction(1, 4), 1: Fraction(3, 4)}
+    # pi = (1/4, 3/4), as coprime masses over their sum.
+    assert stationary_distribution(chain, [0, 1]) == ({0: 1, 1: 3}, 4)
     assert long_run_value(chain, m.payoff) == Fraction(1, 4)
 
 
@@ -190,10 +194,11 @@ def test_long_run_values_on_random_chains(seed):
     comps = bottom_sccs(c.succ_lists())
     assert len(comps) >= 2 and not any(0 in comp for comp in comps)
     for comp in comps:
-        pi = stationary_distribution(c, comp)
-        assert sum(pi.values()) == 1
-        for s in comp:  # pi P = pi, exactly
-            assert sum((pi[t] * chain_rows(c)[t].get(s, 0) for t in comp), Fraction(0)) == pi[s]
+        masses, total = stationary_distribution(c, comp)
+        assert sum(masses.values()) == total and gcd(*masses.values()) == 1
+        for s in comp:  # pi P = pi, exactly, in masses
+            assert sum((masses[t] * chain_rows(c)[t].get(s, 0) for t in comp),
+                       Fraction(0)) == masses[s]
     f = {s: rng.randint(-3, 3) for s in range(c.n)}
     g = {s: Fraction(rng.randint(0, 5), rng.randint(1, 3)) for s in range(c.n)}
     assert long_run_values(c, [f.get, g.get]) == [long_run_value(c, f.get),
@@ -229,11 +234,11 @@ def test_stationary_distribution_on_random_irreducible_chains(seed):
         rows.append({t: Fraction(w, sum(weights.values())) for t, w in weights.items()})
     c = chain_from_rows(list(range(n)), rows, {s: s for s in range(n)})
     assert [sorted(comp) for comp in bottom_sccs(c.succ_lists())] == [list(range(n))]
-    pi = stationary_distribution(c, rng.sample(range(n), n))
-    assert all(pi[s] > 0 for s in range(n))
-    assert sum(pi.values()) == 1
-    for s in range(n):  # pi P = pi, exactly
-        assert sum((pi[t] * rows[t].get(s, 0) for t in range(n)), Fraction(0)) == pi[s]
+    masses, total = stationary_distribution(c, rng.sample(range(n), n))
+    assert all(type(masses[s]) is int and masses[s] > 0 for s in range(n))
+    assert sum(masses.values()) == total and gcd(*masses.values()) == 1
+    for s in range(n):  # pi P = pi, exactly, in masses
+        assert sum((masses[t] * rows[t].get(s, 0) for t in range(n)), Fraction(0)) == masses[s]
 
 
 def _rerooted(c: InducedChain, s: int) -> InducedChain:
@@ -500,7 +505,8 @@ def _reference_simulate(m, policy, steps, trials, seed, cost_bound, keep_traces=
     """The step-by-step Fraction simulator that ``simulate`` replaced, kept as
     the specification of its random stream: one uniform u = r / 2**64 per
     choice, keys in ``str`` order, the first key whose cumulative probability
-    exceeds u (the last key as fallback)."""
+    exceeds u (the last key as fallback). A target listed twice in one
+    distribution is one key with the summed probability."""
     def sample(rng, dist):
         u = Fraction(rng.getrandbits(64), 2 ** 64)
         acc = Fraction(0)
@@ -530,7 +536,10 @@ def _reference_simulate(m, policy, steps, trials, seed, cost_bound, keep_traces=
                         within += 1
                     episode_cost = None
             act = sample(rng, policy.decide(s, mem))
-            nxt = sample(rng, {t: p for t, p in m.actions[s][act]})
+            dist: dict = {}
+            for t, p in m.actions[s][act]:
+                dist[t] = dist.get(t, 0) + p
+            nxt = sample(rng, dist)
             mem = policy.update(s, mem, act, nxt)
             if keep_traces:
                 trace.extend([act, m.ids[nxt]])
@@ -597,3 +606,100 @@ def test_draw_table_bounds_are_exact():
     assert Fraction(bounds[0] - 1, 2 ** 64) < Fraction(1, 3) <= Fraction(bounds[0], 2 ** 64)
     # A total below one leaves the excess draws to the last key.
     assert _draw_table({"x": Fraction(1, 4), "y": Fraction(1, 4)}.items())[1] == [2 ** 62, 2 ** 64]
+
+
+class _TablePolicy:
+    """Memoryless: a fixed {action: probability} map per state."""
+
+    initial_memory = None
+
+    def __init__(self, dists):
+        self.dists = dists
+
+    def decide(self, s, mem):
+        return self.dists[s]
+
+    def update(self, s, mem, act, nxt):
+        return None
+
+
+def _draw_table_model(rng: random.Random):
+    """States with one to three actions, each a distribution over one to four
+    entries that may repeat a target, and a policy that randomizes over every
+    action; weights over a random total make most probabilities non-dyadic,
+    and a zero weight makes a key that is never drawn."""
+    n = rng.randint(1, 5)
+    ids = [f"s{i}" for i in range(n)]
+    states = [(sid, rng.choice(["op", "err", "rep"]), rng.randint(0, 3)) for sid in ids]
+    transitions, dists = [], {}
+    for i, sid in enumerate(ids):
+        acts = [f"a{k}" for k in range(rng.randint(1, 3))]
+        for act in acts:
+            targets = [rng.choice(ids) for _ in range(rng.randint(1, 4))]
+            weights = [rng.randint(1, 5) for _ in targets]
+            transitions.append((sid, act, [(t, Fraction(w, sum(weights)))
+                                           for t, w in zip(targets, weights)]))
+        weights = [rng.randint(0, 4) for _ in acts]
+        weights[rng.randrange(len(acts))] += 1
+        dists[i] = {a: Fraction(w, sum(weights)) for a, w in zip(acts, weights)}
+    return make_mdp(states, transitions, ids[0]), _TablePolicy(dists)
+
+
+def test_simulate_matches_fraction_reference_on_every_draw_table_size(monkeypatch):
+    # One-comparison reads of 1- and 2-entry tables and bisection of longer
+    # ones must consume the same draws as the reference, traces included.
+    # The hypothesis test above uses valid models only; these tables also
+    # repeat targets and hold zero-probability keys.
+    sizes: dict[type, set[int]] = {str: set(), int: set()}
+    seen = {"repeated": False, "non-dyadic": False}
+    real = analyze_module._draw_table
+
+    def recording(pairs):
+        pairs = list(pairs)
+        keys, bounds = real(pairs)
+        sizes[type(keys[0])].add(min(len(keys), 3))
+        seen["repeated"] |= len(keys) < len(pairs)
+        seen["non-dyadic"] |= any(p.denominator & (p.denominator - 1) for _, p in pairs)
+        return keys, bounds
+
+    monkeypatch.setattr(analyze_module, "_draw_table", recording)
+    rng = random.Random(31)
+    for seed in range(60):
+        m, policy = _draw_table_model(rng)
+        args = (m, policy, rng.randint(1, 40), rng.randint(1, 3), seed, rng.randint(0, 3), True)
+        assert simulate(*args) == _reference_simulate(*args)
+    assert sizes == {str: {1, 2, 3}, int: {1, 2, 3}}  # decision and transition tables
+    assert seen == {"repeated": True, "non-dyadic": True}
+
+
+def test_verify_and_simulate_apply_no_fraction_operator(fig1):
+    # The chain analysis, the draw tables and the distribution check read
+    # numerators and denominators only: on fig1 (one scheduler that misses
+    # 4/5), chain (2,3,4) under gamble and random models, no ``Fraction``
+    # operator runs. The random draws include an initial state outside every
+    # bottom SCC, where the reach probabilities are solved.
+    fig1_mt = transform(fig1, 2)
+    cases = [(fig1, fig1_mt, beta_always(fig1_mt), Fraction(4, 5)),
+             (fig1, fig1_mt, alpha_always(fig1_mt), Fraction(1))]
+    chain = chain_model(2, 3)
+    chain_mt = transform(chain, 4)
+    cases.append((chain, chain_mt, gamble_scheduler(chain_mt), Fraction(4, 5)))
+    rng = random.Random(17)
+    for _ in range(40):
+        m = random_model(rng, rng.random() < 0.3)
+        mt = transform(m, rng.randint(0, 3))
+        cases.append((m, mt, _random_scheduler(mt, rng), rng.choice(
+            [Fraction(1, 3), Fraction(1, 2), Fraction(4, 5), Fraction(1)])))
+    transient = [not any(0 in comp for comp in bottom_sccs(
+                     induce_chain(mt, sched, mt.initial).succ_lists()))
+                 for _, mt, sched, _ in cases]
+    verdicts, sims = [], []
+    with fraction_operator_calls() as calls:
+        for k, (m, mt, sched, threshold) in enumerate(cases):
+            verdicts.append(verify_resilient(mt, sched, threshold).ok)
+            sims.append(simulate(m, FiniteMemoryScheduler(mt, sched), steps=30, trials=2,
+                                 seed=k, cost_bound=mt.cost_bound, keep_traces=True))
+            assert validate_structure(m).ok
+    assert calls == []
+    assert any(transient) and not verdicts[0] and all(verdicts[1:3])
+    assert all(stats.traces for stats in sims)

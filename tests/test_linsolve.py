@@ -3,6 +3,7 @@ their plain ``Fraction`` references (``fraction_reference``)."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from resilient_mdp.linsolve import SingularSystemError, solve_linear_system
 
 import fraction_reference
 from conftest import random_model
-from helpers import chain_rows
+from helpers import chain_rows, fraction_pairs
 from test_docs_cli import chain_model, gamble_scheduler
 
 KINDS = ("square", "overdetermined", "rank-deficient", "inconsistent")
@@ -77,6 +78,13 @@ def _system(rng: random.Random, kind: str):
     return [rows[i] for i in order], [rhs[i] for i in order], n, xs
 
 
+def _lowest_terms(x) -> bool:
+    """Every solved value is an int pair (numerator, denominator) in lowest
+    terms with a positive denominator."""
+    return all(type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
+               for row in x for num, den in row)
+
+
 def _outcome(solver, rows, rhs, n):
     try:
         return solver([dict(row) for row in rows], [list(v) for v in rhs], n)
@@ -91,8 +99,8 @@ def test_linear_system_matches_the_fraction_elimination(seed, kind):
     got = _outcome(solve_linear_system, rows, rhs, n)
     assert got == _outcome(fraction_reference.solve_linear_system, rows, rhs, n)
     if kind in ("square", "overdetermined"):
-        assert got == xs
-        assert all(type(v) is Fraction for row in got for v in row)
+        assert got == fraction_pairs(xs)
+        assert _lowest_terms(got)
     else:
         assert got is SingularSystemError
 
@@ -104,13 +112,13 @@ def test_solutions_with_a_new_prime_in_every_denominator():
     n = len(primes)
     rhs = [[1]] * n
     x = solve_linear_system([{i: p} for i, p in enumerate(primes)], rhs, n)
-    assert x == [[Fraction(1, p)] for p in primes]
+    assert x == [[(1, p)] for p in primes]
     y = solve_linear_system([{i: p, i + 1: -1} if i + 1 < n else {i: p}
                              for i, p in enumerate(primes)], rhs, n)
     expected = [Fraction(1, primes[-1])]
     for p in reversed(primes[:-1]):
         expected.append((1 + expected[-1]) / p)
-    assert y == [[v] for v in reversed(expected)]
+    assert y == fraction_pairs([[v] for v in reversed(expected)])
 
 
 class _CountingFraction(Fraction):
@@ -140,8 +148,8 @@ def _stationary_system(k: int, L: int, R: int):
 
 def test_elimination_builds_fractions_only_for_the_solutions(monkeypatch):
     # Int and Fraction inputs alike: reading numerators and denominators
-    # builds nothing, and the elimination and back-substitution work in
-    # ints, so one solve makes at most one Fraction per solution value.
+    # builds nothing, the elimination and back-substitution work in ints,
+    # and the solutions are int pairs, so one solve makes no Fraction.
     rng = random.Random(5)
     systems = [_stationary_system(3, 3, 4), _stationary_system(2, 3, 12)]
     systems += [_system(rng, "square")[:3] for _ in range(20)]
@@ -149,20 +157,20 @@ def test_elimination_builds_fractions_only_for_the_solutions(monkeypatch):
     for rows, rhs, n in systems:
         _CountingFraction.made = 0
         x = solve_linear_system(rows, rhs, n)
-        assert _CountingFraction.made <= n * len(rhs[0])
+        assert _CountingFraction.made == 0
         assert x == fraction_reference.solve_linear_system(rows, rhs, n)
 
 
 def test_solutions_are_fractions_also_when_integral():
-    # Every value returned is a Fraction, integral ones and those of an
-    # all-int system included, so no caller divides two ints into a float.
+    # Every value returned is an exact fraction, an int pair in lowest
+    # terms, integral ones (denominator 1) and those of an all-int system
+    # included, so no caller divides two ints into a float.
     rng = random.Random(7)
     systems = [_stationary_system(1, 3, 3)]
     systems += [_system(rng, kind)[:3] for kind in ("square", "overdetermined") for _ in range(40)]
-    solved = [v for rows, rhs, n in systems for row in solve_linear_system(rows, rhs, n)
-              for v in row]
-    assert all(type(x) is Fraction for x in solved)
-    assert any(x.denominator == 1 for x in solved)
+    solved = [solve_linear_system(rows, rhs, n) for rows, rhs, n in systems]
+    assert all(_lowest_terms(x) for x in solved)
+    assert any(den == 1 for x in solved for row in x for _, den in row)
 
 
 def _random_scheduler(mt, rng: random.Random) -> MrScheduler:

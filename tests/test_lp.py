@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import random
@@ -17,6 +18,7 @@ from resilient_mdp.lp import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, Constr
                               solve, solve_lexicographic)
 
 from conftest import random_model
+from helpers import fraction_pairs
 from test_docs_cli import chain_model
 
 
@@ -149,7 +151,7 @@ def _vertex_enumeration_optimum(prog):
         rows = [planes[i][0] for i in combo]
         rhs = [planes[i][1] for i in combo]
         try:
-            point = [v for (v,) in solve_linear_system(
+            point = [Fraction(*v) for (v,) in solve_linear_system(
                 [dict(enumerate(r)) for r in rows], [[b] for b in rhs], n)]
         except SingularSystemError:
             continue
@@ -884,6 +886,26 @@ _FRACTION_OPERATORS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", 
                        "__ge__", "__eq__"]
 
 
+@contextlib.contextmanager
+def fraction_operator_calls():
+    """Patch ``Fraction``'s operators to record the name of each one called;
+    yields the list of names, checked to record before it is handed out."""
+    calls = []
+
+    def counting(name):
+        real = getattr(Fraction, name)
+
+        def operator(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        return operator
+
+    with mock.patch.multiple(Fraction, **{name: counting(name) for name in _FRACTION_OPERATORS}):
+        assert Fraction(1, 2) + 1 > 1 and calls == ["__add__", "__gt__"]
+        calls.clear()
+        yield calls
+
+
 def test_solve_applies_no_fraction_operator():
     # ``solve`` computes through ``_minus``, ``_quotient`` and integer
     # reads only, on chain (1,3,3)'s two programs and on random programs
@@ -898,21 +920,8 @@ def test_solve_applies_no_fraction_operator():
         secondary = ({v: Fraction(rng.randint(-3, 3)) for v in prog.variables}
                      if rng.random() < 0.5 else None)
         programs.append((prog, secondary))
-    calls = []
-
-    def counting(name):
-        real = getattr(Fraction, name)
-
-        def operator(self, *args):
-            calls.append(name)
-            return real(self, *args)
-        return operator
-
-    patches = {name: counting(name) for name in _FRACTION_OPERATORS}
     outcomes = []
-    with mock.patch.multiple(Fraction, **patches):
-        assert Fraction(1, 2) + 1 > 1 and calls == ["__add__", "__gt__"]
-        calls.clear()
+    with fraction_operator_calls() as calls:
         for prog, secondary in programs:
             try:
                 outcomes.append(solve(prog, secondary).status)
@@ -926,13 +935,13 @@ def test_linear_system_golden():
     sol = solve_linear_system(
         [{0: Fraction(2), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}],
         [[Fraction(5)], [Fraction(10)]], 2)
-    assert sol == [[Fraction(1)], [Fraction(3)]]
+    assert sol == [[(1, 1)], [(3, 1)]]
 
 
 def test_linear_system_overdetermined_consistent():
     sol = solve_linear_system(
         [{0: Fraction(1)}, {0: Fraction(2)}], [[Fraction(3)], [Fraction(6)]], 1)
-    assert sol == [[Fraction(3)]]
+    assert sol == [[(3, 1)]]
 
 
 def test_linear_system_singular():
@@ -958,8 +967,8 @@ def test_linear_system_random_roundtrip(seed):
     except SingularSystemError:
         assert _determinant(rows) == 0  # only a singular matrix may be refused
         return
-    assert sol == xs
-    assert all(type(v) is Fraction for row in sol for v in row)
+    assert sol == fraction_pairs(xs)
+    assert all(type(num) is int and type(den) is int for row in sol for num, den in row)
 
 
 def _reference_solve(rows, rhs, n):
@@ -1060,10 +1069,11 @@ def test_linear_system_matches_reference_on_sparse_systems(seed):
     rows, rhs = [rows[i] for i in order], [rhs[i] for i in order]
 
     got = _outcome(solve_linear_system, rows, rhs, n)
-    assert got == _outcome(_reference_solve, rows, rhs, n)
+    want = _outcome(_reference_solve, rows, rhs, n)
+    assert got == (want if want is SingularSystemError else fraction_pairs(want))
     if got is not SingularSystemError:  # a drop may leave a perturbed row alone
         for row, values in zip(rows, rhs):
-            assert [sum((q * got[j][c] for j, q in row.items()), Fraction(0))
+            assert [sum((q * Fraction(*got[j][c]) for j, q in row.items()), Fraction(0))
                     for c in range(k)] == values
 
 
