@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _threshold(text: str) -> Fraction:
     value = docs.parse_fraction(text)
-    if not 0 < value <= 1:
+    if not 0 < value.numerator <= value.denominator:
         raise UsageError(f"threshold must be in (0, 1], got {value}")
     return value
 
@@ -144,7 +144,7 @@ def cmd_synthesize(args, out) -> int:
                 dist = ", ".join(f"{a}: {p}" for a, p in sorted(comp.scheduler.dist(s).items()))
                 print(f"  {mt.ids[s]}: {dist}", file=out)
     if args.dump_lp:
-        print(result.lp.dump(), file=out)
+        print(result.lp.dump(result.goal_mdp.name), file=out)
     if not result.feasible:
         print("no resilient scheduler exists", file=out)
         return EXIT_NEGATIVE
@@ -169,7 +169,8 @@ def cmd_verify(args, out) -> int:
     mr = doc.to_mr(mt)
     report = analyze.verify_resilient(mt, mr, threshold)
     print(report.render(mt, threshold), file=out)
-    if cost_bound == doc.cost_bound and doc.availability not in (None, report.availability):
+    if cost_bound == doc.cost_bound and doc.availability is not None and \
+            doc.availability.as_integer_ratio() != report.availability.as_integer_ratio():
         raise VerificationFailedError(f"the document states availability {doc.availability}, "
                                       f"the scheduler achieves {report.availability}")
     return EXIT_OK if report.ok else EXIT_NEGATIVE

@@ -5,7 +5,8 @@ components whose internal scheduler keeps, for every error e, the mean of a
 weight function nonnegative: repair successes within budget earn 1 - p,
 budget overruns pay -p, everything else is neutral. Maximizing availability
 under these mean constraints on one maximal end component (MEC) is a linear
-program over long-run frequencies; its recurrent frequencies are extracted
+program over long-run frequencies, one variable per (state, action) pair
+of the MEC; its recurrent frequencies are extracted
 into component triples (state set, action sets, memoryless scheduler,
 availability). The availability is read off those frequencies, not computed
 by a chain analysis, so the exact chain analysis of ``analyze`` stays an
@@ -66,25 +67,21 @@ def mec_decomposition(mt: TransformedMdp, enabled: dict[int, list[str]]
     return [(members, {s: sorted(enabled[s]) for s in members}) for members in mecs]
 
 
-def flow_balance(states, enabled, actions, var) -> dict[int, dict[str, Fraction]]:
-    """Outflow minus inflow of each state, over action variables ``var(s, a)``.
+def flow_balance(states, enabled, actions) -> dict[int, dict[tuple[int, str], Fraction]]:
+    """Outflow minus inflow of each state, over action variables (s, a).
 
     The row of s has +1 per enabled action of s, then -p per transition of
     probability p into s, in the order of ``states``, ``enabled`` and the
     distributions. A target outside ``states`` gets a row of its inflow alone.
     """
-    rows = {s: {var(s, a): Fraction(1) for a in enabled(s)} for s in states}
+    rows = {s: {(s, a): Fraction(1) for a in enabled(s)} for s in states}
     for s in states:
         for a in enabled(s):
-            v = var(s, a)
+            v = (s, a)
             for t, p in actions[s][a]:
                 row = rows.setdefault(t, {})
                 row[v] = row[v] - p if v in row else -p
     return rows
-
-
-def _xv(mt: TransformedMdp, s: int, a: str) -> str:
-    return f"x[{mt.ids[s]}|{a}]"
 
 
 def build_multi_mp_lp(mt: TransformedMdp, members: list[int], acts: dict[int, list[str]],
@@ -92,26 +89,27 @@ def build_multi_mp_lp(mt: TransformedMdp, members: list[int], acts: dict[int, li
     """Program for maximal availability on one MEC under nonnegative
     per-error weight means.
 
-    x[s|a] is the long-run frequency of action a in state s of the MEC
-    ``members`` with actions ``acts``. The rows are flow conservation per
-    state, total frequency 1 and, per error with a weighted state in the
-    MEC, that error's expected weight frequency kept nonnegative.
+    Variable (s, a) is x_{s,a}, the long-run frequency of action a in state
+    s of the MEC ``members`` with actions ``acts``. The rows are flow
+    conservation per state, total frequency 1 and, per error with a weighted
+    state in the MEC, that error's expected weight frequency kept
+    nonnegative.
     """
-    variables = [_xv(mt, s, a) for s in members for a in acts[s]]
+    variables = [(s, a) for s in members for a in acts[s]]
     lp = LinearProgram(variables=variables)
 
-    flow = flow_balance(members, acts.__getitem__, mt.actions, lambda s, a: _xv(mt, s, a))
+    flow = flow_balance(members, acts.__getitem__, mt.actions)
     for s in members:
         lp.add(flow[s], EQ, 0)
     lp.add(dict.fromkeys(variables, Fraction(1)), EQ, 1)
 
     for e in sorted(weights):
         wgt = weights[e]
-        coeffs = {_xv(mt, s, a): wgt[s] for s in members if wgt.get(s) for a in acts[s]}
+        coeffs = {(s, a): wgt[s] for s in members if wgt.get(s) for a in acts[s]}
         if coeffs:
             lp.add(coeffs, GE, 0)
 
-    lp.objective = {_xv(mt, s, a): Fraction(mt.payoff(s))
+    lp.objective = {(s, a): Fraction(mt.payoff(s))
                     for s in members if mt.payoff(s) for a in acts[s]}
     return lp
 
@@ -133,14 +131,14 @@ def extract_components(mt: TransformedMdp, acts: dict[int, list[str]],
     (see ``compute_E``); any other support raises ``ValueError``. The triple
     has the frequency-proportional scheduler. That scheduler's chain is
     irreducible on the SCC and x is stationary, so the availability is
-    sum payoff(s) x_s / sum x_s over the SCC, with x_s = sum_a x[s|a].
+    sum payoff(s) x_s / sum x_s over the SCC, with x_s = sum_a x_{s,a}.
     """
     if solution.status != OPTIMAL:
         raise ValueError("need an optimal solution")
     x = {}
     for s in sorted(acts):
         for a in acts[s]:
-            v = solution.assignment.get(_xv(mt, s, a), Fraction(0))
+            v = solution.assignment.get((s, a), Fraction(0))
             if v.numerator > 0:
                 x[(s, a)] = v
     freq = dict(zip(x, common_denominator(list(x.values()))[0]))  # over one denominator
@@ -245,7 +243,7 @@ def compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentTriple]:
             continue
         triple = extract_components(mt, acts, sol)
         if not switch_states(mt, triple.states):
-            anchors = {_xv(mt, s, a): Fraction(-1) for s in members
+            anchors = {(s, a): Fraction(-1) for s in members
                        if mt.is_op(s) or mt.memory(s) is None for a in acts[s]}
             triple = extract_components(mt, acts, solve(lp, anchors))
             if not switch_states(mt, triple.states):

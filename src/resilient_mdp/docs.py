@@ -203,7 +203,7 @@ def parse_scheduler(data) -> SchedulerDocument:
             choices[state] = dist
         parse_fraction(_require(entry, "availability", "component entry"))  # checked, not kept
     threshold = parse_fraction(_require(data, "threshold", "scheduler document"))
-    if not 0 < threshold <= 1:
+    if not 0 < threshold.numerator <= threshold.denominator:
         raise DocumentError(f"threshold must be in (0, 1], got {threshold}")
     avail = data.get("availability")
     return SchedulerDocument(

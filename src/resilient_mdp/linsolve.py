@@ -10,31 +10,28 @@ the fill-in small. The work done is fixed by the input.
 
 The elimination is fraction-free (Bareiss, Math. Comp. 1968, without his
 exact division, which Markowitz's order does not allow): every stored value
-is an ``int``. Each input row is scaled once, with its right-hand sides, by
-the lcm of its denominators. A row then holds integer coefficients, and its
-right-hand sides are integer numerators over one integer denominator of the
-row. Eliminating column c from row i with pivot row r, whose column-c
-entries are f and p, replaces the coefficients by s·row_i - m·row_r / g,
-where g is the gcd of row r's other coefficients and s, m are p and f·g
-divided by their gcd: the smallest integer multiple of the rational update.
-So the nonzero pattern, and with it the pivot order, is that of rational
-elimination. A row scaled by s > 1 is divided by the gcd of its
-coefficients again. A pivot row with no other coefficient changes only the
-right-hand sides of row i (s = 1), which keeps that update as cheap as it is
-in rational arithmetic even when row i is long. Back-substitution keeps each
-solved value as an integer numerator and denominator, and brings only the
-values a row reads to their lcm, so its work stays proportional to the
-nonzeros. The solver builds no ``fractions.Fraction`` and applies no
-``Fraction`` operator: it reads the numerators and denominators of its
-input and returns each solved value as an integer pair (numerator,
-denominator) in lowest terms, so a caller forms a ``Fraction`` only for the
-values it returns itself.
+is an ``int``. The input is integer, as every caller builds it, and while
+it is eliminated a row holds integer coefficients and integer right-hand
+sides over one integer denominator of the row, 1 at the start. Eliminating
+column c from row i with pivot row r, whose column-c entries are f and p,
+replaces the coefficients by s·row_i - m·row_r / g, where g is the gcd of
+row r's other coefficients and s, m are p and f·g divided by their gcd: the
+smallest integer multiple of the rational update. So the nonzero pattern,
+and with it the pivot order, is that of rational elimination. A row scaled
+by s > 1 is divided by the gcd of its coefficients again. A pivot row with
+no other coefficient changes only the right-hand sides of row i (s = 1),
+which keeps that update as cheap as it is in rational arithmetic even when
+row i is long. Back-substitution keeps each solved value as an integer
+numerator and denominator, and brings only the values a row reads to their
+lcm, so its work stays proportional to the nonzeros. The solver builds no
+``fractions.Fraction``: it takes integers and returns each solved value as
+an integer pair (numerator, denominator) in lowest terms, so a caller forms
+a ``Fraction`` only for the values it returns itself.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -42,23 +39,19 @@ class SingularSystemError(ValueError):
     """Raised when a system has no solution or no unique solution."""
 
 
-def solve_linear_system(rows: list[dict[int, Fraction | int]],
-                        rhs: list[list[Fraction | int]], n: int) -> list[list[tuple[int, int]]]:
+def solve_linear_system(rows: list[dict[int, int]], rhs: list[list[int]],
+                        n: int) -> list[list[tuple[int, int]]]:
     """Solve A X = B exactly for unknowns 0..n-1; returns X row by row.
 
-    ``rows[i]`` holds the nonzero entries of row i of A and ``rhs[i]`` row i
-    of B, one value per right-hand side, as ``int``s or ``Fraction``s. There
+    ``rows[i]`` holds the entries of row i of A, zeros allowed, and
+    ``rhs[i]`` row i of B, one value per right-hand side, all ``int``s. There
     may be more equations than unknowns; the system must be consistent and
     of full column rank, otherwise SingularSystemError is raised. X[j][k] is
     the pair (numerator, denominator) of x_j on right-hand side k, in lowest
     terms with a positive denominator.
     """
-    a: list[dict[int, int]] = []
-    b: list[list[int]] = []
-    for row, values in zip(rows, rhs):
-        scale = lcm(*[q.denominator for q in row.values()], *[v.denominator for v in values])
-        a.append({j: q.numerator * (scale // q.denominator) for j, q in row.items() if q})
-        b.append([v.numerator * (scale // v.denominator) for v in values])
+    a = [{j: q for j, q in row.items() if q} for row in rows]
+    b = list(rhs)
     den = [1] * len(a)   # row i reads sum_j a[i][j]·x_j = b[i][k] / den[i]
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(a):

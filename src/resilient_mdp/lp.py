@@ -3,7 +3,9 @@
 One program class: maximize a linear objective over nonnegative variables
 subject to ``<=``, ``=`` and ``>=`` rows, optionally minimizing a secondary
 objective over the maxima. Both programs of the package have this form, so
-tableau column j is variable j.
+tableau column j is variable j. A variable is any hashable key; the
+package's programs key theirs by (state index, action) pairs, and a name is
+made only when ``LinearProgram.dump`` prints one.
 
 A small two-phase simplex over ``fractions.Fraction`` with Bland's
 anti-cycling rule. The tableau is stored dense, but a pivot touches only the
@@ -59,6 +61,7 @@ constraints of the program (not the tableau) before being handed back.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -93,45 +96,46 @@ class SolverError(RuntimeError):
 class Constraint:
     __slots__ = ("coeffs", "relation", "rhs")
 
-    def __init__(self, coeffs: dict[str, Fraction], relation: str, rhs: Fraction):
+    def __init__(self, coeffs: dict[Hashable, Fraction], relation: str, rhs: Fraction):
         self.coeffs = coeffs
         self.relation = relation
         self.rhs = rhs
 
 
 class LinearProgram:
-    def __init__(self, variables: list[str], constraints: list[Constraint] | None = None,
-                 objective: dict[str, Fraction] | None = None):
+    def __init__(self, variables: list[Hashable], constraints: list[Constraint] | None = None,
+                 objective: dict[Hashable, Fraction] | None = None):
         self.variables = variables
         self.constraints = [] if constraints is None else constraints
         self.objective = {} if objective is None else objective
 
-    def add(self, coeffs: dict[str, Fraction], relation: str, rhs) -> None:
+    def add(self, coeffs: dict[Hashable, Fraction], relation: str, rhs) -> None:
         _check_exact(rhs, "right-hand side")
         self.constraints.append(Constraint(dict(coeffs), relation, Fraction(rhs)))
 
-    def dump(self) -> str:
-        """Human-readable rendering of the program."""
-        lines = ["max " + _poly(self.objective), "subject to:"]
+    def dump(self, name: Callable[[Hashable], str]) -> str:
+        """Human-readable rendering of the program, each variable printed as
+        ``name(variable)``; the nonnegativity line lists the names sorted."""
+        lines = ["max " + _poly(self.objective, name), "subject to:"]
         for c in self.constraints:
-            lines.append(f"  {_poly(c.coeffs)} {c.relation} {c.rhs}")
+            lines.append(f"  {_poly(c.coeffs, name)} {c.relation} {c.rhs}")
         if self.variables:
-            lines.append("  " + ", ".join(sorted(self.variables)) + " >= 0")
+            lines.append("  " + ", ".join(sorted(map(name, self.variables))) + " >= 0")
         return "\n".join(lines)
 
 
-def _poly(coeffs: dict[str, Fraction]) -> str:
-    terms = [f"{q}*{v}" for v, q in coeffs.items() if q != 0]
+def _poly(coeffs: dict[Hashable, Fraction], name: Callable[[Hashable], str]) -> str:
+    terms = [f"{q}*{name(v)}" for v, q in coeffs.items() if q != 0]
     return " + ".join(terms) if terms else "0"
 
 
 class LpSolution(NamedTuple):
     status: str
-    assignment: dict[str, Fraction] | None = None
+    assignment: dict[Hashable, Fraction] | None = None
     objective_value: Fraction | None = None
 
 
-def solve(lp: LinearProgram, secondary: dict[str, Fraction] | None = None) -> LpSolution:
+def solve(lp: LinearProgram, secondary: dict[Hashable, Fraction] | None = None) -> LpSolution:
     """Exact maximum of ``lp`` via two-phase simplex with Bland's rule.
 
     With ``secondary``, the optimum returned is one that also minimizes
@@ -182,7 +186,7 @@ def solve(lp: LinearProgram, secondary: dict[str, Fraction] | None = None) -> Lp
                       _dot((q, assignment[v]) for v, q in lp.objective.items()))
 
 
-def solve_lexicographic(lp: LinearProgram, secondary: dict[str, Fraction]) -> LpSolution:
+def solve_lexicographic(lp: LinearProgram, secondary: dict[Hashable, Fraction]) -> LpSolution:
     """Minimize ``secondary`` subject to the primary objective held at its maximum.
 
     One simplex run: ``solve`` reaches the primary optimum, then continues in
@@ -218,7 +222,7 @@ def _check_well_formed(lp: LinearProgram, secondary) -> None:
             _check_exact(q, "coefficient")
 
 
-def _verify(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
+def _verify(lp: LinearProgram, assignment: dict[Hashable, Fraction]) -> None:
     """Check ``assignment`` against ``lp`` in integers: the nonzero values
     over one common denominator, each row over the lcm of its denominators."""
     nonzero = [v for v, x in assignment.items() if x]

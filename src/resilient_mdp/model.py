@@ -177,7 +177,7 @@ def validate_repair_assumption(m: MdpWithRepair) -> ValidationReport:
     for e in m.errors():
         for act in m.enabled(e):
             for t, p in m.actions[e][act]:
-                if p > 0 and t in bad:
+                if p.numerator > 0 and t in bad:
                     out.append(Violation(
                         "repair-assumption", f"{m.ids[e]}/{act}",
                         f"successor {m.ids[t]} can reach an error before an operational state"))

@@ -23,7 +23,7 @@ class MrScheduler:
 
     def __init__(self, choices: dict[int, dict[str, Fraction]]):
         for s, dist in choices.items():
-            if len(dist) == 1 and 1 in dist.values():
+            if len(dist) == 1 and all(p.numerator == p.denominator for p in dist.values()):
                 continue  # one action, played with probability 1
             d = lcm(*(p.denominator for p in dist.values()))
             nums = [p.numerator * (d // p.denominator) for p in dist.values()]

@@ -7,11 +7,12 @@ end component, and τ settles in that component, earning its availability
 once (``components.switch_states`` states the switch rule). A flow linear
 program over expected action counts, with one extra inequality per error
 bounding the repair-success frequency from below, yields the optimal switch
-probabilities; its solution is decomposed into a memoryless transient
-scheduler plus the per-component schedulers, and rendered as a
-finite-memory scheduler of the original model whose memory is the current
-transformed state; on the base model it reads as the pair (current error,
-repair cost so far), "pending" or nothing.
+probabilities. Its variables are (state index, action) pairs, named only for
+``--dump-lp`` (``GoalMdp.name``); its solution is decomposed into a
+memoryless transient scheduler plus the per-component schedulers, and
+rendered as a finite-memory scheduler of the original model whose memory is
+the current transformed state; on the base model it reads as the pair
+(current error, repair cost so far), "pending" or nothing.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ class GoalMdp(NamedTuple):
         acts = self.mt.enabled(s)
         return sorted(acts + [TAU]) if s in self.switch else acts
 
+    def name(self, v: tuple[int, str]) -> str:
+        """The printed name y[id|a] of the goal program's variable (s, a).
+        Ids and actions holding "|" may print alike; the keys never do."""
+        return f"y[{self.mt.ids[v[0]]}|{v[1]}]"
+
 
 def build_goal_mdp(mt: TransformedMdp, comps: list[ComponentTriple]) -> GoalMdp:
     for i in range(mt.n):
@@ -62,41 +68,38 @@ def build_goal_mdp(mt: TransformedMdp, comps: list[ComponentTriple]) -> GoalMdp:
     return GoalMdp(mt, list(comps), switch)
 
 
-def _var(mt: TransformedMdp, s: int, a: str) -> str:
-    return f"y[{mt.ids[s]}|{a}]"
-
-
 def build_resiliency_lp(n: GoalMdp, threshold: Fraction) -> LinearProgram:
     """Expected-action-count flow program with the repair-success constraint.
 
-    y[s|τ] is the probability of settling at s in its component. Every run
-    must settle, so the switch mass is at least 1 (by flow conservation it
-    is exactly 1, the full probability mass).
+    Variable (s, a) is y_{s,a}, the expected number of times action a is
+    taken in state s; y_{s,τ} is the probability of settling at s in its
+    component. Every run must settle, so the switch mass is at least 1 (by
+    flow conservation it is exactly 1, the full probability mass).
     """
     threshold = Fraction(threshold)
     mt = n.mt
     states = range(mt.n)
-    lp = LinearProgram(variables=[_var(mt, s, a) for s in states for a in n.enabled(s)])
+    lp = LinearProgram(variables=[(s, a) for s in states for a in n.enabled(s)])
 
-    balance = flow_balance(states, mt.enabled, mt.actions, lambda s, a: _var(mt, s, a))
+    balance = flow_balance(states, mt.enabled, mt.actions)
     for s in states:
         if s in n.switch:
-            balance[s][_var(mt, s, TAU)] = Fraction(1)
+            balance[s][s, TAU] = Fraction(1)
         lp.add(balance[s], EQ, Fraction(1 if s == mt.initial else 0))
     # With no usable component there is no switch: the row reads 0 >= 1.
-    lp.add({_var(mt, s, TAU): Fraction(1) for s in n.switch}, GE, 1)
+    lp.add({(s, TAU): Fraction(1) for s in n.switch}, GE, 1)
 
     for e in mt.errors():
-        coeffs: dict[str, Fraction] = {}
+        coeffs: dict[tuple[int, str], Fraction] = {}
         for s in mt.op_copies_of(e):
             for a in n.enabled(s):
-                coeffs[_var(mt, s, a)] = Fraction(1)
+                coeffs[s, a] = Fraction(1)
         for a in n.enabled(e):
-            v = _var(mt, e, a)
+            v = (e, a)
             coeffs[v] = coeffs[v] - threshold if v in coeffs else -threshold
         lp.add(coeffs, GE, 0)
 
-    lp.objective = {_var(mt, s, TAU): n.comps[k].avail
+    lp.objective = {(s, TAU): n.comps[k].avail
                     for s, k in n.switch.items() if n.comps[k].avail != 0}
     return lp
 
@@ -150,20 +153,20 @@ def extract_scheduler(n: GoalMdp, solution: LpSolution) -> ComposedScheduler:
         raise ValueError("need an optimal solution")
     mt = n.mt
     y = solution.assignment
-    selected = sorted({k for s, k in n.switch.items() if y[_var(mt, s, TAU)].numerator > 0})
+    selected = sorted({k for s, k in n.switch.items() if y[s, TAU].numerator > 0})
     components = [n.comps[k] for k in selected]
     in_component = {s for comp in components for s in comp.states}
-    choices = {s: _flow_policy(mt, y, s, mt.enabled(s))
+    choices = {s: _flow_policy(y, s, mt.enabled(s))
                for s in range(mt.n) if s not in in_component}
     for comp in components:
         choices.update(comp.scheduler.choices)
     return ComposedScheduler(mt, MrScheduler(choices), components)
 
 
-def _flow_policy(mt: TransformedMdp, y: dict[str, Fraction], s: int,
+def _flow_policy(y: dict[tuple[int, str], Fraction], s: int,
                  acts: list[str]) -> dict[str, Fraction]:
     """Flow-proportional over ``acts`` where s has positive flow, uniform otherwise."""
-    mass, _ = common_denominator([y[_var(mt, s, a)] for a in acts])
+    mass, _ = common_denominator([y[s, a] for a in acts])
     total = sum(mass)
     if total > 0:
         return {a: Fraction(v, total) for a, v in zip(acts, mass)}
@@ -177,7 +180,7 @@ class SynthesisResult(NamedTuple):
     report: analyze.VerificationReport | None = None
     goal_mdp: GoalMdp | None = None
     lp: LinearProgram | None = None
-    solution: LpSolution | None = None
+    solution: LpSolution | None = None  # assignment keyed by (state, action)
     components: list[ComponentTriple] | None = None
 
 

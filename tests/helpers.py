@@ -5,20 +5,25 @@ Paths of the base and the transformed model, with projection and lifting
 reward state per usable component, its flow program, and the expected total
 reward under the scheduler a flow solution induces (it equals availability);
 and a reference search for usable end components through one global program
-per elimination step.
+per elimination step. Also converters between ``Fraction``s and the integer
+forms ``linsolve`` takes and returns, and a recorder of ``Fraction``
+operator calls.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 from resilient_mdp.analyze import (InducedChain, _solve_restricted, almost_sure_reach,
                                    induce_chain)
 from resilient_mdp.components import ComponentTriple, flow_balance, switch_states
 from resilient_mdp.graph import strongly_connected_components
-from resilient_mdp.lp import EQ, GE, OPTIMAL, LinearProgram, LpSolution, solve
+from resilient_mdp.lp import (EQ, GE, OPTIMAL, LinearProgram, LpSolution, common_denominator,
+                              solve)
 from resilient_mdp.sched import MrScheduler
 from resilient_mdp.synth import TAU, _flow_policy
 from resilient_mdp.transform import TransformedMdp, build_weights
@@ -33,6 +38,18 @@ def fraction_pairs(x: list[list]) -> list[list[tuple[int, int]]]:
     """A matrix of ints or ``Fraction``s as (numerator, denominator) pairs in
     lowest terms, the form ``solve_linear_system`` returns."""
     return [[(v.numerator, v.denominator) for v in row] for row in x]
+
+
+def integer_system(rows: list[dict], rhs: list[list]) -> tuple[list[dict], list[list]]:
+    """A rational system A X = B as the integer one ``solve_linear_system``
+    takes: each row, explicit zeros kept, and its right-hand sides times the
+    lcm of their denominators, which keeps every solution."""
+    out_rows, out_rhs = [], []
+    for row, values in zip(rows, rhs):
+        scale = lcm(*[q.denominator for q in (*row.values(), *values)])
+        out_rows.append({j: int(q * scale) for j, q in row.items()})
+        out_rhs.append([int(v * scale) for v in values])
+    return out_rows, out_rhs
 
 
 def chain_from_rows(states: list[int], rows: list[dict[int, Fraction]],
@@ -128,11 +145,13 @@ def expected_total_reward(host, scheduler: MrScheduler, start: int) -> Fraction:
     if chain.states[0] == goal:
         return Fraction(0)
     non_goal = [i for i in range(chain.n) if chain.states[i] != goal]
-    # Row i of the system is scaled by chain.dens[i], its right-hand side too;
-    # the solution comes as a (numerator, denominator) pair.
-    return Fraction(*_solve_restricted(
-        chain, non_goal,
-        lambda i: [chain.dens[i] * Fraction(host.reward(chain.states[i]))])[0][0])
+    # Row i of the system is scaled by chain.dens[i], its right-hand side too,
+    # and the rewards are numerators over one denominator, so the system is
+    # integer; the solution comes as a (numerator, denominator) pair.
+    nums, den = common_denominator([Fraction(host.reward(chain.states[i])) for i in non_goal])
+    reward = dict(zip(non_goal, nums))
+    num, d = _solve_restricted(chain, non_goal, lambda i: [chain.dens[i] * reward[i]])[0][0]
+    return Fraction(num, d * den)
 
 
 @dataclass(frozen=True)
@@ -192,6 +211,11 @@ def _goal_var(n: ReferenceGoalMdp, s: int, a: str) -> str:
     return f"y[{n.ids[s]}|{a}]"
 
 
+def _named(rows: dict, name) -> dict:
+    """``flow_balance``'s rows with each (s, a) key renamed to ``name(s, a)``."""
+    return {s: {name(*v): q for v, q in row.items()} for s, row in rows.items()}
+
+
 def reference_resiliency_lp(n: ReferenceGoalMdp, threshold: Fraction) -> LinearProgram:
     """Expected-action-count flow program of the goal MDP with the
     repair-success rows. The goal state has no variables: its inflow must be
@@ -201,7 +225,8 @@ def reference_resiliency_lp(n: ReferenceGoalMdp, threshold: Fraction) -> LinearP
     mt = n.mt
     non_goal = [s for s in range(n.n) if s != n.goal_index]
     lp = LinearProgram(variables=[_goal_var(n, s, a) for s in non_goal for a in n.enabled(s)])
-    balance = flow_balance(non_goal, n.enabled, n.actions, lambda s, a: _goal_var(n, s, a))
+    balance = _named(flow_balance(non_goal, n.enabled, n.actions),
+                     lambda s, a: _goal_var(n, s, a))
     for s in non_goal:
         lp.add(balance[s], EQ, Fraction(1 if s == mt.initial else 0))
     lp.add({v: -c for v, c in balance.get(n.goal_index, {}).items()}, GE, 1)
@@ -221,9 +246,9 @@ def reference_resiliency_lp(n: ReferenceGoalMdp, threshold: Fraction) -> LinearP
 def goal_mr_scheduler(n: ReferenceGoalMdp, solution: LpSolution) -> MrScheduler:
     """The goal-MDP scheduler induced by a flow solution (for total-reward
     analysis): flow-proportional where visited, uniform elsewhere. The
-    solution may be of either goal program: they share the y[s|a] names of
+    solution is of ``build_resiliency_lp``, whose (s, a) keys are those of
     the transformed states, and a goal state has only τ."""
-    return MrScheduler({s: _flow_policy(n.mt, solution.assignment, s, n.enabled(s))
+    return MrScheduler({s: _flow_policy(solution.assignment, s, n.enabled(s))
                         if s < n.mt.n else {TAU: Fraction(1)} for s in range(n.n)})
 
 
@@ -302,13 +327,13 @@ def _global_program(mt: TransformedMdp, enabled: dict, init: int, weights) -> Li
             variables.append(f"y[{mt.ids[s]}]")
     variables += [xv(s, a) for s in members for a in enabled[s]]
     lp = LinearProgram(variables=variables)
-    flow_y = flow_balance(members, enabled.__getitem__, mt.actions, yv)
+    flow_y = _named(flow_balance(members, enabled.__getitem__, mt.actions), yv)
     for s in members:
         if s in switch:
             flow_y[s][f"y[{mt.ids[s]}]"] = Fraction(1)
         lp.add(flow_y[s], EQ, Fraction(1 if s == init else 0))
     lp.add({f"y[{mt.ids[s]}]": Fraction(1) for s in sorted(switch)}, EQ, 1)
-    flow_x = flow_balance(members, enabled.__getitem__, mt.actions, xv)
+    flow_x = _named(flow_balance(members, enabled.__getitem__, mt.actions), xv)
     for s in members:
         lp.add(flow_x[s], EQ, 0)
     for m in mecs:
@@ -384,3 +409,28 @@ def global_compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentT
         if enabled and s not in enabled:
             s = min(enabled)
     return sorted(out, key=lambda tr: (-tr.avail, tr.states))
+
+
+_FRACTION_OPERATORS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__", "__neg__", "__lt__", "__le__", "__gt__",
+                       "__ge__", "__eq__"]
+
+
+@contextlib.contextmanager
+def fraction_operator_calls():
+    """Patch ``Fraction``'s operators to record the name of each one called;
+    yields the list of names, checked to record before it is handed out."""
+    calls = []
+
+    def counting(name):
+        real = getattr(Fraction, name)
+
+        def operator(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        return operator
+
+    with mock.patch.multiple(Fraction, **{name: counting(name) for name in _FRACTION_OPERATORS}):
+        assert Fraction(1, 2) + 1 > 1 and calls == ["__add__", "__gt__"]
+        calls.clear()
+        yield calls

@@ -21,10 +21,9 @@ from resilient_mdp.synth import FiniteMemoryScheduler
 from resilient_mdp.transform import build_weights
 
 from conftest import beta_always, random_model
-from helpers import chain_from_rows, chain_rows, expected_total_reward
+from helpers import chain_from_rows, chain_rows, expected_total_reward, fraction_operator_calls
 from test_docs_cli import chain_model, gamble_scheduler
 from test_linsolve import _random_scheduler
-from test_lp import fraction_operator_calls
 
 
 def alpha_always(mt):

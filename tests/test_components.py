@@ -161,8 +161,9 @@ def test_extract_components_rejects_non_bottom_support(fig1):
     # x charges rep#pending|α, which leaves for op1 and never comes back:
     # no stationary measure has this support.
     mt = transform(fig1, 2)
-    sol = LpSolution(OPTIMAL, {"x[rep#pending|α]": Fraction(1, 2),
-                               "x[op1|a]": Fraction(1, 2)}, Fraction(0))
+    sol = LpSolution(OPTIMAL, {(mt.index["rep#pending"], "α"): Fraction(1, 2),
+                               (mt.index["op1"], "a"): Fraction(1, 2)}, Fraction(0))
+    assert all(a in _full(mt)[s] for s, a in sol.assignment)  # a support, not an empty one
     with pytest.raises(ValueError, match="must be bottom"):
         extract_components(mt, _full(mt), sol)
 
@@ -170,7 +171,8 @@ def test_extract_components_rejects_non_bottom_support(fig1):
 def test_extract_components_rejects_support_leading_outside(fig1):
     # x charges rep#pending|α alone, whose target op1 has no frequency.
     mt = transform(fig1, 2)
-    sol = LpSolution(OPTIMAL, {"x[rep#pending|α]": Fraction(1)}, Fraction(0))
+    sol = LpSolution(OPTIMAL, {(mt.index["rep#pending"], "α"): Fraction(1)}, Fraction(0))
+    assert all(a in _full(mt)[s] for s, a in sol.assignment)
     with pytest.raises(ValueError, match="must be bottom"):
         extract_components(mt, _full(mt), sol)
 

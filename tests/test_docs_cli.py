@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 import resilient_mdp
 import resilient_mdp.lp as lp_module
 import resilient_mdp.synth as synth_module
-from resilient_mdp import MrScheduler, cli, docs, make_mdp, synthesize, transform
+from resilient_mdp import MrScheduler, cli, docs, make_mdp, synthesize, transform, verify_resilient
 from resilient_mdp.docs import DocumentError
 from resilient_mdp.lp import LinearProgram, SolverError
 from resilient_mdp.synth import ComposedScheduler, VerificationFailedError
 
 from conftest import fig1_model, random_model
+from helpers import fraction_operator_calls
 
 
 @pytest.fixture
@@ -659,6 +660,51 @@ def test_cli_verify_checks_the_stated_availability(tmp_path, capsys):
     # At R = 1 the decisions are not resilient (repair-success 1/2).
     assert verify("1/2", "--cost-bound", "1") == verify(None, "--cost-bound", "1")
     assert verify("1/2", "--cost-bound", "1")[::2] == (1, "")
+
+
+def test_cli_verify_and_simulate_apply_no_fraction_operator(tmp_path):
+    # From reading the documents to printing the report, ``verify`` and
+    # ``simulate`` read numerators and denominators only: on fig1's
+    # synthesized document and on the chain (2,3,4) gamble document, each
+    # stating its availability, also under a threshold override.
+    chain = chain_model(2, 3)
+    mt = transform(chain, 4)
+    sched = gamble_scheduler(mt)
+    stated = verify_resilient(mt, sched, Fraction(4, 5)).availability
+    documents = [_fig1_documents(), (docs.model_to_data(chain), json.loads(
+        docs.serialize_scheduler(ComposedScheduler(mt, sched, []), Fraction(4, 5), stated)))]
+    runs = []
+    for k, (model, scheduler) in enumerate(documents):
+        model_path, sched_path = tmp_path / f"model{k}.json", tmp_path / f"sched{k}.json"
+        model_path.write_text(json.dumps(model), encoding="utf-8")
+        sched_path.write_text(json.dumps(scheduler), encoding="utf-8")
+        paths = [str(model_path), str(sched_path)]
+        runs += [["verify", *paths], ["verify", *paths, "--threshold", "3/4"],
+                 ["simulate", *paths, "--steps", "500", "--trials", "2"]]
+    out = io.StringIO()
+    with fraction_operator_calls() as calls:
+        codes = [cli.main(argv, out=out) for argv in runs]
+    assert calls == []
+    assert codes == [0] * len(runs)
+    assert out.getvalue().count("resilient: yes") == 4
+
+
+def test_cli_state_and_action_ids_holding_a_bar(tmp_path, capsys):
+    # The pairs (s, x|a) and (s|x, a) both print as y[s|x|a] in --dump-lp,
+    # but the programs key their variables by (state, action), so this model
+    # synthesizes and verifies like any other.
+    model = make_mdp([("s", "op", 1), ("s|x", "op", 1)],
+                     [("s", "x|a", [("s|x", 1)]), ("s|x", "a", [("s", 1)])], "s")
+    model_path, sched_path = tmp_path / "model.json", tmp_path / "sched.json"
+    model_path.write_text(docs.serialize_model(model), encoding="utf-8")
+    assert _run(["validate", str(model_path)], capsys) == (0, "ok\n", "")
+    code, out, err = _run(["synthesize", str(model_path), "--threshold", "1", "--cost-bound",
+                           "0", "--out", str(sched_path), "--dump-lp"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("  y[s|x|a], y[s|x|a], y[s|x|τ], y[s|τ] >= 0\navailability: 1 (~1)\n")
+    code, out, err = _run(["verify", str(model_path), str(sched_path)], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("availability: 1 ") and out.endswith("resilient: yes\n")
 
 
 @pytest.mark.parametrize("flag", ["--threshold", "--cost-bound"])

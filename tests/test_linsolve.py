@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import resilient_mdp.linsolve as linsolve
 from resilient_mdp import MrScheduler, induce_chain, transform, verify_resilient
 from resilient_mdp.analyze import stationary_distribution
 from resilient_mdp.graph import bottom_sccs
@@ -17,7 +16,7 @@ from resilient_mdp.linsolve import SingularSystemError, solve_linear_system
 
 import fraction_reference
 from conftest import random_model
-from helpers import chain_rows, fraction_pairs
+from helpers import chain_rows, fraction_pairs, integer_system
 from test_docs_cli import chain_model, gamble_scheduler
 
 KINDS = ("square", "overdetermined", "rank-deficient", "inconsistent")
@@ -30,10 +29,11 @@ def _value(rng: random.Random):
 
 
 def _system(rng: random.Random, kind: str):
-    """A sparse n-unknown system with k right-hand sides built from a known
-    solution, then altered to be of ``kind``. Row i of the base holds column
-    perm[i] with a coefficient larger than the rest of the row together, so
-    the base is nonsingular."""
+    """A sparse n-unknown integer system with k right-hand sides built from a
+    known rational solution, then altered to be of ``kind``. Row i of the
+    base holds column perm[i] with a coefficient larger than the rest of the
+    row together, so the base is nonsingular. Rows are drawn with rational
+    coefficients and scaled to integers (``integer_system``)."""
     n, k = rng.randint(1, 20), rng.randint(1, 3)
     xs = [[_value(rng) if rng.random() < 0.8 else 0 for _ in range(k)] for _ in range(n)]
 
@@ -74,6 +74,7 @@ def _system(rng: random.Random, kind: str):
         i = rng.randrange(n)
         rows.append(dict(rows[i]))
         rhs.append([v + (c == 0) for c, v in enumerate(rhs[i])])
+    rows, rhs = integer_system(rows, rhs)
     order = rng.sample(range(len(rows)), len(rows))
     return [rows[i] for i in order], [rhs[i] for i in order], n, xs
 
@@ -121,16 +122,6 @@ def test_solutions_with_a_new_prime_in_every_denominator():
     assert y == fraction_pairs([[v] for v in reversed(expected)])
 
 
-class _CountingFraction(Fraction):
-    """A ``Fraction`` that counts how many are made under its name."""
-
-    made = 0
-
-    def __new__(cls, *args, **kwargs):
-        _CountingFraction.made += 1
-        return super().__new__(cls, *args, **kwargs)
-
-
 def _stationary_system(k: int, L: int, R: int):
     """The balance rows of the chain family's bottom SCC, as the verifier
     builds them: integer coefficients, one unknown fixed to 1."""
@@ -147,17 +138,24 @@ def _stationary_system(k: int, L: int, R: int):
 
 
 def test_elimination_builds_fractions_only_for_the_solutions(monkeypatch):
-    # Int and Fraction inputs alike: reading numerators and denominators
-    # builds nothing, the elimination and back-substitution work in ints,
-    # and the solutions are int pairs, so one solve makes no Fraction.
+    # The elimination and back-substitution work in ints and the solutions
+    # are int pairs, so one solve makes no Fraction anywhere.
     rng = random.Random(5)
     systems = [_stationary_system(3, 3, 4), _stationary_system(2, 3, 12)]
     systems += [_system(rng, "square")[:3] for _ in range(20)]
-    monkeypatch.setattr(linsolve, "Fraction", _CountingFraction)
+    made = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
     for rows, rhs, n in systems:
-        _CountingFraction.made = 0
-        x = solve_linear_system(rows, rhs, n)
-        assert _CountingFraction.made == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", counting)
+            assert Fraction(1, 2) and made == [(1, 2)]
+            made.clear()
+            x = solve_linear_system(rows, rhs, n)
+        assert made == []
         assert x == fraction_reference.solve_linear_system(rows, rhs, n)
 
 

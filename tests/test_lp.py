@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import itertools
 import random
@@ -18,7 +17,7 @@ from resilient_mdp.lp import (EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, Constr
                               solve, solve_lexicographic)
 
 from conftest import random_model
-from helpers import fraction_pairs
+from helpers import fraction_operator_calls, fraction_pairs, integer_system
 from test_docs_cli import chain_model
 
 
@@ -152,7 +151,7 @@ def _vertex_enumeration_optimum(prog):
         rhs = [planes[i][1] for i in combo]
         try:
             point = [Fraction(*v) for (v,) in solve_linear_system(
-                [dict(enumerate(r)) for r in rows], [[b] for b in rhs], n)]
+                *integer_system([dict(enumerate(r)) for r in rows], [[b] for b in rhs]), n)]
         except SingularSystemError:
             continue
         assignment = dict(zip(names, point))
@@ -881,31 +880,6 @@ def test_integer_verify_matches_the_fraction_form():
     assert all(seen.values()), seen
 
 
-_FRACTION_OPERATORS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                       "__truediv__", "__rtruediv__", "__neg__", "__lt__", "__le__", "__gt__",
-                       "__ge__", "__eq__"]
-
-
-@contextlib.contextmanager
-def fraction_operator_calls():
-    """Patch ``Fraction``'s operators to record the name of each one called;
-    yields the list of names, checked to record before it is handed out."""
-    calls = []
-
-    def counting(name):
-        real = getattr(Fraction, name)
-
-        def operator(self, *args):
-            calls.append(name)
-            return real(self, *args)
-        return operator
-
-    with mock.patch.multiple(Fraction, **{name: counting(name) for name in _FRACTION_OPERATORS}):
-        assert Fraction(1, 2) + 1 > 1 and calls == ["__add__", "__gt__"]
-        calls.clear()
-        yield calls
-
-
 def test_solve_applies_no_fraction_operator():
     # ``solve`` computes through ``_minus``, ``_quotient`` and integer
     # reads only, on chain (1,3,3)'s two programs and on random programs
@@ -932,24 +906,20 @@ def test_solve_applies_no_fraction_operator():
 
 
 def test_linear_system_golden():
-    sol = solve_linear_system(
-        [{0: Fraction(2), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}],
-        [[Fraction(5)], [Fraction(10)]], 2)
+    sol = solve_linear_system([{0: 2, 1: 1}, {0: 1, 1: 3}], [[5], [10]], 2)
     assert sol == [[(1, 1)], [(3, 1)]]
 
 
 def test_linear_system_overdetermined_consistent():
-    sol = solve_linear_system(
-        [{0: Fraction(1)}, {0: Fraction(2)}], [[Fraction(3)], [Fraction(6)]], 1)
+    sol = solve_linear_system([{0: 1}, {0: 2}], [[3], [6]], 1)
     assert sol == [[(3, 1)]]
 
 
 def test_linear_system_singular():
     with pytest.raises(SingularSystemError):
-        solve_linear_system([{0: Fraction(1), 1: Fraction(1)}], [[Fraction(0)]], 2)
+        solve_linear_system([{0: 1, 1: 1}], [[0]], 2)
     with pytest.raises(SingularSystemError):
-        solve_linear_system([{0: Fraction(1)}, {0: Fraction(1)}],
-                            [[Fraction(1)], [Fraction(2)]], 1)
+        solve_linear_system([{0: 1}, {0: 1}], [[1], [2]], 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -959,11 +929,11 @@ def test_linear_system_random_roundtrip(seed):
     n = rng.randint(1, 5)
     xs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
           for _ in range(n)]
-    rows = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
     rhs = [[sum((rows[i][j] * xs[j][k] for j in range(n)), Fraction(0)) for k in range(2)]
            for i in range(n)]
     try:
-        sol = solve_linear_system([dict(enumerate(r)) for r in rows], rhs, n)
+        sol = solve_linear_system(*integer_system([dict(enumerate(r)) for r in rows], rhs), n)
     except SingularSystemError:
         assert _determinant(rows) == 0  # only a singular matrix may be refused
         return
@@ -1066,7 +1036,7 @@ def test_linear_system_matches_reference_on_sparse_systems(seed):
             rows.append(dict(rows[i]))
             rhs.append([v + (c == 0) for c, v in enumerate(rhs[i])])
     order = rng.sample(range(len(rows)), len(rows))
-    rows, rhs = [rows[i] for i in order], [rhs[i] for i in order]
+    rows, rhs = integer_system([rows[i] for i in order], [rhs[i] for i in order])
 
     got = _outcome(solve_linear_system, rows, rhs, n)
     want = _outcome(_reference_solve, rows, rhs, n)

@@ -45,7 +45,7 @@ def test_goal_mdp_fig1_shape(fig1):
     assert len(lp.variables) == sum(len(n.enabled(s)) for s in range(mt.n))
     assert len(lp.constraints) == mt.n + 1 + len(mt.errors())
     # Switching at op2 earns its component's availability 1; op1's is 0.
-    assert lp.objective == {f"y[op2|{TAU}]": 1}
+    assert lp.objective == {(mt.index["op2"], TAU): 1}
     assert {mt.ids[s]: comps[k].avail for s, k in n.switch.items()} == {"op1": 0, "op2": 1}
 
 
@@ -105,19 +105,24 @@ def test_resiliency_lp_goldens(fig1):
     assert solve(lp0).status == INFEASIBLE
 
 
-def _lp_digest(lp) -> str:
-    """sha256 of a program up to the order of terms within a row."""
-    rendering = (lp.variables,
-                 [(sorted(c.coeffs.items()), c.relation, c.rhs) for c in lp.constraints],
-                 sorted(lp.objective.items()), "max", sorted(lp.variables))
+def _lp_digest(lp, name) -> str:
+    """sha256 of a program, each variable rendered as ``name(variable)``, up
+    to the order of terms within a row."""
+    names = [name(v) for v in lp.variables]
+
+    def terms(coeffs):
+        return sorted((name(v), q) for v, q in coeffs.items())
+    rendering = (names, [(terms(c.coeffs), c.relation, c.rhs) for c in lp.constraints],
+                 terms(lp.objective), "max", sorted(names))
     return hashlib.sha256(repr(rendering).encode()).hexdigest()
 
 
 # Variable order, row order, coefficients and relations all feed Bland's
 # rule, so every scheduler document depends on them. ``multi_mp`` digests the
-# availability programs of the model's MECs in order. "fig1-none" is
-# the resiliency program with no usable component, whose goal row has no
-# inflow and must still read 0 >= 1.
+# availability programs of the model's MECs in order. "fig1-none" is the
+# resiliency program with no usable component, whose goal row has no inflow
+# and must still read 0 >= 1. The digests render the (s, a) keys as the
+# names x[id|a] and y[id|a], so they are those of the string-named programs.
 @pytest.mark.parametrize("model, threshold, bound, multi_mp, resiliency", [
     (fig1_model(), Fraction(4, 5), 2,
      "3754c5527da3f9a8de77fef165fa396a44e34a0dc14a8944dceaa065aa4af36b",
@@ -138,11 +143,13 @@ def test_lp_golden_hashes(model, threshold, bound, multi_mp, resiliency):
     else:
         weights = build_weights(mt, threshold)
         mecs = mec_decomposition(mt, {s: mt.enabled(s) for s in range(mt.n)})
-        digests = [_lp_digest(build_multi_mp_lp(mt, members, acts, weights))
+        digests = [_lp_digest(build_multi_mp_lp(mt, members, acts, weights),
+                              lambda v: f"x[{mt.ids[v[0]]}|{v[1]}]")
                    for members, acts in mecs]
         assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == multi_mp
         comps = compute_E(mt, threshold)
-    assert _lp_digest(build_resiliency_lp(build_goal_mdp(mt, comps), threshold)) == resiliency
+    n = build_goal_mdp(mt, comps)
+    assert _lp_digest(build_resiliency_lp(n, threshold), n.name) == resiliency
 
 
 def test_goal_program_matches_paper_goal_mdp_program():
@@ -195,7 +202,7 @@ def test_flow_conservation_and_goal_inflow(fig1):
     sol = solve_lexicographic(lp, {v: Fraction(1) for v in lp.variables})
     assert sol.status == OPTIMAL
     # The switch mass is exactly 1: every run settles in a component.
-    switched = sum((sol.assignment[f"y[{mt.ids[s]}|{TAU}]"] for s in n.switch), Fraction(0))
+    switched = sum((sol.assignment[s, TAU] for s in n.switch), Fraction(0))
     assert switched == 1
     for c in lp.constraints:
         if c.relation == EQ:
@@ -266,7 +273,7 @@ def test_unreachable_transient_states_defaulted(fig1):
     for s in range(mt.n):
         if s in comp_states:
             continue
-        mass = sum((y[f"y[{mt.ids[s]}|{a}]"] for a in mt.enabled(s)), Fraction(0))
+        mass = sum((y[s, a] for a in mt.enabled(s)), Fraction(0))
         if mass == 0:
             assert s not in chain.index  # uniform default is never exercised
 
