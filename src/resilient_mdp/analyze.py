@@ -16,10 +16,15 @@ Until-probabilities and reach probabilities solve one kind of system,
 ``linsolve``; long-run averages combine those reach probabilities with the
 stationary distributions of the bottom strongly connected components. The
 bottom SCCs are found once per chain and serve the long-run averages and
-the qualitative almost-sure check, which is graph analysis. A seeded Monte
-Carlo simulator, whose draw tables are integer cumulative sums, and a small
-brute-force optimum search double as independent cross-checks for the LP
-pipeline.
+the qualitative almost-sure check, which is graph analysis. Verification
+solves each bottom SCC's stationary masses once and reads off them the
+availability and, for every error inside a bottom SCC, its repair-success
+probability and weight mean: by renewal-reward, since each visit to such an
+error starts one repair, whose outcome the masses count (see
+``verify_resilient``). Only errors outside every bottom SCC need the until
+system. A seeded Monte Carlo simulator, whose draw tables are integer
+cumulative sums, and a small brute-force optimum search double as
+independent cross-checks for the LP pipeline.
 
 Synthesis values its end components without this module: ``components``
 reads each availability off the program's own recurrent frequencies. The
@@ -42,7 +47,7 @@ from .graph import bottom_sccs, predecessors, reachable_from
 from .linsolve import solve_linear_system
 from .model import ERROR, OPERATIONAL
 from .sched import MrScheduler
-from .transform import TransformedMdp, build_weights, exact_threshold
+from .transform import TransformedMdp, exact_threshold
 
 
 # The values ``until_probability`` settles by graph analysis share these.
@@ -227,16 +232,11 @@ def stationary_distribution(c: InducedChain,
     return masses, sum(masses.values())
 
 
-def long_run_values(c: InducedChain, value_fns) -> list[Fraction]:
-    """Expected mean of each value function from the initial state: the sum
-    over BSCCs of (reach probability) x (stationary mean).
-
-    The BSCCs, their reach probabilities (one system, one right-hand side per
-    BSCC) and their stationary distributions are computed once for all
-    functions. A value function returns ints or ``Fraction``s (or None for
-    0). Each mean sums only the states where its function is nonzero, in
-    integers, and is made as one ``Fraction``.
-    """
+def _bscc_masses(c: InducedChain) -> list[tuple[list[int], tuple[int, int], dict[int, int], int]]:
+    """(comp, reach, masses, total) per BSCC: its local states, the reach
+    probability from the initial state as a (numerator, denominator) pair
+    (one system, one right-hand side per BSCC, when the initial state is
+    transient), and ``stationary_distribution``'s masses and total."""
     comps = c.bsccs
     members = [set(comp) for comp in comps]
     if any(0 in m for m in members):
@@ -244,11 +244,24 @@ def long_run_values(c: InducedChain, value_fns) -> list[Fraction]:
     else:
         transient = [i for i in range(c.n) if not any(i in m for m in members)]
         reach = _solve_restricted(c, transient, lambda s: [_step_mass(c, s, m) for m in members])[0]
-    pis = [stationary_distribution(c, comp) for comp in comps]
+    return [(comp, r, *stationary_distribution(c, comp)) for comp, r in zip(comps, reach)]
+
+
+def long_run_values(c: InducedChain, value_fns, parts=None) -> list[Fraction]:
+    """Expected mean of each value function from the initial state: the sum
+    over BSCCs of (reach probability) x (stationary mean).
+
+    The BSCCs, their reach probabilities and their stationary distributions
+    are computed once for all functions, or passed as ``parts``, the
+    ``_bscc_masses(c)`` the caller holds. A value function returns ints or
+    ``Fraction``s (or None for 0). Each mean sums only the states where its
+    function is nonzero, in integers, and is made as one ``Fraction``.
+    """
+    parts = parts or _bscc_masses(c)
     values = []
     for f in value_fns:
         terms = []
-        for (r, rd), comp, (masses, total) in zip(reach, comps, pis):
+        for comp, (r, rd), masses, total in parts:
             num, den = _ratio_sum([(masses[i] * v.numerator, v.denominator)
                                    for i in comp if (v := f(c.states[i]))])
             terms.append((r * num, rd * den * total))
@@ -297,31 +310,53 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
     ``scheduler`` must be memoryless on the transformed MDP; residual
     schedulers after any history then coincide with the scheduler itself, so
     per-state checks at each reachable error are sound and complete.
+
+    An error e in a bottom SCC B is read off B's stationary masses m: e is
+    entered only with no repair underway, so each visit starts one repair,
+    and one that succeeds enters exactly one state of Op_e (the operational
+    copies of e) while one that overruns passes exactly one over-budget
+    state. So e's repair succeeds with probability m(Op_e)/m(e), and its
+    weight function (1 - p on Op_e, -p where the repair overruns, p the
+    threshold) has mean reach(B)·(m(Op_e) - p·m(e))/m(B). The until system
+    is solved only for errors outside every bottom SCC, whose weight mean is
+    0. Almost-sure repair is graph analysis for every error: a model that
+    breaks the repair assumption can hold a recurrent error that fails it.
     """
     threshold = exact_threshold(threshold)
     tn, td = threshold.numerator, threshold.denominator
     chain = induce_chain(mt, scheduler, mt.initial)
-    triples = {i for i in range(mt.n) if mt.triple[i] is not None}
     op_states = {i for i in range(mt.n) if mt.is_op(i)}
-    weights = build_weights(mt, threshold)
+    asrep_all = almost_sure_reach(chain, op_states)
+    parts = _bscc_masses(chain)
+    home = {i: part for part in parts for i in part[0]}  # BSCC state -> its part
+    op_mass: dict[int, int] = {}  # base error -> m(Op_e), its operational copies' mass
+    for i, (_, _, masses, _) in home.items():
+        if (t := mt.triple[chain.states[i]]) is not None and mt.is_op(chain.states[i]):
+            op_mass[t[0]] = op_mass.get(t[0], 0) + masses[i]
+    reached = [e for e in mt.errors() if e in chain.index]
+    if any(chain.index[e] not in home for e in reached):
+        # One solve for all transient errors: a path that stays among repair
+        # copies and starts from a successor of e only visits copies of e, so
+        # the operational copies it can reach are exactly Op_e.
+        triples = {i for i in range(mt.n) if mt.triple[i] is not None}
+        q = until_probability(chain, triples, triples & op_states)
 
     per_error: dict[int, ErrorCheck] = {}
-    asrep_all = almost_sure_reach(chain, op_states)
-    # One solve for all errors: a path that stays among repair copies and
-    # starts from a successor of e only visits copies of e, so the operational
-    # copies it can reach are exactly Op_e.
-    q = until_probability(chain, triples, triples & op_states)
-    for e in mt.errors():
-        if e not in chain.index:
-            continue  # unreachable under this scheduler; nothing to check
+    mp: dict[int, Fraction] = {}
+    for e in reached:
         k = chain.index[e]
-        terms = [(x, q[chain.states[t]]) for t, x in chain.nums[k].items()]
-        num, den = _ratio_sum([(x * p.numerator, p.denominator) for x, p in terms])
-        den *= chain.dens[k]
+        if k in home:
+            _, (r, rd), masses, total = home[k]
+            num, den = op_mass.get(mt.back[e], 0), masses[k]
+            mp[e] = Fraction(r * (num * td - tn * den), rd * total * td)
+        else:
+            terms = [(x, q[chain.states[t]]) for t, x in chain.nums[k].items()]
+            num, den = _ratio_sum([(x * p.numerator, p.denominator) for x, p in terms])
+            den *= chain.dens[k]
+            mp[e] = ZERO
         per_error[e] = ErrorCheck(Fraction(num, den), num * td >= tn * den, asrep_all[e])
-
-    avail, *means = long_run_values(chain, [mt.payoff] + [weights[e].get for e in per_error])
-    return VerificationReport(per_error, avail, dict(zip(per_error, means)))
+    (avail,) = long_run_values(chain, [mt.payoff], parts)
+    return VerificationReport(per_error, avail, mp)
 
 
 class BruteForceResult(NamedTuple):

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -271,6 +272,46 @@ def test_verify_chain_at_scale():
     assert report.availability == Fraction(78, 229)
     assert report.ok
     assert report.render(mt, Fraction(4, 5)).endswith("resilient: yes")
+
+
+def _refuse(*args):
+    raise RuntimeError("not expected here")
+
+
+@pytest.mark.parametrize("k, L, R", [(2, 3, 4), (3, 3, 4)])
+def test_verify_reads_recurrent_errors_off_the_stationary_masses(monkeypatch, k, L, R):
+    # Under gamble 3/4, safe 1/4 the whole chain is one bottom SCC, so every
+    # error is recurrent: its stationary solve is the only linear system,
+    # and neither the until system nor the weight functions that synthesis
+    # builds its program from are used.
+    mt = transform(chain_model(k, L), R)
+    sched = gamble_scheduler(mt)
+    want = verify_resilient(mt, sched, Fraction(4, 5))
+    solves = []
+    solve = analyze_module.solve_linear_system
+    monkeypatch.setattr(analyze_module, "solve_linear_system",
+                        lambda *args: solves.append(args) or solve(*args))
+    monkeypatch.setattr(analyze_module, "until_probability", _refuse)
+    monkeypatch.setattr(importlib.import_module("resilient_mdp.transform"), "build_weights",
+                        _refuse)
+    monkeypatch.setattr(analyze_module, "build_weights", _refuse, raising=False)
+    assert verify_resilient(mt, sched, Fraction(4, 5)) == want
+    assert len(solves) == 1 and want.ok
+
+
+def test_verify_solves_the_until_system_for_a_transient_error(fig1, monkeypatch):
+    # Under β-always fig1's error is left for good once its repair ends, so
+    # its repair-success probability still comes from the until system.
+    mt = transform(fig1, 2)
+    chain = induce_chain(mt, beta_always(mt), mt.initial)
+    e = mt.index["error"]
+    assert not any(chain.index[e] in comp for comp in chain.bsccs)
+    untils = []
+    monkeypatch.setattr(analyze_module, "until_probability",
+                        lambda *args: untils.append(args) or until_probability(*args))
+    report = verify_resilient(mt, beta_always(mt), Fraction(4, 5))
+    assert len(untils) == 1
+    assert report.per_error[e].res_probability == Fraction(3, 4) and report.mp[e] == 0
 
 
 def test_verify_beta_always_fails_at_four_fifths(fig1):

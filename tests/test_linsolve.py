@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilient_mdp import MrScheduler, induce_chain, transform, verify_resilient
+from resilient_mdp import MrScheduler, induce_chain, make_mdp, transform, verify_resilient
 from resilient_mdp.analyze import stationary_distribution
 from resilient_mdp.graph import bottom_sccs
 from resilient_mdp.linsolve import SingularSystemError, solve_linear_system
@@ -184,22 +184,65 @@ def _random_scheduler(mt, rng: random.Random) -> MrScheduler:
 
 
 def test_verify_matches_the_fraction_chain_analysis():
-    # Random models and schedulers: reports agree byte for byte, and the
-    # draws include chains with a transient initial state and several
-    # bottom SCCs, where the reach probabilities are solved too.
+    # Random models and schedulers: reports agree byte for byte with the
+    # reference's until system and weight functions. The draws cover both
+    # routes to an error's values: errors in a bottom SCC, read off its
+    # stationary masses, and errors outside every bottom SCC, solved by the
+    # until system, in one chain too. They include an error in a bottom SCC
+    # whose own cost exceeds R, so that the -p weight sits on the error
+    # itself, one that is not repaired almost surely, and chains with a
+    # transient initial state and several bottom SCCs, where the reach
+    # probabilities are solved too.
     rng = random.Random(2024)
     shapes = set()
     for _ in range(250):
         mt = transform(random_model(rng, rng.random() < 0.3), rng.randint(0, 3))
         sched = _random_scheduler(mt, rng)
         threshold = rng.choice([Fraction(1, 3), Fraction(1, 2), Fraction(4, 5), Fraction(1)])
-        got = verify_resilient(mt, sched, threshold).render(mt, threshold)
+        report = verify_resilient(mt, sched, threshold)
         want = fraction_reference.verify_resilient(mt, sched, threshold).render(mt, threshold)
-        assert got == want
+        assert report.render(mt, threshold) == want
         chain = induce_chain(mt, sched, mt.initial)
         comps = bottom_sccs(chain.succ_lists())
-        shapes.add((len(comps) > 1, not any(0 in comp for comp in comps)))
-    assert (True, True) in shapes  # several BSCCs, initial state transient
+        recurrent = {e for e in report.per_error if any(chain.index[e] in c for c in comps)}
+        shapes |= {shape for shape, seen in [
+            ("errors in and outside the bottom SCCs", set(report.per_error) > recurrent > set()),
+            ("recurrent error over budget on its own",
+             any(mt.base.cost(mt.back[e]) > mt.cost_bound for e in recurrent)),
+            ("recurrent error not repaired almost surely",
+             any(not report.per_error[e].asrep_ok for e in recurrent)),
+            ("several bottom SCCs, transient initial state",
+             len(comps) > 1 and not any(0 in comp for comp in comps)),
+        ] if seen}
+    assert len(shapes) == 4
+
+
+def test_verify_matches_the_fraction_chain_analysis_with_an_error_in_each_bottom_scc():
+    # From s the chain settles in a's loop with probability 1/3 and in b's
+    # with 2/3, each holding one error; ea's repair succeeds within budget
+    # with probability 3/4 and eb's with 1/3. So each weight mean is scaled
+    # by a reach probability below 1, which no draw of the random-model
+    # test above reaches with a nonzero mean.
+    m = make_mdp([("s", "op", 0), ("a", "op", 1), ("b", "op", 2), ("ea", "err", 0),
+                  ("eb", "err", 1), ("ra", "rep", 1), ("rb", "rep", 1)],
+                 [("s", "go", [("a", Fraction(1, 3)), ("b", Fraction(2, 3))]),
+                  ("a", "run", [("a", Fraction(1, 2)), ("ea", Fraction(1, 2))]),
+                  ("b", "run", [("b", Fraction(3, 4)), ("eb", Fraction(1, 4))]),
+                  ("ea", "fix", [("ra", Fraction(1))]),
+                  ("eb", "fix", [("rb", Fraction(1))]),
+                  ("ra", "try", [("a", Fraction(1, 2)), ("ra", Fraction(1, 2))]),
+                  ("rb", "try", [("b", Fraction(1, 3)), ("rb", Fraction(2, 3))])], "s")
+    mt = transform(m, 2)
+    sched = MrScheduler({i: {mt.enabled(i)[0]: Fraction(1)} for i in range(mt.n)})
+    threshold = Fraction(1, 2)
+    report = verify_resilient(mt, sched, threshold)
+    assert report.render(mt, threshold) == \
+        fraction_reference.verify_resilient(mt, sched, threshold).render(mt, threshold)
+    assert [report.per_error[mt.index[e]].res_probability for e in ("ea", "eb")] == \
+        [Fraction(3, 4), Fraction(1, 3)]
+    assert report.mp[mt.index["ea"]] > 0 > report.mp[mt.index["eb"]]
+    chain = induce_chain(mt, sched, mt.initial)
+    assert len(chain.bsccs) == 2 and not any(0 in comp for comp in chain.bsccs)
 
 
 @pytest.mark.parametrize("k, L, R", [(2, 3, 4), (3, 3, 4)])
