@@ -47,7 +47,7 @@ print(f"optimal availability: {result.availability} "
       f"(~{float(result.availability):.4f})")
 print()
 print("scheduler decisions on the transformed states:")
-mr = result.scheduler.as_mr()
+mr = result.scheduler.mr
 for i in range(mt.n):
     dist = {a: p for a, p in mr.dist(i).items() if p > 0}
     if len(mt.enabled(i)) > 1:

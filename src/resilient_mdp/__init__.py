@@ -58,7 +58,7 @@ from .synth import (
     extract_scheduler,
     synthesize,
 )
-from .transform import TransformedMdp, build_weights, transform
+from .transform import TransformedMdp, transform
 
 __version__ = "0.1.0"
 

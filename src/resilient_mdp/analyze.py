@@ -313,14 +313,15 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
 
     An error e in a bottom SCC B is read off B's stationary masses m: e is
     entered only with no repair underway, so each visit starts one repair,
-    and one that succeeds enters exactly one state of Op_e (the operational
-    copies of e) while one that overruns passes exactly one over-budget
-    state. So e's repair succeeds with probability m(Op_e)/m(e), and its
-    weight function (1 - p on Op_e, -p where the repair overruns, p the
-    threshold) has mean reach(B)·(m(Op_e) - p·m(e))/m(B). The until system
-    is solved only for errors outside every bottom SCC, whose weight mean is
-    0. Almost-sure repair is graph analysis for every error: a model that
-    breaks the repair assumption can hold a recurrent error that fails it.
+    which enters exactly one state of Op_e (the operational copies of e) if
+    it succeeds within budget and none otherwise. So e's repair succeeds
+    with probability m(Op_e)/m(e), and the mean of e's row in
+    ``components.repair_rows`` (1 on Op_e, -p on e, p the threshold), the
+    report's weight mean, is reach(B)·(m(Op_e) - p·m(e))/m(B). The until
+    system is solved only for errors outside every bottom SCC, whose weight
+    mean is 0. Almost-sure repair is graph analysis for every error: a
+    model that breaks the repair assumption can hold a recurrent error that
+    fails it.
     """
     threshold = exact_threshold(threshold)
     tn, td = threshold.numerator, threshold.denominator

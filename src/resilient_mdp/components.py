@@ -1,17 +1,18 @@
 """End components usable by resilient schedulers.
 
 The long-run behavior of any resilient scheduler is confined to end
-components whose internal scheduler keeps, for every error e, the mean of a
-weight function nonnegative: repair successes within budget earn 1 - p,
-budget overruns pay -p, everything else is neutral. Maximizing availability
-under these mean constraints on one maximal end component (MEC) is a linear
-program over long-run frequencies, one variable per (state, action) pair
-of the MEC; its recurrent frequencies are extracted
-into component triples (state set, action sets, memoryless scheduler,
-availability). The availability is read off those frequencies, not computed
-by a chain analysis, so the exact chain analysis of ``analyze`` stays an
-independent check of the final result. A worklist over MECs finds the
-components the optimum passes over (see ``compute_E``).
+components whose internal scheduler enters, for every error e, the
+operational copies of e at least p times as often as e itself: each visit
+to e begins one repair, which succeeds within budget by entering one of
+those copies (see ``repair_rows``). Maximizing availability under these
+constraints on one maximal end component (MEC) is a linear program over
+long-run frequencies, one variable per (state, action) pair of the MEC;
+its recurrent frequencies are extracted into component triples (state
+set, action sets, memoryless scheduler, availability). The availability is
+read off those frequencies, not computed by a chain analysis, so the exact
+chain analysis of ``analyze`` stays an independent check of the final
+result. A worklist over MECs finds the components the optimum passes over
+(see ``compute_E``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 from .graph import strongly_connected_components
 from .lp import EQ, GE, OPTIMAL, LinearProgram, LpSolution, common_denominator, solve
 from .sched import MrScheduler
-from .transform import TransformedMdp, build_weights
+from .transform import TransformedMdp, exact_threshold
 
 
 def mec_decomposition(mt: TransformedMdp, enabled: dict[int, list[str]]
@@ -84,16 +85,34 @@ def flow_balance(states, enabled, actions) -> dict[int, dict[tuple[int, str], Fr
     return rows
 
 
+def repair_rows(mt: TransformedMdp, threshold, enabled
+                ) -> list[dict[tuple[int, str], Fraction]]:
+    """The repair-success row of each error e, in ``mt.errors()`` order, over
+    action variables (s, a): +1 per enabled action of each state of Op_e (the
+    operational copies of e), -threshold per enabled action of e. Each visit
+    to e begins one repair, which enters Op_e once if it succeeds within
+    budget, so a row kept nonnegative by a frequency or visit count states
+    the paper's repair-success constraint. ``enabled(s)`` lists the actions
+    of s that have variables; the threshold is read by ``exact_threshold``.
+    """
+    p = exact_threshold(threshold)
+    rows = []
+    for e in mt.errors():
+        row = {(s, a): Fraction(1) for s in mt.op_copies_of(e) for a in enabled(s)}
+        row.update({(e, a): -p for a in enabled(e)})  # e is no op copy
+        rows.append(row)
+    return rows
+
+
 def build_multi_mp_lp(mt: TransformedMdp, members: list[int], acts: dict[int, list[str]],
-                      weights: dict[int, dict[int, Fraction]]) -> LinearProgram:
-    """Program for maximal availability on one MEC under nonnegative
-    per-error weight means.
+                      threshold: Fraction) -> LinearProgram:
+    """Program for maximal availability on one MEC under the repair-success
+    rows.
 
     Variable (s, a) is x_{s,a}, the long-run frequency of action a in state
     s of the MEC ``members`` with actions ``acts``. The rows are flow
-    conservation per state, total frequency 1 and, per error with a weighted
-    state in the MEC, that error's expected weight frequency kept
-    nonnegative.
+    conservation per state, total frequency 1 and, per error with e or one
+    of Op_e in the MEC, that error's ``repair_rows`` row kept nonnegative.
     """
     variables = [(s, a) for s in members for a in acts[s]]
     lp = LinearProgram(variables=variables)
@@ -103,9 +122,7 @@ def build_multi_mp_lp(mt: TransformedMdp, members: list[int], acts: dict[int, li
         lp.add(flow[s], EQ, 0)
     lp.add(dict.fromkeys(variables, Fraction(1)), EQ, 1)
 
-    for e in sorted(weights):
-        wgt = weights[e]
-        coeffs = {(s, a): wgt[s] for s in members if wgt.get(s) for a in acts[s]}
+    for coeffs in repair_rows(mt, threshold, lambda s: acts.get(s, ())):
         if coeffs:
             lp.add(coeffs, GE, 0)
 
@@ -189,25 +206,24 @@ def compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentTriple]:
 
     - Every end component lies in one MEC, and an end component of a MEC
       that avoids some of its states lies in one MEC of the rest.
-    - Error e's nonzero weights sit on e itself and on op or overrun copies
-      of e. Leaving a repair copy resets the memory, and only e starts it
-      again, so every cycle through such a copy passes through e: those
-      copies recur only in the MEC that holds e. The weight rows therefore
-      split by MEC, and a MEC's program holds every row its components pay.
+    - Error e's row charges only e and Op_e. Leaving a repair copy resets
+      the memory, and only e starts it again, so every cycle through an op
+      copy of e passes through e: Op_e recurs only in the MEC that holds e.
+      The rows therefore split by MEC, and a MEC's program holds every row
+      its components pay.
     - The stationary frequencies of a resilient component of a MEC are a
       feasible point of its program. So an infeasible MEC contains no
       resilient component, and dropping all of it loses none.
     - Optimality. Let C be a support bottom SCC of an optimal x, with mass
       mu > 0 and availability a, and suppose a resilient component C' inside
-      C had a' > a. By the split above each support SCC pays its own weight
-      rows, and so does C'. Moving C's mass mu onto the stationary
-      frequencies of C' keeps flow, total mass and every weight row, and
-      raises the objective by mu (a' - a) > 0. That contradicts optimality,
-      so removing a triple's states never loses a better component inside
-      them.
-    - One support SCC per vertex. Since each support SCC pays its own weight
-      rows, the frequencies of each, rescaled to mass 1, are feasible, and x
-      is their convex combination. The simplex returns a vertex, so its
+      C had a' > a. By the split above each support SCC pays its own rows,
+      and so does C'. Moving C's mass mu onto the stationary frequencies of
+      C' keeps flow, total mass and every row, and raises the objective by
+      mu (a' - a) > 0. That contradicts optimality, so removing a triple's
+      states never loses a better component inside them.
+    - One support SCC per vertex. Since each support SCC pays its own rows,
+      the frequencies of each, rescaled to mass 1, are feasible, and x is
+      their convex combination. The simplex returns a vertex, so its
       support is one bottom SCC, and so is that of any vertex of a face.
     - Usable components. The paper's resilient schedulers settle in end
       components where every repair ends, so a repair that never finishes
@@ -222,22 +238,19 @@ def compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentTriple]:
     - A feasible SCC with an anchor state is usable, as the threshold is
       positive. Were it not, it would hold no operational state, an anchor
       state with no memory and a state with memory. Going from the one to
-      the other and back with no operational state on the way begins a
-      repair at an error e of the SCC and overruns its budget, so the SCC
-      holds a state weighted -threshold in e's row and none of e's op
-      copies, and its own part of that row is negative.
+      the other begins a repair at an error e of the SCC, so the SCC holds e
+      and none of Op_e, and its own part of e's row is negative.
     - So the second solve returns a usable SCC if the MEC holds a usable
       resilient component: the stationary frequencies of that component lie
       on the optimal face and charge anchor states, so the most anchor mass
       is positive, and the one support SCC of the vertex returned holds an
       anchor state. Otherwise the MEC holds none and is dropped.
     """
-    weights = build_weights(mt, threshold)
     work = mec_decomposition(mt, {s: mt.enabled(s) for s in range(mt.n)})
     out: list[ComponentTriple] = []
     while work:
         members, acts = work.pop()
-        lp = build_multi_mp_lp(mt, members, acts, weights)
+        lp = build_multi_mp_lp(mt, members, acts, threshold)
         sol = solve(lp)
         if sol.status != OPTIMAL:
             continue

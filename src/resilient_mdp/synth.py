@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import analyze
-from .components import ComponentTriple, compute_E, flow_balance, switch_states
+from .components import ComponentTriple, compute_E, flow_balance, repair_rows, switch_states
 from .lp import (EQ, GE, INFEASIBLE, OPTIMAL, LinearProgram, LpSolution, common_denominator,
                  solve_lexicographic)
 from .model import TAU, MdpWithRepair, validate_repair_assumption, validate_structure
@@ -74,9 +74,9 @@ def build_resiliency_lp(n: GoalMdp, threshold: Fraction) -> LinearProgram:
     Variable (s, a) is y_{s,a}, the expected number of times action a is
     taken in state s; y_{s,τ} is the probability of settling at s in its
     component. Every run must settle, so the switch mass is at least 1 (by
-    flow conservation it is exactly 1, the full probability mass).
+    flow conservation it is exactly 1, the full probability mass). Each
+    error's row of ``components.repair_rows`` is kept nonnegative.
     """
-    threshold = Fraction(threshold)
     mt = n.mt
     states = range(mt.n)
     lp = LinearProgram(variables=[(s, a) for s in states for a in n.enabled(s)])
@@ -89,14 +89,7 @@ def build_resiliency_lp(n: GoalMdp, threshold: Fraction) -> LinearProgram:
     # With no usable component there is no switch: the row reads 0 >= 1.
     lp.add({(s, TAU): Fraction(1) for s in n.switch}, GE, 1)
 
-    for e in mt.errors():
-        coeffs: dict[tuple[int, str], Fraction] = {}
-        for s in mt.op_copies_of(e):
-            for a in n.enabled(s):
-                coeffs[s, a] = Fraction(1)
-        for a in n.enabled(e):
-            v = (e, a)
-            coeffs[v] = coeffs[v] - threshold if v in coeffs else -threshold
+    for coeffs in repair_rows(mt, threshold, n.enabled):
         lp.add(coeffs, GE, 0)
 
     lp.objective = {(s, TAU): n.comps[k].avail
@@ -136,9 +129,6 @@ class ComposedScheduler(NamedTuple):
     mt: TransformedMdp
     mr: MrScheduler
     components: list[ComponentTriple]
-
-    def as_mr(self) -> MrScheduler:
-        return self.mr
 
     def render(self) -> FiniteMemoryScheduler:
         return FiniteMemoryScheduler(self.mt, self.mr)

@@ -9,10 +9,10 @@ non-operational states are therefore only visited with no repair underway.
 Only the fragment reachable from the initial state is materialized, at most
 ``MAX_STATES`` states (one copy per reachable cost value).
 
-``_passed_on`` is the one statement of the budget rule; ``_successor_key``
-(and so ``transform``) and ``build_weights`` read it. Copies are rendered as
-"e#s#r" in state ids, pending copies as "s#pending"; the finite-memory
-rendering on the base model walks ``TransformedMdp.successor``.
+``_passed_on`` is the one statement of the budget rule, and ``transform``,
+through ``_successor_key``, is its one reader in the package. Copies are
+rendered as "e#s#r" in state ids, pending copies as "s#pending"; the
+finite-memory rendering on the base model walks ``TransformedMdp.successor``.
 """
 
 from __future__ import annotations
@@ -97,30 +97,6 @@ def exact_threshold(threshold) -> Fraction:
     if isinstance(threshold, float):
         raise TypeError(f"threshold must be a Fraction, an int or a str, not {threshold!r}")
     return Fraction(threshold)
-
-
-def build_weights(mt: TransformedMdp, threshold: Fraction) -> dict[int, dict[int, Fraction]]:
-    """Per-error weight function over transformed states (sparse, zero
-    omitted): 1 - threshold on the error's operational copies, -threshold
-    where its repair overruns the budget. The two values are made once and
-    shared."""
-    threshold = exact_threshold(threshold)
-    tn, td = threshold.numerator, threshold.denominator
-    gain, loss = Fraction(td - tn, td), Fraction(-tn, td)
-    out: dict[int, dict[int, Fraction]] = {e: {} for e in mt.errors()}
-    of_error = {mt.back[e]: e for e in out}
-    for i, t in enumerate(mt.triple):
-        e = of_error.get(mt.back[i] if t is None else t[0])
-        if e is None:
-            continue  # no repair tracked at i
-        if mt.is_op(i):
-            out[e][i] = gain
-        elif _passed_on(mt.base, mt.cost_bound, mt.memory(i), mt.back[i]) == PENDING:
-            # An overrun copy, or e itself when its own cost exceeds R: then
-            # repair can never succeed within budget; the error state itself
-            # carries the penalty so no end component may contain it.
-            out[e][i] = loss
-    return out
 
 
 def transform(m: MdpWithRepair, cost_bound: int) -> TransformedMdp:

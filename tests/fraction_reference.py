@@ -19,9 +19,8 @@ from math import lcm
 from resilient_mdp.analyze import ErrorCheck, SchedulerDomainError, VerificationReport
 from resilient_mdp.graph import bottom_sccs, reachable_from
 from resilient_mdp.linsolve import SingularSystemError
-from resilient_mdp.transform import build_weights
 
-from helpers import fraction_pairs
+from helpers import build_weights, fraction_pairs
 
 
 def solve_linear_system(rows, rhs, n):

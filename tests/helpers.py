@@ -5,7 +5,8 @@ Paths of the base and the transformed model, with projection and lifting
 reward state per usable component, its flow program, and the expected total
 reward under the scheduler a flow solution induces (it equals availability);
 and a reference search for usable end components through one global program
-per elimination step. Also converters between ``Fraction``s and the integer
+per elimination step, which states the repair-success constraint in its
+weight form. Also converters between ``Fraction``s and the integer
 forms ``linsolve`` takes and returns, and a recorder of ``Fraction``
 operator calls.
 """
@@ -26,7 +27,7 @@ from resilient_mdp.lp import (EQ, GE, OPTIMAL, LinearProgram, LpSolution, common
                               solve)
 from resilient_mdp.sched import MrScheduler
 from resilient_mdp.synth import TAU, _flow_policy
-from resilient_mdp.transform import TransformedMdp, build_weights
+from resilient_mdp.transform import PENDING, TransformedMdp, _passed_on, exact_threshold
 
 
 def chain_rows(c: InducedChain) -> list[dict[int, Fraction]]:
@@ -409,6 +410,30 @@ def global_compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentT
         if enabled and s not in enabled:
             s = min(enabled)
     return sorted(out, key=lambda tr: (-tr.avail, tr.states))
+
+
+def build_weights(mt: TransformedMdp, threshold: Fraction) -> dict[int, dict[int, Fraction]]:
+    """The repair-success constraint in its weight form, the reference for
+    ``components.repair_rows``: per error, a weight over transformed states
+    (sparse, zero omitted) of 1 - threshold on the error's operational
+    copies and -threshold where its repair overruns the budget. Over a
+    MEC's frequencies the weight row and the error's row differ by threshold
+    times the flow rows of the error's repair copies, so they agree on every
+    flow that keeps those rows."""
+    threshold = exact_threshold(threshold)
+    out: dict[int, dict[int, Fraction]] = {e: {} for e in mt.errors()}
+    of_error = {mt.back[e]: e for e in out}
+    for i, t in enumerate(mt.triple):
+        e = of_error.get(mt.back[i] if t is None else t[0])
+        if e is None:
+            continue  # no repair tracked at i
+        if mt.is_op(i):
+            out[e][i] = 1 - threshold
+        elif _passed_on(mt.base, mt.cost_bound, mt.memory(i), mt.back[i]) == PENDING:
+            # An overrun copy, or e itself when its own cost exceeds R: then
+            # repair can never succeed within budget.
+            out[e][i] = -threshold
+    return out
 
 
 _FRACTION_OPERATORS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",

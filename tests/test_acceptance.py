@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from resilient_mdp import (brute_force_optimum, build_weights, cli, compute_E,
-                           docs, synthesize, transform, verify_resilient)
+from resilient_mdp import (brute_force_optimum, cli, compute_E, docs, synthesize, transform,
+                           verify_resilient)
 from resilient_mdp.analyze import induce_chain, until_probability
 from resilient_mdp.graph import strongly_connected_components
 from resilient_mdp.lp import INFEASIBLE
@@ -34,7 +34,7 @@ def test_criterion_1_fig1_golden_synthesis(capsys):
     result = synthesize(fig1_model(), Fraction(4, 5), 2)
     elapsed = time.monotonic() - t0
     mt = result.scheduler.mt
-    dist = result.scheduler.as_mr().dist(mt.index["error#rep#1"])
+    dist = result.scheduler.mr.dist(mt.index["error#rep#1"])
     ok = (result.availability == Fraction(9, 10)
           and dist["β"] == Fraction(4, 5) and elapsed < 1.0)
     _verdict(capsys, 1, ok,
@@ -179,7 +179,6 @@ def test_criterion_8_structural_lemma_suite(capsys):
         sched = beta_always(mt)
         report = verify_resilient(mt, sched, threshold)
         chain = induce_chain(mt, sched, mt.initial)
-        weights = build_weights(mt, threshold)
         for e, check in report.per_error.items():
             stay = {i for i in range(mt.n)
                     if mt.triple[i] is not None and not mt.is_op(i)}

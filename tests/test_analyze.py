@@ -1,4 +1,3 @@
-import importlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -19,10 +18,10 @@ from resilient_mdp.graph import bottom_sccs, reachable_from
 from resilient_mdp.model import ERROR, OPERATIONAL
 from resilient_mdp.sched import DistributionError
 from resilient_mdp.synth import FiniteMemoryScheduler
-from resilient_mdp.transform import build_weights
 
 from conftest import beta_always, random_model
-from helpers import chain_from_rows, chain_rows, expected_total_reward, fraction_operator_calls
+from helpers import (build_weights, chain_from_rows, chain_rows, expected_total_reward,
+                     fraction_operator_calls)
 from test_docs_cli import chain_model, gamble_scheduler
 from test_linsolve import _random_scheduler
 
@@ -282,8 +281,7 @@ def _refuse(*args):
 def test_verify_reads_recurrent_errors_off_the_stationary_masses(monkeypatch, k, L, R):
     # Under gamble 3/4, safe 1/4 the whole chain is one bottom SCC, so every
     # error is recurrent: its stationary solve is the only linear system,
-    # and neither the until system nor the weight functions that synthesis
-    # builds its program from are used.
+    # and the until system is not used.
     mt = transform(chain_model(k, L), R)
     sched = gamble_scheduler(mt)
     want = verify_resilient(mt, sched, Fraction(4, 5))
@@ -292,9 +290,6 @@ def test_verify_reads_recurrent_errors_off_the_stationary_masses(monkeypatch, k,
     monkeypatch.setattr(analyze_module, "solve_linear_system",
                         lambda *args: solves.append(args) or solve(*args))
     monkeypatch.setattr(analyze_module, "until_probability", _refuse)
-    monkeypatch.setattr(importlib.import_module("resilient_mdp.transform"), "build_weights",
-                        _refuse)
-    monkeypatch.setattr(analyze_module, "build_weights", _refuse, raising=False)
     assert verify_resilient(mt, sched, Fraction(4, 5)) == want
     assert len(solves) == 1 and want.ok
 
@@ -328,7 +323,7 @@ def test_verify_refuses_a_float_threshold(fig1):
     # At the double nearest 0.8, above 4/5, the optimal 4/5 scheduler would
     # read as not resilient.
     result = synthesize(fig1, Fraction(4, 5), 2)
-    mt, mr = result.goal_mdp.mt, result.scheduler.as_mr()
+    mt, mr = result.goal_mdp.mt, result.scheduler.mr
     with pytest.raises(TypeError, match="threshold must be a Fraction, an int or a str"):
         verify_resilient(mt, mr, 0.8)
     assert verify_resilient(mt, mr, "4/5").ok

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from resilient_mdp import (build_weights, compute_E, make_mdp, mec_decomposition, synthesize,
-                           transform)
+from resilient_mdp import compute_E, make_mdp, mec_decomposition, synthesize, transform
 from resilient_mdp.analyze import induce_chain, long_run_value, long_run_values
-from resilient_mdp.components import build_multi_mp_lp, extract_components
+from resilient_mdp.components import (build_multi_mp_lp, extract_components, flow_balance,
+                                      repair_rows)
 from resilient_mdp.docs import serialize_scheduler
 from resilient_mdp.graph import strongly_connected_components
 from resilient_mdp.lp import OPTIMAL, LpSolution, solve
 from resilient_mdp.synth import InvalidModelError
 
 from conftest import fig1_model, random_model
-from helpers import global_compute_E
+from helpers import build_weights, global_compute_E
 from test_docs_cli import chain_model
 
 
@@ -132,14 +132,13 @@ def test_mec_decomposition_matches_brute_force():
 
 
 def test_multi_mp_lp_fig1_optimum(fig1):
-    # fig1's MECs are the sinks op1 and op2. Neither holds a weighted
-    # state, so each program has no weight row and its optimum is the
+    # fig1's MECs are the sinks op1 and op2. Neither holds an error or an
+    # op copy, so each program has no repair row and its optimum is the
     # sink's payoff.
     mt = transform(fig1, 2)
-    weights = build_weights(mt, Fraction(4, 5))
     optima = []
     for members, acts in mec_decomposition(mt, _full(mt)):
-        lp = build_multi_mp_lp(mt, members, acts, weights)
+        lp = build_multi_mp_lp(mt, members, acts, Fraction(4, 5))
         assert len(lp.constraints) == len(members) + 1
         sol = solve(lp)
         assert sol.status == OPTIMAL
@@ -150,7 +149,7 @@ def test_multi_mp_lp_fig1_optimum(fig1):
 def test_extract_components_are_bottom_and_normalized():
     mt = transform(chain_model(2, 3), 3)
     (members, acts), = mec_decomposition(mt, _full(mt))
-    sol = solve(build_multi_mp_lp(mt, members, acts, build_weights(mt, Fraction(4, 5))))
+    sol = solve(build_multi_mp_lp(mt, members, acts, Fraction(4, 5)))
     t = extract_components(mt, acts, sol)
     assert t.states
     for s in t.states:
@@ -186,7 +185,7 @@ def test_compute_E_fig1(fig1):
 
 def test_compute_E_zero_budget_still_finds_components(fig1):
     # With R = 0 no repair can succeed in budget, but the operational sinks
-    # contain no weighted state, so they remain valid components; the
+    # contain no error or op copy, so they remain valid components; the
     # infeasibility surfaces only in the later reachability program.
     mt = transform(fig1, 0)
     comps = compute_E(mt, Fraction(1, 2))
@@ -197,7 +196,7 @@ def test_compute_E_zero_budget_still_finds_components(fig1):
 def test_compute_E_empty_when_no_safe_recurrence():
     from resilient_mdp import make_mdp
     # The only recurrent behavior cycles through the error, and with R = 0
-    # the repair step always busts the budget, so its weight mean is negative.
+    # the repair step always busts the budget: e recurs, and no op copy of e.
     m = make_mdp(
         [("s", "op", 1), ("e", "err", 0), ("r", "rep", 1)],
         [("s", "a", [("e", 1)]), ("e", "a", [("r", 1)]),
@@ -293,6 +292,50 @@ def two_cycle_model(rng: random.Random):
 
 
 _THRESHOLDS = [Fraction(1, 2), Fraction(3, 4), Fraction(9, 10), Fraction(1)]
+
+
+def _plus(row, other, factor):
+    """row + factor · other, zero coefficients dropped."""
+    out = dict(row)
+    for v, q in other.items():
+        out[v] = out.get(v, 0) + factor * q
+    return {v: q for v, q in out.items() if q}
+
+
+def test_repair_rows_differ_from_the_weight_rows_by_flow_rows():
+    # Over a MEC's frequencies, e's row of ``repair_rows`` minus its weight
+    # row (``build_weights``) is threshold times the flow rows of e's repair
+    # copies <e, s, r> in the MEC. Those copies are entered only from e and
+    # from copies that keep the repair tracked, and left at an op copy or
+    # where the budget is overrun. So both rows state one constraint on the
+    # points that keep the flow rows.
+    seen = {"rows differ": 0, "own cost overrun": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.one_of(
+               st.builds(lambda seed, any_target: random_model(random.Random(seed), any_target),
+                         st.integers(0, 10 ** 9), st.booleans()),
+               st.builds(chain_model, st.integers(1, 3), st.integers(1, 3))),
+           bound=st.integers(0, 4), threshold=st.sampled_from(_THRESHOLDS))
+    def check(m, bound, threshold):
+        mt = transform(m, bound)
+        weights = build_weights(mt, threshold)
+        for members, acts in mec_decomposition(mt, _full(mt)):
+            flow = flow_balance(members, acts.__getitem__, mt.actions)
+            rows = repair_rows(mt, threshold, lambda s: acts.get(s, ()))
+            for e, row in zip(mt.errors(), rows):
+                weight_row = {(s, a): weights[e][s] for s in members if s in weights[e]
+                              for a in acts[s]}
+                want = {}
+                for s in members:
+                    if mt.triple[s] is not None and mt.triple[s][0] == mt.back[e]:
+                        want = _plus(want, flow[s], threshold)
+                assert _plus(row, weight_row, -1) == want
+                seen["rows differ"] += bool(want)
+                seen["own cost overrun"] += e in members and e in weights[e]
+
+    check()
+    assert all(seen.values()), seen
 
 
 def test_compute_E_matches_global_program_reference():

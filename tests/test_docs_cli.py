@@ -89,7 +89,7 @@ def test_scheduler_round_trip(fig1):
     assert doc.cost_bound == 2
     assert doc.availability == Fraction(9, 10)
     mt = result.scheduler.mt
-    assert doc.to_mr(mt).choices == result.scheduler.as_mr().choices
+    assert doc.to_mr(mt).choices == result.scheduler.mr.choices
 
 
 def test_scheduler_document_errors():

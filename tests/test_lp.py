@@ -697,7 +697,8 @@ def test_leaving_row_matches_fraction_division():
 
 
 @pytest.mark.parametrize("k, L, R, pivots", [
-    (1, 3, 3, 59), (2, 2, 2, 98), (2, 3, 3, 157), (3, 3, 4, 581)])
+    (1, 3, 3, 59), (2, 2, 2, 98), (2, 3, 3, 157), (3, 3, 4, 490), (3, 3, 6, 725),
+    (4, 3, 6, 1145)])
 def test_synthesize_pivot_counts(k, L, R, pivots):
     # The chain family of the benchmark at threshold 4/5: every LP that
     # ``synthesize`` solves, one availability program in ``compute_E`` (the

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from resilient_mdp import (MrScheduler, build_goal_mdp, build_resiliency_lp, build_weights,
-                           compute_E, make_mdp, synthesize, transform, validate_repair_assumption,
-                           validate_structure, verify_resilient)
+from resilient_mdp import (MrScheduler, build_goal_mdp, build_resiliency_lp, compute_E, make_mdp,
+                           synthesize, transform, validate_repair_assumption, validate_structure,
+                           verify_resilient)
 from resilient_mdp.analyze import brute_force_optimum, induce_chain, simulate
 from resilient_mdp.components import build_multi_mp_lp, mec_decomposition
 from resilient_mdp.lp import EQ, INFEASIBLE, OPTIMAL, solve
@@ -128,10 +128,10 @@ def _lp_digest(lp, name) -> str:
      "3754c5527da3f9a8de77fef165fa396a44e34a0dc14a8944dceaa065aa4af36b",
      "473b4c51d4e544b7d4560825583c26cdc791f2dddc3853c933d0303f0fe0fc4d"),
     (chain_model(1, 3), Fraction(4, 5), 3,
-     "dbf3e4fe713d356630f481f7dc1aa8252aa22fd78c635f44476847be5b615fda",
+     "d5e65a10a50245acf38a1d254d875ac186325bb8b182dffeb1313e610c7bbd4a",
      "99f000fffa11d19b9417dfc3587d24ee10d928de54fbcacfdf1efbc937c47a85"),
     (chain_model(2, 3), Fraction(4, 5), 3,
-     "d98c64f7c883ea46714fc4839f70c03c399a94ded5b9c389937199045b51a9de",
+     "95c3f47b6b63afb51c2e636eb95b04f74877f150f772df836fdf2b3a3c8f42e0",
      "2e83ceb636af3c59c30d9969bb50c8674efafe5716eb4cc683053d6ebfcfe5ec"),
     (fig1_model(), Fraction(4, 5), 2, None,
      "b346a8e0c0f6a0360eccab93c8e6b0268a7eb036654b83884538f7509cab7743"),
@@ -141,9 +141,8 @@ def test_lp_golden_hashes(model, threshold, bound, multi_mp, resiliency):
     if multi_mp is None:
         comps = []
     else:
-        weights = build_weights(mt, threshold)
         mecs = mec_decomposition(mt, {s: mt.enabled(s) for s in range(mt.n)})
-        digests = [_lp_digest(build_multi_mp_lp(mt, members, acts, weights),
+        digests = [_lp_digest(build_multi_mp_lp(mt, members, acts, threshold),
                               lambda v: f"x[{mt.ids[v[0]]}|{v[1]}]")
                    for members, acts in mecs]
         assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == multi_mp
@@ -214,7 +213,7 @@ def test_flow_conservation_and_goal_inflow(fig1):
 def test_extracted_scheduler_fig1(fig1):
     result = synthesize(fig1, Fraction(4, 5), 2)
     mt = result.scheduler.mt
-    mr = result.scheduler.as_mr()
+    mr = result.scheduler.mr
     assert mr.dist(mt.index["error#rep#1"])["β"] == Fraction(4, 5)
     assert mr.dist(mt.index["error#rep#1"])["α"] == Fraction(1, 5)
     assert mr.dist(mt.index["error#rep#0"])["β"] == 1
@@ -266,7 +265,7 @@ def test_same_value_from_every_component_state():
 def test_unreachable_transient_states_defaulted(fig1):
     result = synthesize(fig1, Fraction(4, 5), 2)
     mt = result.scheduler.mt
-    chain = induce_chain(mt, result.scheduler.as_mr(), mt.initial)
+    chain = induce_chain(mt, result.scheduler.mr, mt.initial)
     y = result.solution.assignment
     n = result.goal_mdp
     comp_states = {s for c in result.scheduler.components for s in c.states}
@@ -282,7 +281,7 @@ def test_rendered_memory_matches_annotated_walk(fig1):
     result = synthesize(fig1, Fraction(4, 5), 2)
     fm = result.scheduler.render()
     mt = result.scheduler.mt
-    mr = result.scheduler.as_mr()
+    mr = result.scheduler.mr
     m = fig1
     # (error, cost) pairs plus at most the single pending marker.
     assert len({mt.memory(i) for i in range(mt.n)} - {None}) <= sum(
@@ -371,7 +370,7 @@ def test_parking_in_clean_repair_component_is_feasible():
     assert result.availability == 0
     assert result.report.ok
     mt = result.scheduler.mt
-    assert result.scheduler.as_mr().dist(mt.initial)["b"] == 1
+    assert result.scheduler.mr.dist(mt.initial)["b"] == 1
     from resilient_mdp import brute_force_optimum
     assert brute_force_optimum(mt, Fraction(1)).best_availability == 0
 
@@ -415,6 +414,13 @@ def test_inexact_inputs_refused(fig1):
         with pytest.raises(TypeError, match="cost bound must be an int"):
             synthesize(fig1, Fraction(4, 5), bound)
     assert synthesize(fig1, "4/5", 2).availability == Fraction(9, 10)
+    # Both flow programs read the threshold through ``repair_rows``.
+    mt, _, n, _ = _pipeline(fig1, Fraction(4, 5), 2)
+    (members, acts), *_ = mec_decomposition(mt, {s: mt.enabled(s) for s in range(mt.n)})
+    for build in (lambda: build_resiliency_lp(n, 0.8),
+                  lambda: build_multi_mp_lp(mt, members, acts, 0.8), lambda: compute_E(mt, 0.8)):
+        with pytest.raises(TypeError, match="threshold must be a Fraction, an int or a str"):
+            build()
 
 
 def test_extract_requires_optimal(fig1):
@@ -434,7 +440,7 @@ def test_synthesized_schedulers_verify_on_random_models():
             result = synthesize(m, threshold, bound)
             if result.feasible:
                 mt = result.scheduler.mt
-                report = verify_resilient(mt, result.scheduler.as_mr(), threshold)
+                report = verify_resilient(mt, result.scheduler.mr, threshold)
                 assert report.ok
                 assert report.availability == result.availability
         done += 1

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilient_mdp import (MdpWithRepair, MrScheduler, TransformedMdp, build_weights, make_mdp,
-                           transform)
-from helpers import (InvalidPathError, PathRecord, lift_path, path_cost, path_payoff,
-                     project_path)
+from resilient_mdp import MdpWithRepair, MrScheduler, TransformedMdp, make_mdp, transform
+from helpers import (InvalidPathError, PathRecord, build_weights, lift_path, path_cost,
+                     path_payoff, project_path)
 
 from conftest import random_model
 
