@@ -18,13 +18,13 @@ stationary distributions of the bottom strongly connected components. The
 bottom SCCs are found once per chain and serve the long-run averages and
 the qualitative almost-sure check, which is graph analysis. Verification
 solves each bottom SCC's stationary masses once and reads off them the
-availability and, for every error inside a bottom SCC, its repair-success
-probability and weight mean: by renewal-reward, since each visit to such an
-error starts one repair, whose outcome the masses count (see
-``verify_resilient``). Only errors outside every bottom SCC need the until
-system. A seeded Monte Carlo simulator, whose draw tables are integer
-cumulative sums, and a small brute-force optimum search double as
-independent cross-checks for the LP pipeline.
+availability (``long_run_value``) and, for every error inside a bottom
+SCC, its repair-success probability and weight mean: by renewal-reward,
+since each visit to such an error starts one repair, whose outcome the
+masses count (see ``verify_resilient``). Only errors outside every bottom
+SCC need the until system. A seeded Monte Carlo simulator, whose draw
+tables are integer cumulative sums, and a small brute-force optimum search
+double as independent cross-checks for the LP pipeline.
 
 Synthesis values its end components without this module: ``components``
 reads each availability off the program's own recurrent frequencies. The
@@ -247,31 +247,22 @@ def _bscc_masses(c: InducedChain) -> list[tuple[list[int], tuple[int, int], dict
     return [(comp, r, *stationary_distribution(c, comp)) for comp, r in zip(comps, reach)]
 
 
-def long_run_values(c: InducedChain, value_fns, parts=None) -> list[Fraction]:
-    """Expected mean of each value function from the initial state: the sum
-    over BSCCs of (reach probability) x (stationary mean).
+def long_run_value(c: InducedChain, value_of, parts=None) -> Fraction:
+    """Expected mean of ``value_of`` from the initial state: the sum over
+    BSCCs of (reach probability) x (stationary mean).
 
     The BSCCs, their reach probabilities and their stationary distributions
-    are computed once for all functions, or passed as ``parts``, the
-    ``_bscc_masses(c)`` the caller holds. A value function returns ints or
-    ``Fraction``s (or None for 0). Each mean sums only the states where its
-    function is nonzero, in integers, and is made as one ``Fraction``.
+    are computed here, or passed as ``parts``, the ``_bscc_masses(c)`` the
+    caller holds. ``value_of`` returns ints or ``Fraction``s (or None for 0).
+    The mean sums only the states where it is nonzero, in integers, and is
+    made as one ``Fraction``.
     """
-    parts = parts or _bscc_masses(c)
-    values = []
-    for f in value_fns:
-        terms = []
-        for comp, (r, rd), masses, total in parts:
-            num, den = _ratio_sum([(masses[i] * v.numerator, v.denominator)
-                                   for i in comp if (v := f(c.states[i]))])
-            terms.append((r * num, rd * den * total))
-        values.append(Fraction(*_ratio_sum(terms)))
-    return values
-
-
-def long_run_value(c: InducedChain, value_of) -> Fraction:
-    """Expected mean of value_of from the initial state."""
-    return long_run_values(c, [value_of])[0]
+    terms = []
+    for comp, (r, rd), masses, total in parts or _bscc_masses(c):
+        num, den = _ratio_sum([(masses[i] * v.numerator, v.denominator)
+                               for i in comp if (v := value_of(c.states[i]))])
+        terms.append((r * num, rd * den * total))
+    return Fraction(*_ratio_sum(terms))
 
 
 class ErrorCheck(NamedTuple):
@@ -356,8 +347,7 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
             den *= chain.dens[k]
             mp[e] = ZERO
         per_error[e] = ErrorCheck(Fraction(num, den), num * td >= tn * den, asrep_all[e])
-    (avail,) = long_run_values(chain, [mt.payoff], parts)
-    return VerificationReport(per_error, avail, mp)
+    return VerificationReport(per_error, long_run_value(chain, mt.payoff, parts), mp)
 
 
 class BruteForceResult(NamedTuple):

@@ -138,26 +138,21 @@ class ComponentTriple(NamedTuple):
     avail: Fraction
 
 
-def extract_components(mt: TransformedMdp, acts: dict[int, list[str]],
-                       solution: LpSolution) -> ComponentTriple:
-    """Read the component triple off the frequencies of a vertex solution
-    over the actions ``acts``.
+def extract_components(mt: TransformedMdp, solution: LpSolution) -> ComponentTriple:
+    """Read the component triple off the frequencies x of a vertex solution,
+    the positive entries of ``solution.assignment``.
 
     The support of x is a union of bottom SCCs (a stationary measure only
     charges closed recurrent classes), and at a vertex it is one bottom SCC
     (see ``compute_E``); any other support raises ``ValueError``. The triple
-    has the frequency-proportional scheduler. That scheduler's chain is
-    irreducible on the SCC and x is stationary, so the availability is
-    sum payoff(s) x_s / sum x_s over the SCC, with x_s = sum_a x_{s,a}.
+    has the frequency-proportional scheduler, over sorted states and action
+    sets, so the order of the assignment does not matter. That scheduler's
+    chain is irreducible on the SCC and x is stationary, so the availability
+    is sum payoff(s) x_s / sum x_s over the SCC, with x_s = sum_a x_{s,a}.
     """
     if solution.status != OPTIMAL:
         raise ValueError("need an optimal solution")
-    x = {}
-    for s in sorted(acts):
-        for a in acts[s]:
-            v = solution.assignment.get((s, a), Fraction(0))
-            if v.numerator > 0:
-                x[(s, a)] = v
+    x = {v: q for v, q in solution.assignment.items() if q.numerator > 0}
     freq = dict(zip(x, common_denominator(list(x.values()))[0]))  # over one denominator
     members = sorted({s for s, _ in x})
     pos = {s: k for k, s in enumerate(members)}
@@ -254,11 +249,11 @@ def compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentTriple]:
         sol = solve(lp)
         if sol.status != OPTIMAL:
             continue
-        triple = extract_components(mt, acts, sol)
+        triple = extract_components(mt, sol)
         if not switch_states(mt, triple.states):
             anchors = {(s, a): Fraction(-1) for s in members
                        if mt.is_op(s) or mt.memory(s) is None for a in acts[s]}
-            triple = extract_components(mt, acts, solve(lp, anchors))
+            triple = extract_components(mt, solve(lp, anchors))
             if not switch_states(mt, triple.states):
                 continue
         out.append(triple)

@@ -103,10 +103,10 @@ class Constraint:
 
 
 class LinearProgram:
-    def __init__(self, variables: list[Hashable], constraints: list[Constraint] | None = None,
+    def __init__(self, variables: list[Hashable],
                  objective: dict[Hashable, Fraction] | None = None):
         self.variables = variables
-        self.constraints = [] if constraints is None else constraints
+        self.constraints: list[Constraint] = []
         self.objective = {} if objective is None else objective
 
     def add(self, coeffs: dict[Hashable, Fraction], relation: str, rhs) -> None:

@@ -1,10 +1,11 @@
 """MDPs with repair: states split into operational, error and repair states.
 
 Probabilities are exact rationals (``fractions.Fraction``), rewards are
-nonnegative integers. The reward of an operational state is its payoff; the
-reward of any other state is its repair cost. Models are immutable after
-construction and validated separately, so a freshly parsed model can be
-inspected even when it is broken.
+integers from 0 to 2**1023, so that every availability and mean payoff, at
+most the largest reward, converts to a float. The reward of an operational
+state is its payoff; the reward of any other state is its repair cost.
+Models are immutable after construction and validated separately, so a
+freshly parsed model can be inspected even when it is broken.
 """
 
 from __future__ import annotations
@@ -146,6 +147,8 @@ def validate_structure(m: MdpWithRepair) -> ValidationReport:
         if not isinstance(m.rewards[i], int) or m.rewards[i] < 0:
             out.append(Violation("bad-reward", sid,
                                  f"reward must be a nonnegative integer, got {m.rewards[i]!r}"))
+        elif m.rewards[i] > 2 ** 1023:  # see the module docstring
+            out.append(Violation("bad-reward", sid, "reward must be at most 2**1023"))
         if not m.actions[i]:
             out.append(Violation("trap-state", sid, "state has no enabled action"))
         for act in m.enabled(i):

@@ -11,9 +11,8 @@ from resilient_mdp import (MrScheduler, brute_force_optimum, induce_chain, make_
                            synthesize, transform, validate_structure, verify_resilient)
 from resilient_mdp.analyze import (InducedChain, SchedulerDomainError, SimulationStats,
                                    almost_sure_reach, long_run_value,
-                                   long_run_values,
                                    stationary_distribution, until_probability)
-from resilient_mdp.analyze import _draw_table
+from resilient_mdp.analyze import _bscc_masses, _draw_table
 from resilient_mdp.graph import bottom_sccs, reachable_from
 from resilient_mdp.model import ERROR, OPERATIONAL
 from resilient_mdp.sched import DistributionError
@@ -128,7 +127,7 @@ def test_mp_values_beta_always(fig1):
     chain = induce_chain(mt, beta_always(mt), mt.initial)
     weight = build_weights(mt, Fraction(4, 5))[mt.index["error"]]
     # The long run sits on a zero-weight state.
-    assert long_run_values(chain, [lambda s: weight.get(s, 0)]) == [0]
+    assert long_run_value(chain, lambda s: weight.get(s, 0)) == 0
 
 
 
@@ -187,7 +186,7 @@ def test_almost_sure_reach_matches_per_state_search(seed, data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9))
-def test_long_run_values_on_random_chains(seed):
+def test_long_run_value_on_random_chains(seed):
     rng = random.Random(seed)
     c = _random_chain(rng)
     comps = bottom_sccs(c.succ_lists())
@@ -200,15 +199,16 @@ def test_long_run_values_on_random_chains(seed):
                        Fraction(0)) == masses[s]
     f = {s: rng.randint(-3, 3) for s in range(c.n)}
     g = {s: Fraction(rng.randint(0, 5), rng.randint(1, 3)) for s in range(c.n)}
-    assert long_run_values(c, [f.get, g.get]) == [long_run_value(c, f.get),
-                                                  long_run_value(c, g.get)]
+    parts = _bscc_masses(c)
+    assert long_run_value(c, f.get, parts=parts) == long_run_value(c, f.get)
+    assert long_run_value(c, g.get, parts=parts) == long_run_value(c, g.get)
     assert long_run_value(c, lambda s: 1) == 1
     # Independent check of the reach probabilities: started from each state,
     # the long-run time share of a BSCC is harmonic on the transient states.
     owner = {s: k for k, comp in enumerate(comps) for s in comp}
     transient = [s for s in range(c.n) if s not in owner]
-    shares = {s: long_run_values(_rerooted(c, s), [lambda t, k=k: owner.get(t) == k
-                                                   for k in range(len(comps))])
+    shares = {s: [long_run_value(_rerooted(c, s), lambda t, k=k: owner.get(t) == k)
+                  for k in range(len(comps))]
               for s in transient}
     shares.update({s: [Fraction(owner[s] == k) for k in range(len(comps))] for s in owner})
     for s in transient:
@@ -292,6 +292,23 @@ def test_verify_reads_recurrent_errors_off_the_stationary_masses(monkeypatch, k,
     monkeypatch.setattr(analyze_module, "until_probability", _refuse)
     assert verify_resilient(mt, sched, Fraction(4, 5)) == want
     assert len(solves) == 1 and want.ok
+
+
+def test_verify_reads_availability_through_one_long_run_value_call(fig1, monkeypatch):
+    # One call per report, given the BSCC masses verify already holds, so
+    # that a trace of analyze.long_run_value sees every availability.
+    fig1_mt, chain_mt = transform(fig1, 2), transform(chain_model(2, 3), 4)
+    cases = [(fig1_mt, beta_always(fig1_mt)), (fig1_mt, alpha_always(fig1_mt)),
+             (chain_mt, gamble_scheduler(chain_mt))]
+    calls = []
+    monkeypatch.setattr(analyze_module, "long_run_value",
+                        lambda c, f, parts=None: calls.append(parts) or long_run_value(c, f, parts))
+    for mt, sched in cases:
+        calls.clear()
+        report = verify_resilient(mt, sched, Fraction(4, 5))
+        assert len(calls) == 1 and calls[0] is not None
+        assert report.availability == long_run_value(induce_chain(mt, sched, mt.initial),
+                                                     mt.payoff)
 
 
 def test_verify_solves_the_until_system_for_a_transient_error(fig1, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resilient_mdp import compute_E, make_mdp, mec_decomposition, synthesize, transform
-from resilient_mdp.analyze import induce_chain, long_run_value, long_run_values
+from resilient_mdp.analyze import induce_chain, long_run_value
 from resilient_mdp.components import (build_multi_mp_lp, extract_components, flow_balance,
                                       repair_rows)
 from resilient_mdp.docs import serialize_scheduler
@@ -150,10 +150,16 @@ def test_extract_components_are_bottom_and_normalized():
     mt = transform(chain_model(2, 3), 3)
     (members, acts), = mec_decomposition(mt, _full(mt))
     sol = solve(build_multi_mp_lp(mt, members, acts, Fraction(4, 5)))
-    t = extract_components(mt, acts, sol)
+    t = extract_components(mt, sol)
     assert t.states
     for s in t.states:
         assert sum(t.scheduler.dist(s).values(), Fraction(0)) == 1
+    # Built over sorted states and action sets: the assignment's order does
+    # not matter, down to the order of the scheduler's maps.
+    u = extract_components(mt, sol._replace(assignment=dict(reversed(sol.assignment.items()))))
+    assert u == t
+    assert [(s, list(d.items())) for s, d in u.scheduler.choices.items()] == \
+        [(s, list(d.items())) for s, d in t.scheduler.choices.items()]
 
 
 def test_extract_components_rejects_non_bottom_support(fig1):
@@ -164,7 +170,7 @@ def test_extract_components_rejects_non_bottom_support(fig1):
                                (mt.index["op1"], "a"): Fraction(1, 2)}, Fraction(0))
     assert all(a in _full(mt)[s] for s, a in sol.assignment)  # a support, not an empty one
     with pytest.raises(ValueError, match="must be bottom"):
-        extract_components(mt, _full(mt), sol)
+        extract_components(mt, sol)
 
 
 def test_extract_components_rejects_support_leading_outside(fig1):
@@ -173,7 +179,7 @@ def test_extract_components_rejects_support_leading_outside(fig1):
     sol = LpSolution(OPTIMAL, {(mt.index["rep#pending"], "α"): Fraction(1)}, Fraction(0))
     assert all(a in _full(mt)[s] for s, a in sol.assignment)
     with pytest.raises(ValueError, match="must be bottom"):
-        extract_components(mt, _full(mt), sol)
+        extract_components(mt, sol)
 
 
 def test_compute_E_fig1(fig1):
@@ -243,8 +249,8 @@ def _recompute_components(mt, threshold) -> int:
         chain = induce_chain(mt, c.scheduler, c.states[0])
         assert set(chain.states) <= set(c.states)
         assert long_run_value(chain, mt.payoff) == c.avail
-        for mean in long_run_values(chain, [w.get for w in weights.values()]):
-            assert mean >= 0
+        for w in weights.values():
+            assert long_run_value(chain, w.get) >= 0
     return len(comps)
 
 

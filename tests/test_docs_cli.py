@@ -889,3 +889,41 @@ def test_cli_huge_exponents_are_parse_errors_quickly(tmp_path):
                              capture_output=True, text=True, timeout=20)
         assert run.returncode == 3, run.stderr
         assert run.stderr.startswith("parse error: ") and "exponent" in run.stderr
+
+
+def test_cli_refuses_a_reward_past_the_float_range(tmp_path):
+    # The reports print each availability and mean payoff, at most the
+    # largest reward, as a float too. 2**1023 converts; 10**400, a 401-digit
+    # JSON integer, would raise OverflowError. So validation refuses a reward
+    # above 2**1023 and every command exits 2 with that violation, printed
+    # by a child process so that a traceback would show.
+    model, _ = _fig1_documents()
+    env = dict(os.environ, PYTHONPATH=str(Path(resilient_mdp.__file__).resolve().parents[1]))
+    sched_path = tmp_path / "sched.json"
+
+    def run(reward, command):
+        data = copy.deepcopy(model)
+        next(s for s in data["states"] if s["id"] == "op2")["reward"] = reward
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(data), encoding="utf-8")
+        args = {"validate": [str(model_path)],
+                "synthesize": [str(model_path), "--threshold", "4/5", "--cost-bound", "2",
+                               "--out", str(sched_path)],
+                "verify": [str(model_path), str(sched_path)],
+                "simulate": [str(model_path), str(sched_path), "--steps", "100"]}[command]
+        return subprocess.run([sys.executable, "-m", "resilient_mdp.cli", command, *args],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    commands = ["validate", "synthesize", "verify", "simulate"]
+    for command in commands:  # synthesize first writes the scheduler document
+        done = run(2 ** 1023, command)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    violation = "[bad-reward] op2: reward must be at most 2**1023\n"
+    for reward in (2 ** 1023 + 1, 10 ** 400):
+        for command in commands:
+            done = run(reward, command)
+            assert done.returncode == 2 and "Traceback" not in done.stdout + done.stderr
+            if command == "validate":
+                assert (done.stdout, done.stderr) == (violation, "")
+            else:
+                assert (done.stdout, done.stderr) == ("", "invalid model:\n" + violation)

@@ -32,6 +32,14 @@ def _pipeline(m, threshold, bound):
     return mt, comps, n, lp
 
 
+def test_build_goal_mdp_refuses_the_reserved_action():
+    # Validation refuses τ first, so the pipeline never reaches this check.
+    m = make_mdp([("s", "op", 1)], [("s", TAU, [("s", 1)])], "s")
+    assert [v.rule for v in validate_structure(m).violations] == ["bad-id"]
+    with pytest.raises(ValueError, match=f"action id {TAU!r} is reserved"):
+        build_goal_mdp(transform(m, 0), [])
+
+
 def test_goal_mdp_fig1_shape(fig1):
     mt, comps, n, lp = _pipeline(fig1, Fraction(4, 5), 2)
     assert len(comps) == 2
