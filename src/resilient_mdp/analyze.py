@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from array import array
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
@@ -436,11 +438,14 @@ def simulate(m, policy, steps: int, trials: int, seed: int,
     reused. Probabilities are ints or ``Fraction``s. A step does only integer
     work, and the mean payoff is the one ``Fraction`` made, from the visit
     counts.
+
+    Each step reads two successive ``getrandbits(64)`` draws, the action's
+    and the successor's. A trial takes them ``_BLOCK`` steps at a time from
+    one ``getrandbits(128 * n)`` call, read as little-endian 64-bit words:
+    CPython fills that number with 32-bit words from the least significant
+    end, so word i is the i-th ``getrandbits(64)`` draw, and the stream is
+    the same as drawing one word at a time.
     """
-    visits = [0] * m.n
-    is_error = [kind == ERROR for kind in m.kinds]
-    is_op = [kind == OPERATIONAL for kind in m.kinds]
-    cost = [m.cost(s) for s in range(m.n)]
     episodes = within = 0
     traces: list[list[str]] | None = [] if keep_traces else None
     nodes: dict = {}
@@ -449,7 +454,7 @@ def simulate(m, policy, steps: int, trials: int, seed: int,
     def node(s: int, mem) -> _Node:
         found = nodes.get((s, mem))
         if found is None:
-            found = nodes[s, mem] = _Node(s, mem)
+            found = nodes[s, mem] = _Node(m, s, mem)
         return found
 
     for trial in range(trials):
@@ -457,64 +462,86 @@ def simulate(m, policy, steps: int, trials: int, seed: int,
         at = node(m.initial, policy.initial_memory)
         episode_cost = None
         trace = [m.ids[at.state]] if keep_traces else None
-        for _ in range(steps):
-            s = at.state
-            visits[s] += 1
-            if episode_cost is None:
-                if is_error[s]:
-                    episode_cost = cost[s]
-            else:
-                episode_cost += cost[s]
-                if is_op[s]:
-                    episodes += 1
-                    if episode_cost <= cost_bound:
-                        within += 1
-                    episode_cost = None
-            if at.bounds is None:
-                at.actions, at.bounds = _draw_table(policy.decide(s, at.memory).items())
-                at.split = _split(at.bounds)
-                at.moves = [None] * len(at.actions)
-            r = draw(64)
-            i = r >= at.split if at.split is not None else bisect_right(at.bounds, r)
-            act = at.actions[i]
-            move = at.moves[i]
-            if move is None:
-                table = transitions.get((s, act))
-                if table is None:
-                    if act not in m.actions[s]:
-                        raise SchedulerDomainError(
-                            f"action {act!r} not enabled in state {m.ids[s]}")
-                    targets, bounds = _draw_table(m.actions[s][act])
-                    table = transitions[s, act] = (targets, _split(bounds), bounds)
-                move = at.moves[i] = (*table, [None] * len(table[0]))
-            targets, split, bounds, successors = move
-            r = draw(64)
-            j = r >= split if split is not None else bisect_right(bounds, r)
-            nxt = successors[j]
-            if nxt is None:
-                t = targets[j]
-                nxt = successors[j] = node(t, policy.update(s, at.memory, act, t))
-            if keep_traces:
-                trace.extend([act, m.ids[nxt.state]])
-            at = nxt
+        for start in range(0, steps, _BLOCK):
+            words = iter(_words(draw, min(_BLOCK, steps - start)))
+            for r, q in zip(words, words):
+                if at.op:  # no cost; ends a repair episode
+                    at.visits += 1
+                    if episode_cost is not None:
+                        episodes += 1
+                        if episode_cost <= cost_bound:
+                            within += 1
+                        episode_cost = None
+                elif episode_cost is None:
+                    if at.error:
+                        episode_cost = at.cost
+                else:
+                    episode_cost += at.cost
+                moves = at.moves
+                if moves is None:
+                    at.actions, at.bounds = _draw_table(policy.decide(at.state, at.memory).items())
+                    at.split = _split(at.bounds)
+                    moves = at.moves = [None] * len(at.actions)
+                split = at.split  # ints 1 and 0 index lists faster than a bool
+                i = bisect_right(at.bounds, r) if split is None else 1 if r >= split else 0
+                move = moves[i]
+                if move is None:
+                    s, act = at.state, at.actions[i]
+                    table = transitions.get((s, act))
+                    if table is None:
+                        if act not in m.actions[s]:
+                            raise SchedulerDomainError(
+                                f"action {act!r} not enabled in state {m.ids[s]}")
+                        targets, bounds = _draw_table(m.actions[s][act])
+                        table = transitions[s, act] = (targets, _split(bounds), bounds)
+                    move = moves[i] = (*table, [None] * len(table[0]))
+                targets, split, bounds, successors = move
+                j = bisect_right(bounds, q) if split is None else 1 if q >= split else 0
+                nxt = successors[j]
+                if nxt is None:
+                    t = targets[j]
+                    nxt = successors[j] = node(
+                        t, policy.update(at.state, at.memory, at.actions[i], t))
+                if keep_traces:
+                    trace.extend([at.actions[i], m.ids[nxt.state]])
+                at = nxt
         if keep_traces:
             traces.append(trace)
-    total_payoff = sum(visits[s] * m.payoff(s) for s in range(m.n))
+    total_payoff = sum(nd.visits * m.payoff(nd.state) for nd in nodes.values())
     mean = Fraction(total_payoff, trials * steps) if trials and steps else None
     return SimulationStats(trials, steps, mean, episodes, within, traces)
 
 
+_BLOCK = 1024  # steps per block of draws, 16 KiB of a trial's stream
+
+
+def _words(draw, n: int) -> array:
+    """The next 2n 64-bit draws of ``draw``, a ``getrandbits``, as one block."""
+    block = array("Q", draw(128 * n).to_bytes(16 * n, "little"))
+    if sys.byteorder == "big":
+        block.byteswap()
+    return block
+
+
 class _Node:
-    """A (state, memory) pair reached by ``simulate``. Its decision table and
-    per-action successors are filled on first use, so a pair that only the
-    last step reaches is never decided."""
+    """A (state, memory) pair reached by ``simulate``, with all a step from
+    it reads: the state's flags and repair cost, the visit count (kept for
+    operational states, the only ones with a payoff), and the decision
+    table, whose per-action moves hold a transition table and its successor
+    nodes. The decision, each move and each successor are filled on first
+    use, so a pair that only the last step reaches is never decided."""
 
-    __slots__ = ("state", "memory", "actions", "bounds", "split", "moves")
+    __slots__ = ("state", "memory", "error", "op", "cost", "visits",
+                 "actions", "bounds", "split", "moves")
 
-    def __init__(self, state: int, memory):
+    def __init__(self, m, state: int, memory):
         self.state = state
         self.memory = memory
-        self.bounds = None
+        self.error = m.kinds[state] == ERROR
+        self.op = m.kinds[state] == OPERATIONAL
+        self.cost = m.cost(state)
+        self.visits = 0
+        self.moves = None
 
 
 def _draw_table(pairs) -> tuple[list, list[int]]:

@@ -144,10 +144,15 @@ def validate_structure(m: MdpWithRepair) -> ValidationReport:
             out.append(Violation("bad-id", sid, f"action id {TAU!r} is reserved"))
         if m.kinds[i] not in STATE_KINDS:
             out.append(Violation("bad-kind", sid, f"unknown state kind {m.kinds[i]!r}"))
-        if not isinstance(m.rewards[i], int) or m.rewards[i] < 0:
+        # A bad reward is named by its type or sign, never printed: the repr
+        # of an int past 4300 digits raises ValueError.
+        reward = m.rewards[i]
+        if not isinstance(reward, int) or isinstance(reward, bool):
             out.append(Violation("bad-reward", sid,
-                                 f"reward must be a nonnegative integer, got {m.rewards[i]!r}"))
-        elif m.rewards[i] > 2 ** 1023:  # see the module docstring
+                                 f"reward must be an integer, got {type(reward).__name__}"))
+        elif reward < 0:
+            out.append(Violation("bad-reward", sid, "reward must be nonnegative"))
+        elif reward > 2 ** 1023:  # see the module docstring
             out.append(Violation("bad-reward", sid, "reward must be at most 2**1023"))
         if not m.actions[i]:
             out.append(Violation("trap-state", sid, "state has no enabled action"))

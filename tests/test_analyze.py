@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -722,6 +723,86 @@ def test_simulate_matches_fraction_reference_on_every_draw_table_size(monkeypatc
         assert simulate(*args) == _reference_simulate(*args)
     assert sizes == {str: {1, 2, 3}, int: {1, 2, 3}}  # decision and transition tables
     assert seen == {"repeated": True, "non-dyadic": True}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_simulate_matches_fraction_reference_across_blocks(monkeypatch, block):
+    # With blocks of 1-3 steps, runs end mid-block, exactly at a block's end
+    # and after several blocks, and each trial starts a fresh block of its
+    # own stream; traces included.
+    monkeypatch.setattr(analyze_module, "_BLOCK", block)
+    rng = random.Random(block)
+    for seed in range(12):
+        m, policy = _draw_table_model(rng)
+        for steps in range(1, 3 * block + 2):
+            args = (m, policy, steps, rng.randint(1, 3), seed, rng.randint(0, 3),
+                    rng.random() < 0.5)
+            assert simulate(*args) == _reference_simulate(*args)
+
+
+def test_simulate_matches_fraction_reference_past_a_full_block(fig1):
+    block = analyze_module._BLOCK
+    policy = _TablePolicy({s: {a: Fraction(1, len(fig1.actions[s])) for a in fig1.actions[s]}
+                           for s in range(fig1.n)})
+    for steps in (block, block + 1, 2 * block + 7):
+        args = (fig1, policy, steps, 2, 11, 1, True)
+        assert simulate(*args) == _reference_simulate(*args)
+
+
+class _RecordingPolicy(_TablePolicy):
+    def __init__(self, dists):
+        super().__init__(dists)
+        self.decided = []
+
+    def decide(self, s, mem):
+        self.decided.append(s)
+        return super().decide(s, mem)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, None])
+def test_simulate_decides_lazily_and_refuses_a_disabled_action_in_a_later_block(
+        monkeypatch, block):
+    # s0 -> s1 -> s2 -> s3 deterministically, and the policy picks, at s3,
+    # an action s3 does not enable. Three steps reach s3 only at the end, so
+    # it is never decided and the run succeeds; the fourth step is the first
+    # to draw that action, in the block after the first for blocks of 1-3.
+    if block is not None:
+        monkeypatch.setattr(analyze_module, "_BLOCK", block)
+    ids = ["s0", "s1", "s2", "s3"]
+    m = make_mdp([(sid, "op", 1) for sid in ids],
+                 [(sid, "a", [(ids[min(k + 1, 3)], 1)]) for k, sid in enumerate(ids)], "s0")
+    dists = {0: {"a": Fraction(1)}, 1: {"a": Fraction(1)}, 2: {"a": Fraction(1)},
+             3: {"a": Fraction(1, 2), "zz": Fraction(1, 2)}}
+    policy = _RecordingPolicy(dists)
+    stats = simulate(m, policy, steps=3, trials=2, seed=0, cost_bound=0, keep_traces=True)
+    assert policy.decided == [0, 1, 2]
+    assert stats.traces == [["s0", "a", "s1", "a", "s2", "a", "s3"]] * 2
+    dists[3] = {"zz": Fraction(1)}
+    with pytest.raises(SchedulerDomainError, match="^action 'zz' not enabled in state s3$"):
+        simulate(m, _RecordingPolicy(dists), steps=4, trials=1, seed=0, cost_bound=0)
+
+
+def test_block_words_are_successive_64_bit_draws():
+    # The block layout simulate relies on: on this Python, the words of one
+    # getrandbits(128 * n) call are the next 2n getrandbits(64) draws.
+    for n in (1, 2, 3, 1024):
+        for seed in ("0:0", "5:3"):
+            stream = random.Random(seed)
+            block = analyze_module._words(random.Random(seed).getrandbits, n)
+            assert list(block) == [stream.getrandbits(64) for _ in range(2 * n)]
+
+
+def test_simulate_draws_a_long_run_in_small_blocks(fig1):
+    # 100000 steps take 1.6 MB of draws, which one getrandbits call would
+    # hold twice over, as an int and as its bytes.
+    policy = _ConstantPolicy(lambda s: sorted(fig1.actions[s])[0])
+    tracemalloc.start()
+    try:
+        simulate(fig1, policy, steps=100_000, trials=1, seed=0, cost_bound=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000
 
 
 def test_verify_and_simulate_apply_no_fraction_operator(fig1):

@@ -61,6 +61,26 @@ def test_bad_kind_and_reward_reported():
     assert {"bad-kind", "bad-reward"} <= rules
 
 
+def test_reward_of_over_4300_digits_reported_without_its_digits():
+    # repr() of a 5001-digit int raises ValueError; the violation names the
+    # sign instead.
+    for reward, message in [(-10 ** 5000, "reward must be nonnegative"),
+                            (10 ** 5000, "reward must be at most 2**1023")]:
+        m = make_mdp([("s", "op", reward)], [("s", "a", [("s", 1)])], "s")
+        report = validate_structure(m)
+        assert report.violations == (("bad-reward", "s", message),)
+        assert report.render() == f"[bad-reward] s: {message}"
+
+
+def test_bool_and_non_int_rewards_rejected():
+    # As in docs.parse_model, a bool is not an integer reward.
+    for reward, name in [(True, "bool"), (False, "bool"), (1.0, "float"),
+                         (Fraction(1), "Fraction")]:
+        m = make_mdp([("s", "op", reward)], [("s", "a", [("s", 1)])], "s")
+        assert validate_structure(m).violations == (
+            ("bad-reward", "s", f"reward must be an integer, got {name}"),)
+
+
 def test_reserved_id_characters_rejected():
     m = make_mdp([("a#b", "op", 0)], [("a#b", "τ", [("a#b", 1)])], "a#b")
     rules = [v.rule for v in validate_structure(m).violations]
