@@ -20,8 +20,10 @@ cost_bound = 2
 result = synthesize(m, threshold, cost_bound)
 policy = result.scheduler.render()
 mt = policy.mt
+# ``mt.memory[i]`` is state i's label: (error, cost so far) for a repair copy,
+# "pending" for a pending copy, None for a base state.
 print("memory states (repair copies and pending copies):",
-      ", ".join(mt.ids[i] for i in range(mt.n) if mt.memory(i) is not None))
+      ", ".join(mt.ids[i] for i in range(mt.n) if mt.memory[i] is not None))
 print()
 
 stats = simulate(m, policy, steps=2000, trials=50, seed=7,

@@ -42,6 +42,7 @@ from .model import (
     MdpWithRepair,
     ValidationReport,
     make_mdp,
+    validate,
     validate_repair_assumption,
     validate_structure,
 )

@@ -325,15 +325,15 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
     home = {i: part for part in parts for i in part[0]}  # BSCC state -> its part
     op_mass: dict[int, int] = {}  # base error -> m(Op_e), its operational copies' mass
     for i, (_, _, masses, _) in home.items():
-        if (t := mt.triple[chain.states[i]]) is not None and mt.is_op(chain.states[i]):
-            op_mass[t[0]] = op_mass.get(t[0], 0) + masses[i]
+        if mt.is_op(s := chain.states[i]) and isinstance(mem := mt.memory[s], tuple):
+            op_mass[mem[0]] = op_mass.get(mem[0], 0) + masses[i]
     reached = [e for e in mt.errors() if e in chain.index]
     if any(chain.index[e] not in home for e in reached):
         # One solve for all transient errors: a path that stays among repair
         # copies and starts from a successor of e only visits copies of e, so
         # the operational copies it can reach are exactly Op_e.
-        triples = {i for i in range(mt.n) if mt.triple[i] is not None}
-        q = until_probability(chain, triples, triples & op_states)
+        copies = {i for i, mem in enumerate(mt.memory) if isinstance(mem, tuple)}
+        q = until_probability(chain, copies, copies & op_states)
 
     per_error: dict[int, ErrorCheck] = {}
     mp: dict[int, Fraction] = {}
@@ -446,6 +446,9 @@ def simulate(m, policy, steps: int, trials: int, seed: int,
     end, so word i is the i-th ``getrandbits(64)`` draw, and the stream is
     the same as drawing one word at a time.
     """
+    for name, count in (("steps", steps), ("trials", trials)):
+        if count < 0:
+            raise ValueError(f"{name} must be nonnegative")
     episodes = within = 0
     traces: list[list[str]] | None = [] if keep_traces else None
     nodes: dict = {}

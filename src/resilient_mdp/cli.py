@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import analyze, docs
 from .lp import ProgramTooLargeError, SolverError
-from .model import validate_repair_assumption, validate_structure
+from .model import validate
 from .synth import FiniteMemoryScheduler, InvalidModelError, VerificationFailedError, synthesize
 from .transform import TransformTooLargeError, transform
 
@@ -111,24 +111,10 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _validated_model(path: str):
-    m = docs.load_model(path)
-    for report in (validate_structure(m), validate_repair_assumption(m)):
-        if not report.ok:
-            raise InvalidModelError(report)
-    return m
-
-
 def cmd_validate(args, out) -> int:
-    m = docs.load_model(args.model)
-    reports = [validate_structure(m), validate_repair_assumption(m)]
-    if all(r.ok for r in reports):
-        print("ok", file=out)
-        return EXIT_OK
-    for r in reports:
-        if not r.ok:
-            print(r.render(), file=out)
-    return EXIT_INVALID
+    report = validate(docs.load_model(args.model))
+    print(report.render(), file=out)
+    return EXIT_OK if report.ok else EXIT_INVALID
 
 
 def cmd_synthesize(args, out) -> int:
@@ -161,7 +147,9 @@ def cmd_synthesize(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    m = _validated_model(args.model)
+    m = docs.load_model(args.model)
+    if not (report := validate(m)).ok:
+        raise InvalidModelError(report)
     doc = docs.load_scheduler(args.scheduler)
     threshold = doc.threshold if args.threshold is None else _threshold(args.threshold)
     cost_bound = doc.cost_bound if args.cost_bound is None else _cost_bound(args.cost_bound)
@@ -179,7 +167,9 @@ def cmd_verify(args, out) -> int:
 def cmd_simulate(args, out) -> int:
     if args.steps < 1 or args.trials < 1:
         raise UsageError("--steps and --trials must be positive")
-    m = _validated_model(args.model)
+    m = docs.load_model(args.model)
+    if not (report := validate(m)).ok:
+        raise InvalidModelError(report)
     doc = docs.load_scheduler(args.scheduler)
     mt = transform(m, doc.cost_bound)
     mr = doc.to_mr(mt)

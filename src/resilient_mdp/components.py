@@ -180,7 +180,7 @@ def switch_states(mt: TransformedMdp, states) -> list[int]:
     repair unfinished forever.
     """
     op = [s for s in states if mt.is_op(s)]
-    if not op and all(mt.memory(s) is None for s in states):
+    if not op and all(mt.memory[s] is None for s in states):
         return list(states)
     return op
 
@@ -252,7 +252,7 @@ def compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentTriple]:
         triple = extract_components(mt, sol)
         if not switch_states(mt, triple.states):
             anchors = {(s, a): Fraction(-1) for s in members
-                       if mt.is_op(s) or mt.memory(s) is None for a in acts[s]}
+                       if mt.is_op(s) or mt.memory[s] is None for a in acts[s]}
             triple = extract_components(mt, solve(lp, anchors))
             if not switch_states(mt, triple.states):
                 continue

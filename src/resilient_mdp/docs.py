@@ -232,7 +232,7 @@ def scheduler_to_data(composed: ComposedScheduler, threshold: Fraction,
     in_component = {s for comp in composed.components for s in comp.states}
     rules = []
     for i in range(mt.n):
-        memory = mt.memory(i)
+        memory = mt.memory[i]
         if isinstance(memory, tuple):
             memory = {"error": m.ids[memory[0]], "cost": memory[1]}
         rules.append({"state": m.ids[mt.back[i]], "memory": memory,

@@ -142,10 +142,12 @@ def validate_structure(m: MdpWithRepair) -> ValidationReport:
             out.append(Violation("bad-id", sid, "state ids must not contain '#'"))
         if TAU in m.actions[i]:
             out.append(Violation("bad-id", sid, f"action id {TAU!r} is reserved"))
-        if m.kinds[i] not in STATE_KINDS:
-            out.append(Violation("bad-kind", sid, f"unknown state kind {m.kinds[i]!r}"))
-        # A bad reward is named by its type or sign, never printed: the repr
-        # of an int past 4300 digits raises ValueError.
+        # A bad reward, or a bad kind that is no str, is named by its type or
+        # sign, never printed: the repr of an int past 4300 digits raises.
+        kind = m.kinds[i]
+        if kind not in STATE_KINDS:
+            shown = repr(kind) if isinstance(kind, str) else f"of type {type(kind).__name__}"
+            out.append(Violation("bad-kind", sid, f"unknown state kind {shown}"))
         reward = m.rewards[i]
         if not isinstance(reward, int) or isinstance(reward, bool):
             out.append(Violation("bad-reward", sid,
@@ -161,8 +163,12 @@ def validate_structure(m: MdpWithRepair) -> ValidationReport:
             den = lcm(*(p.denominator for _, p in dist))
             total = sum(p.numerator * (den // p.denominator) for _, p in dist)
             if total != den:
+                try:
+                    shown = str(Fraction(total, den))
+                except ValueError:  # past the interpreter's digit limit
+                    shown = f"{'more' if total > den else 'less'} than 1, too long to print"
                 out.append(Violation("bad-distribution", f"{sid}/{act}",
-                                     f"distribution sums to {Fraction(total, den)}"))
+                                     f"distribution sums to {shown}"))
             if any(p.numerator <= 0 for _, p in dist):
                 out.append(Violation("bad-distribution", f"{sid}/{act}",
                                      "nonpositive transition probability"))
@@ -190,3 +196,10 @@ def validate_repair_assumption(m: MdpWithRepair) -> ValidationReport:
                         "repair-assumption", f"{m.ids[e]}/{act}",
                         f"successor {m.ids[t]} can reach an error before an operational state"))
     return ValidationReport(tuple(out))
+
+
+def validate(m: MdpWithRepair) -> ValidationReport:
+    """Every check of a model: the violations of ``validate_structure``,
+    then those of ``validate_repair_assumption``."""
+    return ValidationReport(validate_structure(m).violations
+                            + validate_repair_assumption(m).violations)

@@ -11,8 +11,8 @@ probabilities. Its variables are (state index, action) pairs, named only for
 ``--dump-lp`` (``GoalMdp.name``); its solution is decomposed into a
 memoryless transient scheduler plus the per-component schedulers, and
 rendered as a finite-memory scheduler of the original model whose memory is
-the current transformed state; on the base model it reads as the pair
-(current error, repair cost so far), "pending" or nothing.
+the current transformed state; ``TransformedMdp.memory`` labels it on the
+base model as (current error, repair cost so far), "pending" or nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import analyze
 from .components import ComponentTriple, compute_E, flow_balance, repair_rows, switch_states
 from .lp import (EQ, GE, INFEASIBLE, OPTIMAL, LinearProgram, LpSolution, common_denominator,
                  solve_lexicographic)
-from .model import TAU, MdpWithRepair, validate_repair_assumption, validate_structure
+from .model import TAU, MdpWithRepair, validate
 from .sched import MrScheduler
 from .transform import TransformedMdp, exact_threshold, transform
 
@@ -103,7 +103,7 @@ class FiniteMemoryScheduler:
     The memory is the current transformed state, so the cost-tracking rules
     stay in the transformation: the update is the successor ``transform``
     computed, the decision that of the memoryless transformed-MDP scheduler
-    there. ``mt.memory`` reads it as (error, cost so far), "pending" or None.
+    there. ``mt.memory[mem]`` labels it (error, cost so far), "pending" or None.
     """
 
     def __init__(self, mt: TransformedMdp, mr: MrScheduler):
@@ -186,9 +186,9 @@ def synthesize(m: MdpWithRepair, threshold: Fraction, cost_bound: int) -> Synthe
     threshold = exact_threshold(threshold)
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
-    for report in (validate_structure(m), validate_repair_assumption(m)):
-        if not report.ok:
-            raise InvalidModelError(report)
+    report = validate(m)
+    if not report.ok:
+        raise InvalidModelError(report)
 
     mt = transform(m, cost_bound)
     comps = compute_E(mt, threshold)

@@ -33,32 +33,24 @@ class TransformTooLargeError(ValueError):
 
 class TransformedMdp(MdpWithRepair):
     """Repair copies are operational or repair states; every state has the
-    reward of its base state."""
+    reward of its base state. ``memory[i]`` is state i's repair memory, the
+    label ``transform`` keys it by: (error, cost so far) for a repair copy,
+    "pending" for a pending copy, None for a base state."""
 
-    _fields = MdpWithRepair._fields + ("base", "cost_bound", "back", "triple", "pending")
+    _fields = MdpWithRepair._fields + ("base", "cost_bound", "back", "memory")
 
     def __init__(self, ids, kinds, rewards, actions, initial, *, base: MdpWithRepair,
                  cost_bound: int,
                  back: tuple[int, ...],  # state -> base state index
-                 triple: tuple[tuple[int, int, int] | None, ...],  # (e, s, r) copies
-                 pending: tuple[bool, ...]):  # post-overrun copies, repair unfinished
+                 memory: tuple[tuple[int, int] | str | None, ...]):
         super().__init__(ids, kinds, rewards, actions, initial)
-        self.__dict__.update(base=base, cost_bound=cost_bound, back=back, triple=triple,
-                             pending=pending)
+        self.__dict__.update(base=base, cost_bound=cost_bound, back=back, memory=memory)
 
     def op_copies_of(self, e: int) -> list[int]:
         """Repair copies <e, s, r> with s operational (the Op_e set)."""
         base_e = self.back[e]
-        return [i for i, t in enumerate(self.triple)
-                if t is not None and t[0] == base_e and self.is_op(i)]
-
-    def memory(self, i: int) -> tuple[int, int] | str | None:
-        """Memory label of state i on the base model: (error, cost so far) for
-        a repair copy, "pending" for a pending copy, None for a base state."""
-        t = self.triple[i]
-        if t is not None:
-            return t[0], t[2]
-        return PENDING if self.pending[i] else None
+        return [i for i, mem in enumerate(self.memory)
+                if isinstance(mem, tuple) and mem[0] == base_e and self.is_op(i)]
 
     def successor(self, i: int, act: str, target: int) -> int:
         """The state entered from i by ``act`` when the base move lands in
@@ -101,7 +93,9 @@ def exact_threshold(threshold) -> Fraction:
 
 def transform(m: MdpWithRepair, cost_bound: int) -> TransformedMdp:
     """Build the reachable fragment of the cost-annotated MDP, or raise
-    ``TransformTooLargeError`` once it would exceed ``MAX_STATES`` states."""
+    ``TransformTooLargeError`` once it would exceed ``MAX_STATES`` states.
+    Each state is found under its key (memory, base state), whose halves
+    are stored as ``TransformedMdp.memory`` and ``TransformedMdp.back``."""
     if type(cost_bound) is not int:
         raise TypeError(f"cost bound must be an int, got {cost_bound!r}")
     if cost_bound < 0:
@@ -130,18 +124,16 @@ def transform(m: MdpWithRepair, cost_bound: int) -> TransformedMdp:
             acts[act] = dist
         out_actions.append(acts)
 
-    states = []  # (id, kind, triple) per key
+    states = []  # (id, kind) per key
     for memory, s in keys:
         if memory == PENDING:
-            states.append((f"{m.ids[s]}#{PENDING}", REPAIR, None))
+            states.append((f"{m.ids[s]}#{PENDING}", REPAIR))
         elif memory is not None:
             e, r = memory
-            kind = OPERATIONAL if m.is_op(s) else REPAIR
-            states.append((f"{m.ids[e]}#{m.ids[s]}#{r}", kind, (e, s, r)))
+            states.append((f"{m.ids[e]}#{m.ids[s]}#{r}", OPERATIONAL if m.is_op(s) else REPAIR))
         else:
-            states.append((m.ids[s], m.kinds[s], None))
-    ids, kinds, triples = zip(*states)
-    back = tuple(s for _, s in keys)
+            states.append((m.ids[s], m.kinds[s]))
+    ids, kinds = zip(*states)
+    memory, back = zip(*keys)
     return TransformedMdp(ids, kinds, tuple(m.rewards[s] for s in back), tuple(out_actions), 0,
-                          base=m, cost_bound=cost_bound, back=back, triple=triples,
-                          pending=tuple(memory == PENDING for memory, _ in keys))
+                          base=m, cost_bound=cost_bound, back=back, memory=memory)

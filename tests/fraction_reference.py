@@ -179,7 +179,7 @@ def _long_run_values(states, rows, value_fns):
 def verify_resilient(mt, scheduler, threshold) -> VerificationReport:
     """The repair-success, almost-sure-repair and long-run checks of ``verify``."""
     states, index, rows = induce_rows(mt, scheduler, mt.initial)
-    local = {i for i, s in enumerate(states) if mt.triple[s] is not None}
+    local = {i for i, s in enumerate(states) if isinstance(mt.memory[s], tuple)}
     op_local = {i for i, s in enumerate(states) if mt.is_op(s)}
     weights = build_weights(mt, threshold)
     asrep = _almost_sure(rows, op_local)

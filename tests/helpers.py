@@ -194,7 +194,7 @@ def reference_goal_mdp(mt: TransformedMdp, comps: list[ComponentTriple]) -> Refe
         goal_k = len(ids)
         ids.append(f"goal[{mt.ids[comp.states[0]]}]")
         switch_states = [s for s in comp.states if mt.is_op(s)]
-        if not switch_states and all(mt.memory(s) is None for s in comp.states):
+        if not switch_states and all(mt.memory[s] is None for s in comp.states):
             switch_states = list(comp.states)
         for s in switch_states:
             actions[s] = dict(actions[s])
@@ -399,7 +399,7 @@ def global_compute_E(mt: TransformedMdp, threshold: Fraction) -> list[ComponentT
         triples = _support_triples(mt, enabled, sol) if sol.status == OPTIMAL else []
         if not all(switch_states(mt, tr.states) for tr in triples):
             anchors = {f"x[{mt.ids[t]}|{a}]": Fraction(-1) for t in enabled
-                       if mt.is_op(t) or mt.memory(t) is None for a in enabled[t]}
+                       if mt.is_op(t) or mt.memory[t] is None for a in enabled[t]}
             triples = [tr for tr in _support_triples(mt, enabled, solve(program, anchors))
                        if switch_states(mt, tr.states)]
         if triples:
@@ -423,13 +423,13 @@ def build_weights(mt: TransformedMdp, threshold: Fraction) -> dict[int, dict[int
     threshold = exact_threshold(threshold)
     out: dict[int, dict[int, Fraction]] = {e: {} for e in mt.errors()}
     of_error = {mt.back[e]: e for e in out}
-    for i, t in enumerate(mt.triple):
-        e = of_error.get(mt.back[i] if t is None else t[0])
+    for i, mem in enumerate(mt.memory):
+        e = of_error.get(mem[0] if isinstance(mem, tuple) else mt.back[i])
         if e is None:
             continue  # no repair tracked at i
         if mt.is_op(i):
             out[e][i] = 1 - threshold
-        elif _passed_on(mt.base, mt.cost_bound, mt.memory(i), mt.back[i]) == PENDING:
+        elif _passed_on(mt.base, mt.cost_bound, mem, mt.back[i]) == PENDING:
             # An overrun copy, or e itself when its own cost exceeds R: then
             # repair can never succeed within budget.
             out[e][i] = -threshold

@@ -181,7 +181,7 @@ def test_criterion_8_structural_lemma_suite(capsys):
         chain = induce_chain(mt, sched, mt.initial)
         for e, check in report.per_error.items():
             stay = {i for i in range(mt.n)
-                    if mt.triple[i] is not None and not mt.is_op(i)}
+                    if isinstance(mt.memory[i], tuple) and not mt.is_op(i)}
             pr = until_probability(chain, stay, set(mt.op_copies_of(e)))
             other = sum((p * pr[chain.states[t]]
                          for t, p in chain_rows(chain)[chain.index[e]].items()),

@@ -71,9 +71,9 @@ def test_scheduler_rejects_a_distribution_and_names_its_state(dist, problem):
 def test_until_probability_fig1(fig1):
     mt = transform(fig1, 2)
     chain = induce_chain(mt, beta_always(mt), mt.initial)
-    triples = {i for i in range(mt.n) if mt.triple[i] is not None}
+    copies = {i for i in range(mt.n) if isinstance(mt.memory[i], tuple)}
     op_e = set(mt.op_copies_of(mt.index["error"]))
-    pr = until_probability(chain, triples, op_e)
+    pr = until_probability(chain, copies, op_e)
     # One step after the error: 1 - 1/2^R with R = 2.
     assert pr[mt.index["error#rep#0"]] == Fraction(3, 4)
     assert pr[mt.index["error#op2#1"]] == 1
@@ -376,7 +376,7 @@ def test_verify_res_probability_equals_bounded_reach():
             # of e before leaving the annotated fragment, one step after e.
             op_e = set(mt.op_copies_of(e))
             stay = {i for i in range(mt.n)
-                    if mt.triple[i] is not None and not mt.is_op(i)}
+                    if isinstance(mt.memory[i], tuple) and not mt.is_op(i)}
             pr = until_probability(chain, stay, op_e)
             expect = sum((p * pr[chain.states[t]]
                           for t, p in chain_rows(chain)[chain.index[e]].items()),
@@ -403,10 +403,10 @@ def test_verify_res_probability_matches_per_error_until(seed, any_target, bound)
     sched = MrScheduler(choices)
     report = verify_resilient(mt, sched, Fraction(1, 2))
     chain = induce_chain(mt, sched, mt.initial)
-    triples = {i for i in range(mt.n) if mt.triple[i] is not None}
+    copies = {i for i in range(mt.n) if isinstance(mt.memory[i], tuple)}
     assert set(report.per_error) == {e for e in mt.errors() if e in chain.index}
     for e, check in report.per_error.items():
-        pr = until_probability(chain, triples, set(mt.op_copies_of(e)))
+        pr = until_probability(chain, copies, set(mt.op_copies_of(e)))
         assert check.res_probability == sum(
             (p * pr[chain.states[t]] for t, p in chain_rows(chain)[chain.index[e]].items()),
             Fraction(0))
@@ -489,10 +489,10 @@ def test_brute_force_rejects_large_models(fig1):
 def test_until_agrees_with_monte_carlo(fig1):
     mt = transform(fig1, 2)
     chain = induce_chain(mt, beta_always(mt), mt.initial)
-    triples = {i for i in range(mt.n) if mt.triple[i] is not None}
+    copies = {i for i in range(mt.n) if isinstance(mt.memory[i], tuple)}
     op_e = set(mt.op_copies_of(mt.index["error"]))
     start = chain.index[mt.index["error#rep#0"]]
-    exact = until_probability(chain, triples, op_e)[mt.index["error#rep#0"]]
+    exact = until_probability(chain, copies, op_e)[mt.index["error#rep#0"]]
     rng = random.Random(99)
     trials, hits = 20000, 0
     for _ in range(trials):
@@ -501,7 +501,7 @@ def test_until_agrees_with_monte_carlo(fig1):
             if chain.states[pos] in op_e:
                 hits += 1
                 break
-            if chain.states[pos] not in triples:
+            if chain.states[pos] not in copies:
                 break
             r = rng.random()
             acc = 0.0
@@ -543,6 +543,15 @@ def test_simulate_zero_trials(fig1):
     stats = simulate(fig1, policy, steps=10, trials=0, seed=0, cost_bound=2)
     assert stats.trials == 0 and stats.mean_payoff_per_step is None
     assert stats.render() == "no trials"
+
+
+def test_simulate_refuses_negative_counts(fig1):
+    # A negative count used to give an empty walk and a mean payoff of 0.
+    policy = _ConstantPolicy(lambda s: sorted(fig1.actions[s])[0])
+    for steps, trials, name in [(-5, 2, "steps"), (10, -2, "trials"), (-1, -1, "steps")]:
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+            simulate(fig1, policy, steps=steps, trials=trials, seed=0, cost_bound=2)
+    assert simulate(fig1, policy, steps=0, trials=2, seed=0, cost_bound=2).render() == "no trials"
 
 
 def test_simulate_counts_repair_budget(fig1):

@@ -334,7 +334,7 @@ def test_repair_rows_differ_from_the_weight_rows_by_flow_rows():
                               for a in acts[s]}
                 want = {}
                 for s in members:
-                    if mt.triple[s] is not None and mt.triple[s][0] == mt.back[e]:
+                    if isinstance(mt.memory[s], tuple) and mt.memory[s][0] == mt.back[e]:
                         want = _plus(want, flow[s], threshold)
                 assert _plus(row, weight_row, -1) == want
                 seen["rows differ"] += bool(want)

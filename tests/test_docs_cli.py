@@ -237,9 +237,14 @@ def test_cli_synthesize_validates_the_model_once(fig1_path, capsys, monkeypatch)
             return check(m)
         return wrapper
 
-    for module in (cli, synth_module):
-        for name in ("validate_structure", "validate_repair_assumption"):
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    # Every package module that holds a check, ``model`` too, whose
+    # ``validate`` runs both.
+    for name in ("validate_structure", "validate_repair_assumption"):
+        check = getattr(resilient_mdp.model, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] == "resilient_mdp" and \
+                    getattr(module, name, None) is check:
+                monkeypatch.setattr(module, name, counted(check))
     assert _run(["synthesize", fig1_path, "--threshold", "4/5", "--cost-bound", "2"],
                 capsys)[0] == 0
     assert calls == ["validate_structure", "validate_repair_assumption"]
@@ -803,6 +808,34 @@ def test_cli_repeated_state_action_is_invalid(tmp_path, capsys, command):
         assert (out, err) == (violation, "")
     else:
         assert (out, err) == ("", "invalid model:\n" + violation)
+
+
+@pytest.mark.parametrize("command", ["validate", "synthesize", "verify", "simulate"])
+def test_cli_lists_the_violations_of_both_checks(tmp_path, capsys, command):
+    # op2's reward is past 2**1023 (validate_structure), and rep's β falls
+    # back into the error (validate_repair_assumption): every command lists
+    # both violations, in that order.
+    model, scheduler = copy.deepcopy(_fig1_documents())
+    next(s for s in model["states"] if s["id"] == "op2")["reward"] = 2 ** 1023 + 1
+    model["transitions"][3]["to"] = [{"target": "error", "prob": "1/2"},
+                                     {"target": "op2", "prob": "1/2"}]
+    model_path, sched_path = tmp_path / "model.json", tmp_path / "sched.json"
+    model_path.write_text(json.dumps(model), encoding="utf-8")
+    sched_path.write_text(json.dumps(scheduler), encoding="utf-8")
+    argv = {"validate": ["validate", str(model_path)],
+            "synthesize": ["synthesize", str(model_path), "--threshold", "4/5",
+                           "--cost-bound", "2"],
+            "verify": ["verify", str(model_path), str(sched_path)],
+            "simulate": ["simulate", str(model_path), str(sched_path)]}[command]
+    violations = ("[bad-reward] op2: reward must be at most 2**1023\n"
+                  "[repair-assumption] error/a: successor rep can reach an error "
+                  "before an operational state\n")
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    if command == "validate":
+        assert (out, err) == (violations, "")
+    else:
+        assert (out, err) == ("", "invalid model:\n" + violations)
 
 
 def test_cli_ignores_scheduler_memory_block(tmp_path):

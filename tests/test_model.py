@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from resilient_mdp import make_mdp, validate_repair_assumption, validate_structure
+from resilient_mdp import make_mdp, validate, validate_repair_assumption, validate_structure
 
 from conftest import random_model
 
@@ -70,6 +70,32 @@ def test_reward_of_over_4300_digits_reported_without_its_digits():
         report = validate_structure(m)
         assert report.violations == (("bad-reward", "s", message),)
         assert report.render() == f"[bad-reward] s: {message}"
+
+
+def test_kind_and_distribution_sum_of_over_4300_digits_reported_without_their_digits():
+    # repr() and str() of a 5001-digit int raise ValueError; a kind that is no
+    # str is named by its type, and a sum past the limit by its side of 1.
+    m = make_mdp([("s", 10 ** 5000, 0)], [("s", "a", [("s", 1)])], "s")
+    assert validate_structure(m).violations == (
+        ("bad-kind", "s", "unknown state kind of type int"),)
+    for prob, side in [(10 ** 5000, "more"), (Fraction(1, 10 ** 5000), "less")]:
+        m = make_mdp([("s", "op", 0)], [("s", "a", [("s", prob)])], "s")
+        assert validate_structure(m).violations == (
+            ("bad-distribution", "s/a", f"distribution sums to {side} than 1, too long to print"),)
+    m = make_mdp([("s", "operational", 0)], [("s", "a", [("s", 1)])], "s")
+    assert validate_structure(m).render() == "[bad-kind] s: unknown state kind 'operational'"
+
+
+def test_validate_lists_structure_then_repair_assumption_violations():
+    m = make_mdp(
+        [("s", "op", -1), ("e", "err", 0), ("r", "rep", 1), ("o", "op", 1)],
+        [("s", "a", [("e", 1)]), ("e", "a", [("r", 1)]),
+         ("r", "b", [("e", Fraction(1, 2)), ("o", Fraction(1, 2))]), ("o", "a", [("o", 1)])],
+        "s")
+    structure, assumption = validate_structure(m), validate_repair_assumption(m)
+    assert structure.violations and assumption.violations
+    assert validate(m).violations == structure.violations + assumption.violations
+    assert validate(make_mdp([("s", "op", 0)], [("s", "a", [("s", 1)])], "s")).render() == "ok"
 
 
 def test_bool_and_non_int_rewards_rejected():

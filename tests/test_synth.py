@@ -197,7 +197,7 @@ def test_goal_program_matches_paper_goal_mdp_program():
                                          mt.initial) == result.availability
         seen[got.status] += 1
         seen["op copies only"] += any(
-            all(mt.triple[s] is not None for s in n.switch if n.switch[s] == k)
+            all(isinstance(mt.memory[s], tuple) for s in n.switch if n.switch[s] == k)
             for k in set(n.switch.values()))
 
     check()
@@ -292,7 +292,7 @@ def test_rendered_memory_matches_annotated_walk(fig1):
     mr = result.scheduler.mr
     m = fig1
     # (error, cost) pairs plus at most the single pending marker.
-    assert len({mt.memory(i) for i in range(mt.n)} - {None}) <= sum(
+    assert len(set(mt.memory) - {None}) <= sum(
         1 for k in m.kinds if k == "err") * (mt.cost_bound + 1) + 1
     rng = random.Random(3)
     for _ in range(200):

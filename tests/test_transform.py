@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resilient_mdp import MdpWithRepair, MrScheduler, TransformedMdp, make_mdp, transform
+from resilient_mdp import (MdpWithRepair, MrScheduler, TransformedMdp, make_mdp, transform,
+                           validate_repair_assumption)
+from resilient_mdp.transform import PENDING, _passed_on, _successor_key
 from helpers import (InvalidPathError, PathRecord, build_weights, lift_path, path_cost,
                      path_payoff, project_path)
 
@@ -27,7 +29,7 @@ def test_models_and_schedulers_refuse_assignment_and_compare_by_value(fig1):
     for record, name in ((fig1, "ids"), (mt, "base"), (mt, "new"), (sched, "choices")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
-    fields = dict(base=fig1, cost_bound=2, back=mt.back, triple=mt.triple, pending=mt.pending)
+    fields = dict(base=fig1, cost_bound=2, back=mt.back, memory=mt.memory)
     same = TransformedMdp(mt.ids, mt.kinds, mt.rewards, mt.actions, mt.initial, **fields)
     assert same == mt and same.index == mt.index and transform(fig1, 1) != mt != fig1
     assert TransformedMdp(mt.ids, mt.kinds, mt.rewards, mt.actions, mt.initial,
@@ -43,7 +45,7 @@ def test_budget_overrun_enters_pending_copies(fig1):
     assert dist[mt.index["rep#pending"]] == Fraction(1, 2)
     assert dist[mt.index["op2"]] == Fraction(1, 2)
     pend = mt.index["rep#pending"]
-    assert mt.pending[pend] and mt.triple[pend] is None
+    assert mt.memory[pend] == "pending"
     # Pending copies leave only through an operational state.
     assert dict(mt.actions[pend]["β"]) == {pend: Fraction(1, 2),
                                            mt.index["op2"]: Fraction(1, 2)}
@@ -78,7 +80,7 @@ def test_error_cost_beyond_budget_skips_annotation():
     mt = transform(m, 1)
     e = mt.index["e"]
     assert dict(mt.actions[e]["a"]) == {mt.index["r#pending"]: Fraction(1)}
-    assert all(t is None for t in mt.triple)
+    assert not any(isinstance(mem, tuple) for mem in mt.memory)
 
 
 def test_no_errors_means_identity():
@@ -93,10 +95,45 @@ def test_repair_copies_never_hold_error_states():
     rng = random.Random(5)
     for _ in range(40):
         mt = transform(random_model(rng), rng.randint(0, 3))
-        for t in mt.triple:
-            if t is not None:
-                assert mt.base.kinds[t[1]] != "err"
-                assert 0 <= t[2] <= mt.cost_bound
+        for i, mem in enumerate(mt.memory):
+            if isinstance(mem, tuple):
+                assert mt.base.kinds[mt.back[i]] != "err"
+                assert 0 <= mem[1] <= mt.cost_bound
+
+
+def test_memory_labels_match_state_ids():
+    # ``memory[i]`` is the label of state i's id and of transform's key:
+    # (e, r) for "e#s#r", "pending" for a pending copy "s#pending", None for
+    # the base id; successors carry the label the budget rule passes on.
+    # Under the repair assumption no copy sits at an error.
+    seen = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10 ** 9), any_target=st.booleans(), bound=st.integers(0, 3))
+    def check(seed, any_target, bound):
+        mt = transform(random_model(random.Random(seed), any_target), bound)
+        m = mt.base
+        assumed = validate_repair_assumption(m).ok
+        assert len(mt.memory) == mt.n and len(set(zip(mt.memory, mt.back))) == mt.n
+        for i, (mem, s) in enumerate(zip(mt.memory, mt.back)):
+            sid = mt.ids[i]
+            tracked = isinstance(mem, tuple)
+            assert tracked == (sid.count("#") == 2)
+            if tracked:
+                e, r = mem
+                assert sid == f"{m.ids[e]}#{m.ids[s]}#{r}" and m.kinds[e] == "err"
+                assert 0 <= r <= bound and (m.kinds[s] != "err" or not assumed)
+            assert (mem == PENDING) == (sid.endswith("#pending") and mt.kinds[i] == "rep")
+            assert (mem is None) == (sid == m.ids[s])
+            assert tracked or mem in (PENDING, None)
+            passed = _passed_on(m, bound, mem, s)
+            for act in mt.enabled(i):
+                for j, _ in mt.actions[i][act]:
+                    assert (mt.memory[j], mt.back[j]) == _successor_key(m, passed, mt.back[j])
+            seen.add("tracked" if tracked else mem)
+
+    check()
+    assert seen == {"tracked", PENDING, None}
 
 
 def test_copies_keep_base_actions_and_rewards():
@@ -118,10 +155,10 @@ def _arithmetic_weights(mt, threshold):
     for e in mt.errors():
         base_e = mt.back[e]
         wgt = {}
-        for i, t in enumerate(mt.triple):
-            if t is None or t[0] != base_e:
+        for i, mem in enumerate(mt.memory):
+            if not isinstance(mem, tuple) or mem[0] != base_e:
                 continue
-            _, ts, r = t
+            ts, r = mt.back[i], mem[1]
             if mt.base.kinds[ts] == "op":
                 wgt[i] = 1 - threshold
             elif r + mt.base.cost(ts) > mt.cost_bound:
