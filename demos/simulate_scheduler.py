@@ -10,7 +10,7 @@ run seeded trials, and check the numbers line up with the exact analysis.
 import os
 from fractions import Fraction
 
-from resilient_mdp import docs, simulate, synthesize
+from resilient_mdp import FiniteMemoryScheduler, docs, simulate, synthesize
 
 HERE = os.path.dirname(__file__)
 m = docs.load_model(os.path.join(HERE, "models", "fig1.json"))
@@ -18,7 +18,7 @@ threshold = Fraction(4, 5)
 cost_bound = 2
 
 result = synthesize(m, threshold, cost_bound)
-policy = result.scheduler.render()
+policy = FiniteMemoryScheduler(result.scheduler.mt, result.scheduler.mr)
 mt = policy.mt
 # ``mt.memory[i]`` is state i's label: (error, cost so far) for a repair copy,
 # "pending" for a pending copy, None for a base state.

@@ -49,7 +49,7 @@ print()
 print("scheduler decisions on the transformed states:")
 mr = result.scheduler.mr
 for i in range(mt.n):
-    dist = {a: p for a, p in mr.dist(i).items() if p > 0}
+    dist = {a: p for a, p in mr.choices[i].items() if p > 0}
     if len(mt.enabled(i)) > 1:
         shown = ", ".join(f"{a}: {p}" for a, p in sorted(dist.items()))
         print(f"  {mt.ids[i]}: {shown}")

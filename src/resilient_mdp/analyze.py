@@ -49,7 +49,7 @@ from .graph import bottom_sccs, predecessors, reachable_from
 from .linsolve import solve_linear_system
 from .model import ERROR, OPERATIONAL
 from .sched import MrScheduler
-from .transform import TransformedMdp, exact_threshold
+from .transform import TransformedMdp, check_cost_bound, exact_threshold
 
 
 # The values ``until_probability`` settles by graph analysis share these.
@@ -82,14 +82,11 @@ class InducedChain:
     def n(self) -> int:
         return len(self.states)
 
-    def succ_lists(self) -> list[list[int]]:
-        return [sorted(num) for num in self.nums]
-
     @cached_property
     def bsccs(self) -> list[list[int]]:
         """The bottom SCCs, local-indexed and sorted by smallest member,
         found on first use and shared by every analysis of the chain."""
-        return bottom_sccs(self.succ_lists())
+        return bottom_sccs(self.nums)
 
 
 def induce_chain(host, scheduler: MrScheduler, init: int) -> InducedChain:
@@ -107,7 +104,7 @@ def induce_chain(host, scheduler: MrScheduler, init: int) -> InducedChain:
         if s not in scheduler.choices:
             raise SchedulerDomainError(f"scheduler undefined on reachable state {host.ids[s]}")
         terms = []
-        for act, prob_a in sorted(scheduler.dist(s).items()):
+        for act, prob_a in sorted(scheduler.choices[s].items()):
             an, ad = prob_a.numerator, prob_a.denominator
             if not an:
                 continue
@@ -180,7 +177,7 @@ def until_probability(c: InducedChain, stay: set[int], target: set[int]) -> dict
     loc_target = {c.index[s] for s in target if s in c.index}
     # Backward search from target; only stay\target states continue a path.
     inner = loc_stay - loc_target
-    succ = [list(row) if i in inner else [] for i, row in enumerate(c.nums)]
+    succ = [row if i in inner else {} for i, row in enumerate(c.nums)]
     possible = reachable_from(predecessors(succ), loc_target)
     sol = _solve_restricted(c, sorted(possible - loc_target),
                             lambda s: [_step_mass(c, s, loc_target)])
@@ -200,7 +197,7 @@ def almost_sure_reach(c: InducedChain, target: set[int]) -> dict[int, bool]:
     """
     loc_target = {c.index[s] for s in target if s in c.index}
     bad = [v for comp in c.bsccs if loc_target.isdisjoint(comp) for v in comp]
-    succ = [[] if i in loc_target else list(row) for i, row in enumerate(c.nums)]
+    succ = [{} if i in loc_target else row for i, row in enumerate(c.nums)]
     doomed = reachable_from(predecessors(succ), bad)
     return {s: i not in doomed for i, s in enumerate(c.states)}
 
@@ -268,15 +265,18 @@ def long_run_value(c: InducedChain, value_of, parts=None) -> Fraction:
 
 
 class ErrorCheck(NamedTuple):
+    """One reachable error's verdicts, and ``weight_mean``, the long-run mean
+    of the error's row in ``components.repair_rows``."""
+
     res_probability: Fraction
     res_ok: bool
     asrep_ok: bool
+    weight_mean: Fraction
 
 
 class VerificationReport(NamedTuple):
     per_error: dict[int, ErrorCheck]
     availability: Fraction
-    mp: dict[int, Fraction]
 
     @property
     def ok(self) -> bool:
@@ -291,7 +291,7 @@ class VerificationReport(NamedTuple):
                 f"(~{float(ch.res_probability):.6g}) "
                 f"{'>=' if ch.res_ok else '<'} {threshold}; "
                 f"almost-sure repair: {'yes' if ch.asrep_ok else 'NO'}; "
-                f"weight mean {self.mp.get(e, Fraction(0))}")
+                f"weight mean {ch.weight_mean}")
         lines.append("resilient: " + ("yes" if self.ok else "NO"))
         return "\n".join(lines)
 
@@ -309,8 +309,8 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
     which enters exactly one state of Op_e (the operational copies of e) if
     it succeeds within budget and none otherwise. So e's repair succeeds
     with probability m(Op_e)/m(e), and the mean of e's row in
-    ``components.repair_rows`` (1 on Op_e, -p on e, p the threshold), the
-    report's weight mean, is reach(B)·(m(Op_e) - p·m(e))/m(B). The until
+    ``components.repair_rows`` (1 on Op_e, -p on e, p the threshold), its
+    ``weight_mean``, is reach(B)·(m(Op_e) - p·m(e))/m(B). The until
     system is solved only for errors outside every bottom SCC, whose weight
     mean is 0. Almost-sure repair is graph analysis for every error: a
     model that breaks the repair assumption can hold a recurrent error that
@@ -336,20 +336,19 @@ def verify_resilient(mt: TransformedMdp, scheduler: MrScheduler,
         q = until_probability(chain, copies, copies & op_states)
 
     per_error: dict[int, ErrorCheck] = {}
-    mp: dict[int, Fraction] = {}
     for e in reached:
         k = chain.index[e]
         if k in home:
             _, (r, rd), masses, total = home[k]
             num, den = op_mass.get(mt.back[e], 0), masses[k]
-            mp[e] = Fraction(r * (num * td - tn * den), rd * total * td)
+            mean = Fraction(r * (num * td - tn * den), rd * total * td)
         else:
             terms = [(x, q[chain.states[t]]) for t, x in chain.nums[k].items()]
             num, den = _ratio_sum([(x * p.numerator, p.denominator) for x, p in terms])
             den *= chain.dens[k]
-            mp[e] = ZERO
-        per_error[e] = ErrorCheck(Fraction(num, den), num * td >= tn * den, asrep_all[e])
-    return VerificationReport(per_error, long_run_value(chain, mt.payoff, parts), mp)
+            mean = ZERO
+        per_error[e] = ErrorCheck(Fraction(num, den), num * td >= tn * den, asrep_all[e], mean)
+    return VerificationReport(per_error, long_run_value(chain, mt.payoff, parts))
 
 
 class BruteForceResult(NamedTuple):
@@ -449,6 +448,7 @@ def simulate(m, policy, steps: int, trials: int, seed: int,
     for name, count in (("steps", steps), ("trials", trials)):
         if count < 0:
             raise ValueError(f"{name} must be nonnegative")
+    check_cost_bound(cost_bound)
     episodes = within = 0
     traces: list[list[str]] | None = [] if keep_traces else None
     nodes: dict = {}

@@ -124,10 +124,10 @@ def cmd_synthesize(args, out) -> int:
     result = synthesize(m, threshold, cost_bound)
     if args.dump_components:
         mt = result.goal_mdp.mt
-        for k, comp in enumerate(result.components):
+        for k, comp in enumerate(result.goal_mdp.comps):
             print(f"component {k}: availability {comp.avail}", file=out)
-            for s in comp.states:
-                dist = ", ".join(f"{a}: {p}" for a, p in sorted(comp.scheduler.dist(s).items()))
+            for s, choice in comp.scheduler.choices.items():  # over comp.states, in order
+                dist = ", ".join(f"{a}: {p}" for a, p in sorted(choice.items()))
                 print(f"  {mt.ids[s]}: {dist}", file=out)
     if args.dump_lp:
         print(result.lp.dump(result.goal_mdp.name), file=out)

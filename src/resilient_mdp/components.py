@@ -8,8 +8,8 @@ those copies (see ``repair_rows``). Maximizing availability under these
 constraints on one maximal end component (MEC) is a linear program over
 long-run frequencies, one variable per (state, action) pair of the MEC;
 its recurrent frequencies are extracted into component triples (state
-set, action sets, memoryless scheduler, availability). The availability is
-read off those frequencies, not computed by a chain analysis, so the exact
+set, memoryless scheduler, availability). The availability is read off
+those frequencies, not computed by a chain analysis, so the exact
 chain analysis of ``analyze`` stays an independent check of the final
 result. A worklist over MECs finds the components the optimum passes over
 (see ``compute_E``).
@@ -133,7 +133,6 @@ def build_multi_mp_lp(mt: TransformedMdp, members: list[int], acts: dict[int, li
 
 class ComponentTriple(NamedTuple):
     states: tuple[int, ...]
-    action_sets: dict[int, tuple[str, ...]]
     scheduler: MrScheduler
     avail: Fraction
 
@@ -162,11 +161,11 @@ def extract_components(mt: TransformedMdp, solution: LpSolution) -> ComponentTri
     # One closed SCC: no target without frequency (None), and each state reaches the others.
     if any(None in row for row in succ) or len(strongly_connected_components(succ)) != 1:
         raise ValueError("x support SCC must be bottom")
-    action_sets = {s: tuple(sorted(a for (t, a) in x if t == s)) for s in members}
-    mass = {s: sum(freq[(s, a)] for a in action_sets[s]) for s in members}
-    choices = {s: {a: Fraction(freq[(s, a)], mass[s]) for a in action_sets[s]} for s in members}
+    acts = {s: sorted(a for (t, a) in x if t == s) for s in members}
+    mass = {s: sum(freq[(s, a)] for a in acts[s]) for s in members}
+    choices = {s: {a: Fraction(freq[(s, a)], mass[s]) for a in acts[s]} for s in members}
     payoff = sum(mt.payoff(s) * ms for s, ms in mass.items())
-    return ComponentTriple(tuple(members), action_sets, MrScheduler(choices),
+    return ComponentTriple(tuple(members), MrScheduler(choices),
                            Fraction(payoff, sum(mass.values())))
 
 

@@ -236,7 +236,7 @@ def scheduler_to_data(composed: ComposedScheduler, threshold: Fraction,
         if isinstance(memory, tuple):
             memory = {"error": m.ids[memory[0]], "cost": memory[1]}
         rules.append({"state": m.ids[mt.back[i]], "memory": memory,
-                      "choice": _dist_to_data(mr.dist(i))})
+                      "choice": _dist_to_data(mr.choices[i])})
     return {
         "format": SCHEDULER_FORMAT,
         "version": FORMAT_VERSION,
@@ -248,7 +248,7 @@ def scheduler_to_data(composed: ComposedScheduler, threshold: Fraction,
         "components": [
             {"states": [mt.ids[s] for s in comp.states],
              "choice": [{"state": mt.ids[s],
-                         "choice": _dist_to_data(comp.scheduler.dist(s))}
+                         "choice": _dist_to_data(comp.scheduler.choices[s])}
                         for s in comp.states],
              "availability": str(comp.avail)}
             for comp in composed.components

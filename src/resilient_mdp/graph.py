@@ -1,16 +1,18 @@
 """Strongly connected components and reachability on small directed graphs.
 
-Graphs are given as adjacency lists over integer nodes 0..n-1. The SCC
-routine is an iterative Kosaraju (explicit stack, no recursion limit issues)
-and returns components in reverse topological order of the condensation,
-i.e. a component is listed after every component it can reach. Components
-are therefore deterministic for a fixed adjacency list.
+A graph is a list over integer nodes 0..n-1 of each node's successors, in
+any collection (a list, or a dict keyed by them). The SCC routine is an
+iterative Kosaraju (explicit stack, no recursion limit issues) and returns
+components, each sorted, in a fixed reverse topological order of the
+condensation: a component is listed after every component it can reach.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 
-def strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
+
+def strongly_connected_components(succ: list[Collection[int]]) -> list[list[int]]:
     """Kosaraju–Sharir, iterative. Returns SCCs in reverse topological order."""
     n = len(succ)
     seen = [False] * n
@@ -42,7 +44,7 @@ def strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
     return sccs[::-1]
 
 
-def predecessors(succ: list[list[int]]) -> list[list[int]]:
+def predecessors(succ: list[Collection[int]]) -> list[list[int]]:
     """The reversed graph: node w lists every v with an edge v -> w."""
     pred: list[list[int]] = [[] for _ in succ]
     for v, targets in enumerate(succ):
@@ -51,7 +53,7 @@ def predecessors(succ: list[list[int]]) -> list[list[int]]:
     return pred
 
 
-def bottom_sccs(succ: list[list[int]]) -> list[list[int]]:
+def bottom_sccs(succ: list[Collection[int]]) -> list[list[int]]:
     """SCCs with no edge leaving them, sorted by smallest member node."""
     result = []
     for comp in strongly_connected_components(succ):
@@ -62,7 +64,7 @@ def bottom_sccs(succ: list[list[int]]) -> list[list[int]]:
     return result
 
 
-def reachable_from(succ: list[list[int]], sources) -> set[int]:
+def reachable_from(succ: list[Collection[int]], sources) -> set[int]:
     """Nodes reachable from any node of ``sources``, the sources included.
     Run it on predecessor lists to get the nodes that can reach ``sources``."""
     seen = set(sources)

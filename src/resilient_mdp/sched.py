@@ -38,6 +38,3 @@ class MrScheduler:
 
     def __eq__(self, other):
         return type(other) is type(self) and self.choices == other.choices
-
-    def dist(self, s: int) -> dict[str, Fraction]:
-        return self.choices[s]

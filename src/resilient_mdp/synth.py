@@ -114,7 +114,7 @@ class FiniteMemoryScheduler:
     def decide(self, s: int, mem: int) -> dict[str, Fraction]:
         if mem not in self.mr.choices:
             raise analyze.SchedulerDomainError(f"no decision for state {self.mt.ids[mem]}")
-        return self.mr.dist(mem)
+        return self.mr.choices[mem]
 
     def update(self, s: int, mem: int, act: str, nxt: int) -> int:
         return self.mt.successor(mem, act, nxt)
@@ -129,9 +129,6 @@ class ComposedScheduler(NamedTuple):
     mt: TransformedMdp
     mr: MrScheduler
     components: list[ComponentTriple]
-
-    def render(self) -> FiniteMemoryScheduler:
-        return FiniteMemoryScheduler(self.mt, self.mr)
 
 
 def extract_scheduler(n: GoalMdp, solution: LpSolution) -> ComposedScheduler:
@@ -171,7 +168,6 @@ class SynthesisResult(NamedTuple):
     goal_mdp: GoalMdp | None = None
     lp: LinearProgram | None = None
     solution: LpSolution | None = None  # assignment keyed by (state, action)
-    components: list[ComponentTriple] | None = None
 
 
 def synthesize(m: MdpWithRepair, threshold: Fraction, cost_bound: int) -> SynthesisResult:
@@ -184,8 +180,6 @@ def synthesize(m: MdpWithRepair, threshold: Fraction, cost_bound: int) -> Synthe
     raised, never papered over.
     """
     threshold = exact_threshold(threshold)
-    if not 0 < threshold <= 1:
-        raise ValueError("threshold must be in (0, 1]")
     report = validate(m)
     if not report.ok:
         raise InvalidModelError(report)
@@ -196,8 +190,7 @@ def synthesize(m: MdpWithRepair, threshold: Fraction, cost_bound: int) -> Synthe
     lp = build_resiliency_lp(n, threshold)
     solution = solve_lexicographic(lp, dict.fromkeys(lp.variables, Fraction(1)))
     if solution.status == INFEASIBLE:
-        return SynthesisResult(False, goal_mdp=n, lp=lp, solution=solution,
-                               components=comps)
+        return SynthesisResult(False, goal_mdp=n, lp=lp, solution=solution)
     if solution.status != OPTIMAL:
         raise VerificationFailedError(f"unexpected LP status {solution.status}")
 
@@ -210,5 +203,4 @@ def synthesize(m: MdpWithRepair, threshold: Fraction, cost_bound: int) -> Synthe
         raise VerificationFailedError(
             f"availability mismatch: chain {report.availability}, "
             f"program {solution.objective_value}")
-    return SynthesisResult(True, scheduler, report.availability, report,
-                           n, lp, solution, comps)
+    return SynthesisResult(True, scheduler, report.availability, report, n, lp, solution)

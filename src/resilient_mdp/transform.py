@@ -84,11 +84,23 @@ def _successor_key(m: MdpWithRepair, passed, target: int):
 
 
 def exact_threshold(threshold) -> Fraction:
-    """``threshold`` as a ``Fraction``. A float is refused: it would stand
-    for the binary double nearest the value meant, not the value."""
+    """``threshold`` as a ``Fraction`` in (0, 1], the library's one gate for
+    it. A float is refused: it would stand for the binary double nearest the
+    value meant, not the value."""
     if isinstance(threshold, float):
         raise TypeError(f"threshold must be a Fraction, an int or a str, not {threshold!r}")
-    return Fraction(threshold)
+    p = Fraction(threshold)
+    if not 0 < p.numerator <= p.denominator:
+        raise ValueError(f"threshold must be in (0, 1], got {p}")
+    return p
+
+
+def check_cost_bound(cost_bound) -> None:
+    """Refuse a cost bound that is not a nonnegative ``int``."""
+    if type(cost_bound) is not int:
+        raise TypeError(f"cost bound must be an int, got {cost_bound!r}")
+    if cost_bound < 0:
+        raise ValueError("cost bound must be nonnegative")
 
 
 def transform(m: MdpWithRepair, cost_bound: int) -> TransformedMdp:
@@ -96,10 +108,7 @@ def transform(m: MdpWithRepair, cost_bound: int) -> TransformedMdp:
     ``TransformTooLargeError`` once it would exceed ``MAX_STATES`` states.
     Each state is found under its key (memory, base state), whose halves
     are stored as ``TransformedMdp.memory`` and ``TransformedMdp.back``."""
-    if type(cost_bound) is not int:
-        raise TypeError(f"cost bound must be an int, got {cost_bound!r}")
-    if cost_bound < 0:
-        raise ValueError("cost bound must be nonnegative")
+    check_cost_bound(cost_bound)
     keys = [(None, m.initial)]
     index: dict = {keys[0]: 0}
     queue = deque(keys)

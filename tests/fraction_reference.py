@@ -90,7 +90,7 @@ def induce_rows(host, scheduler, init):
         if s not in scheduler.choices:
             raise SchedulerDomainError(f"scheduler undefined on reachable state {host.ids[s]}")
         row: dict[int, Fraction] = {}
-        for act, prob_a in sorted(scheduler.dist(s).items()):
+        for act, prob_a in sorted(scheduler.choices[s].items()):
             if prob_a == 0:
                 continue
             for t, p in host.actions[s][act]:
@@ -184,11 +184,11 @@ def verify_resilient(mt, scheduler, threshold) -> VerificationReport:
     weights = build_weights(mt, threshold)
     asrep = _almost_sure(rows, op_local)
     q = _until(states, rows, local, local & op_local)
-    per_error = {}
-    for e in mt.errors():
-        if e in index:
-            res = sum((p * q[t] for t, p in rows[index[e]].items()), Fraction(0))
-            per_error[e] = ErrorCheck(res, res >= threshold, asrep[index[e]])
+    reached = [e for e in mt.errors() if e in index]
     avail, *means = _long_run_values(
-        states, rows, [mt.payoff] + [lambda s, w=weights[e]: w.get(s, 0) for e in per_error])
-    return VerificationReport(per_error, avail, dict(zip(per_error, means)))
+        states, rows, [mt.payoff] + [lambda s, w=weights[e]: w.get(s, 0) for e in reached])
+    per_error = {}
+    for e, mean in zip(reached, means):
+        res = sum((p * q[t] for t, p in rows[index[e]].items()), Fraction(0))
+        per_error[e] = ErrorCheck(res, res >= threshold, asrep[index[e]], mean)
+    return VerificationReport(per_error, avail)

@@ -366,11 +366,11 @@ def _support_triples(mt: TransformedMdp, enabled: dict, solution: LpSolution):
     triples = []
     for comp in sorted(strongly_connected_components(succ), key=min):
         members = sorted(support[v] for v in comp)
-        action_sets = {s: tuple(sorted(a for (t, a) in x if t == s)) for s in members}
-        mass = {s: sum((x[(s, a)] for a in action_sets[s]), Fraction(0)) for s in members}
-        choices = {s: {a: x[(s, a)] / mass[s] for a in action_sets[s]} for s in members}
+        acts = {s: tuple(sorted(a for (t, a) in x if t == s)) for s in members}
+        mass = {s: sum((x[(s, a)] for a in acts[s]), Fraction(0)) for s in members}
+        choices = {s: {a: x[(s, a)] / mass[s] for a in acts[s]} for s in members}
         payoff = sum((mt.payoff(s) * xs for s, xs in mass.items()), Fraction(0))
-        triples.append(ComponentTriple(tuple(members), action_sets, MrScheduler(choices),
+        triples.append(ComponentTriple(tuple(members), MrScheduler(choices),
                                        payoff / sum(mass.values())))
     return triples
 

@@ -34,7 +34,7 @@ def test_criterion_1_fig1_golden_synthesis(capsys):
     result = synthesize(fig1_model(), Fraction(4, 5), 2)
     elapsed = time.monotonic() - t0
     mt = result.scheduler.mt
-    dist = result.scheduler.mr.dist(mt.index["error#rep#1"])
+    dist = result.scheduler.mr.choices[mt.index["error#rep#1"]]
     ok = (result.availability == Fraction(9, 10)
           and dist["β"] == Fraction(4, 5) and elapsed < 1.0)
     _verdict(capsys, 1, ok,
@@ -188,7 +188,7 @@ def test_criterion_8_structural_lemma_suite(capsys):
                         Fraction(0))
             if check.res_probability != other:
                 ok, detail = False, "repair-success probability mismatch"
-        if report.ok and any(v < 0 for v in report.mp.values()):
+        if report.ok and any(ch.weight_mean < 0 for ch in report.per_error.values()):
             ok, detail = False, "negative weight mean on resilient scheduler"
 
         comps = compute_E(mt, threshold)
@@ -201,7 +201,7 @@ def test_criterion_8_structural_lemma_suite(capsys):
             pos = {s: k for k, s in enumerate(c.states)}
             succ = [[] for _ in c.states]
             for s in c.states:
-                for a in c.action_sets[s]:
+                for a in c.scheduler.choices[s]:
                     for t, _ in mt.actions[s][a]:
                         if t not in inside:
                             ok, detail = False, "component not closed"
@@ -213,7 +213,7 @@ def test_criterion_8_structural_lemma_suite(capsys):
 
         result = synthesize(m, threshold, bound)
         if result.feasible:
-            n = reference_goal_mdp(mt, result.components)
+            n = reference_goal_mdp(mt, result.goal_mdp.comps)
             rn = goal_mr_scheduler(n, result.solution)
             goal_chain = induce_chain(n, rn, n.mt.initial)
             for comp in result.scheduler.components:

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resilient_mdp.analyze as analyze_module
-from resilient_mdp import (MrScheduler, brute_force_optimum, induce_chain, make_mdp, simulate,
-                           synthesize, transform, validate_structure, verify_resilient)
+from resilient_mdp import (MrScheduler, brute_force_optimum, compute_E, induce_chain, make_mdp,
+                           simulate, synthesize, transform, validate_structure,
+                           verify_resilient)
 from resilient_mdp.analyze import (InducedChain, SchedulerDomainError, SimulationStats,
                                    almost_sure_reach, long_run_value,
                                    stationary_distribution, until_probability)
@@ -176,7 +177,7 @@ def _almost_sure_reach_per_state(c: InducedChain, target: set[int]) -> dict[int,
 @given(st.integers(0, 10 ** 9), st.data())
 def test_almost_sure_reach_matches_per_state_search(seed, data):
     c = _random_chain(random.Random(seed))
-    recurrent = sorted(v for comp in bottom_sccs(c.succ_lists()) for v in comp)
+    recurrent = sorted(v for comp in bottom_sccs(c.nums) for v in comp)
     targets = [set(),  # every state ends in some BSCC, so nothing is sure
                data.draw(st.sets(st.sampled_from(recurrent), min_size=1)),
                data.draw(st.sets(st.sampled_from(range(c.n))))]
@@ -190,7 +191,7 @@ def test_almost_sure_reach_matches_per_state_search(seed, data):
 def test_long_run_value_on_random_chains(seed):
     rng = random.Random(seed)
     c = _random_chain(rng)
-    comps = bottom_sccs(c.succ_lists())
+    comps = bottom_sccs(c.nums)
     assert len(comps) >= 2 and not any(0 in comp for comp in comps)
     for comp in comps:
         masses, total = stationary_distribution(c, comp)
@@ -233,7 +234,7 @@ def test_stationary_distribution_on_random_irreducible_chains(seed):
         weights = {t: rng.randint(1, 5) for t in sorted(targets)}
         rows.append({t: Fraction(w, sum(weights.values())) for t, w in weights.items()})
     c = chain_from_rows(list(range(n)), rows, {s: s for s in range(n)})
-    assert [sorted(comp) for comp in bottom_sccs(c.succ_lists())] == [list(range(n))]
+    assert [sorted(comp) for comp in bottom_sccs(c.nums)] == [list(range(n))]
     masses, total = stationary_distribution(c, rng.sample(range(n), n))
     assert all(type(masses[s]) is int and masses[s] > 0 for s in range(n))
     assert sum(masses.values()) == total and gcd(*masses.values()) == 1
@@ -257,9 +258,9 @@ def test_verify_chain_golden():
     report = verify_resilient(mt, gamble_scheduler(mt), Fraction(4, 5))
     assert report.availability == Fraction(78, 229)
     assert sorted(mt.ids[e] for e in report.per_error) == ["e_1", "e_2"]
-    for e, check in report.per_error.items():
+    for check in report.per_error.values():
         assert check.res_probability == Fraction(3583, 4096)
-        assert report.mp[e] == Fraction(38275, 5627904)
+        assert check.weight_mean == Fraction(38275, 5627904)
     assert report.ok
 
 
@@ -324,7 +325,8 @@ def test_verify_solves_the_until_system_for_a_transient_error(fig1, monkeypatch)
                         lambda *args: untils.append(args) or until_probability(*args))
     report = verify_resilient(mt, beta_always(mt), Fraction(4, 5))
     assert len(untils) == 1
-    assert report.per_error[e].res_probability == Fraction(3, 4) and report.mp[e] == 0
+    check = report.per_error[e]
+    assert check.res_probability == Fraction(3, 4) and check.weight_mean == 0
 
 
 def test_verify_beta_always_fails_at_four_fifths(fig1):
@@ -335,6 +337,20 @@ def test_verify_beta_always_fails_at_four_fifths(fig1):
     assert not report.per_error[e].res_ok
     assert report.per_error[e].asrep_ok
     assert not report.ok
+
+
+@pytest.mark.parametrize("threshold", [Fraction(0), -1, Fraction(3, 2)], ids=str)
+def test_library_calls_refuse_a_threshold_outside_the_unit_interval(fig1, threshold):
+    # At 0 and -1 the beta-always scheduler, whose repair succeeds with
+    # probability 3/4, used to read as resilient, and the oracle's optimum
+    # was availability 1 instead of 1/2.
+    mt = transform(fig1, 2)
+    message = rf"^threshold must be in \(0, 1\], got {threshold}$"
+    for call in (lambda: verify_resilient(mt, beta_always(mt), threshold),
+                 lambda: compute_E(mt, threshold),
+                 lambda: brute_force_optimum(mt, threshold, grid_denominator=5)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_verify_refuses_a_float_threshold(fig1):
@@ -420,7 +436,7 @@ def test_mp_nonnegative_for_verified_schedulers():
         mt = transform(m, rng.randint(0, 3))
         report = verify_resilient(mt, beta_always(mt), Fraction(1, 2))
         if report.ok:
-            assert all(v >= 0 for v in report.mp.values())
+            assert all(ch.weight_mean >= 0 for ch in report.per_error.values())
             done += 1
 
 
@@ -468,7 +484,7 @@ def test_brute_force_grid_reaches_randomized_optimum(fig1):
     res = brute_force_optimum(mt, Fraction(4, 5), grid_denominator=5)
     assert res.best_availability == Fraction(9, 10)
     r1 = mt.index["error#rep#1"]
-    assert res.witness.dist(r1)["β"] == Fraction(4, 5)
+    assert res.witness.choices[r1]["β"] == Fraction(4, 5)
 
 
 def test_brute_force_rejects_large_models(fig1):
@@ -552,6 +568,19 @@ def test_simulate_refuses_negative_counts(fig1):
         with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
             simulate(fig1, policy, steps=steps, trials=trials, seed=0, cost_bound=2)
     assert simulate(fig1, policy, steps=0, trials=2, seed=0, cost_bound=2).render() == "no trials"
+
+
+def test_simulate_refuses_what_transform_refuses_as_a_cost_bound(fig1):
+    # A bound of -1 used to count every repair episode as over budget, and
+    # 2.5 was compared with the integer episode costs.
+    policy = _ConstantPolicy(lambda s: sorted(fig1.actions[s])[0])
+    for bound, error, message in [(-1, ValueError, "^cost bound must be nonnegative$"),
+                                  (2.5, TypeError, "^cost bound must be an int, got 2.5$"),
+                                  (True, TypeError, "^cost bound must be an int, got True$")]:
+        for call in (lambda: simulate(fig1, policy, 2000, 2, 0, cost_bound=bound),
+                     lambda: transform(fig1, bound)):
+            with pytest.raises(error, match=message):
+                call()
 
 
 def test_simulate_counts_repair_budget(fig1):
@@ -833,7 +862,7 @@ def test_verify_and_simulate_apply_no_fraction_operator(fig1):
         cases.append((m, mt, _random_scheduler(mt, rng), rng.choice(
             [Fraction(1, 3), Fraction(1, 2), Fraction(4, 5), Fraction(1)])))
     transient = [not any(0 in comp for comp in bottom_sccs(
-                     induce_chain(mt, sched, mt.initial).succ_lists()))
+                     induce_chain(mt, sched, mt.initial).nums))
                  for _, mt, sched, _ in cases]
     verdicts, sims = [], []
     with fraction_operator_calls() as calls:

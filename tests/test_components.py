@@ -153,7 +153,7 @@ def test_extract_components_are_bottom_and_normalized():
     t = extract_components(mt, sol)
     assert t.states
     for s in t.states:
-        assert sum(t.scheduler.dist(s).values(), Fraction(0)) == 1
+        assert sum(t.scheduler.choices[s].values(), Fraction(0)) == 1
     # Built over sorted states and action sets: the assignment's order does
     # not matter, down to the order of the scheduler's maps.
     u = extract_components(mt, sol._replace(assignment=dict(reversed(sol.assignment.items()))))
@@ -228,8 +228,8 @@ def test_compute_E_disjoint_strongly_connected_end_components():
             pos = {s: k for k, s in enumerate(c.states)}
             succ = [[] for _ in c.states]
             for s in c.states:
-                assert c.action_sets[s]
-                for a in c.action_sets[s]:
+                assert c.scheduler.choices[s]
+                for a in c.scheduler.choices[s]:
                     for t, p in mt.actions[s][a]:
                         assert t in inside  # closed under chosen actions
                         succ[pos[s]].append(pos[t])

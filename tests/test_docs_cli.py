@@ -23,7 +23,7 @@ from resilient_mdp.docs import DocumentError
 from resilient_mdp.lp import LinearProgram, SolverError
 from resilient_mdp.synth import ComposedScheduler, VerificationFailedError
 
-from conftest import fig1_model, random_model
+from conftest import beta_always, fig1_model, random_model
 from helpers import fraction_operator_calls
 
 
@@ -521,6 +521,40 @@ def test_synthesized_document_golden_hash(tmp_path, capsys, model, threshold,
                      "--cost-bound", bound, "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# stdout of `synthesize --dump-components` and of `verify`, byte for byte.
+# fig1 at threshold 1 has two components and no resilient scheduler; the
+# beta-always error is transient (weight mean 0) and the chain's errors are
+# recurrent, so their weight means come from the stationary masses.
+@pytest.mark.parametrize("model, argv, scheduler, code, sha256", [
+    (fig1_model(), ["synthesize", "--threshold", "1", "--cost-bound", "0",
+                    "--dump-components"], None, 1,
+     "c8342891d8577e5bebc80990f9e9609582b1f8021c9d461589141f08a4bab278"),
+    (chain_model(2, 3), ["synthesize", "--threshold", "4/5", "--cost-bound", "3",
+                         "--dump-components"], None, 0,
+     "6102aebfcb76c13a81b285d14de6b516ffa1a1858e387394ecb140580c639c08"),
+    (fig1_model(), ["verify"], (2, beta_always), 1,
+     "2b57b81228099716026ad9ae28c580d2a710f885c1e50fa612baba70a3275cb9"),
+    (chain_model(2, 3), ["verify"], (4, gamble_scheduler), 0,
+     "7872fba35eec57c04f19b541f0342d925fda0a4f0ad499a58df46afdea54fcb1"),
+], ids=["fig1-components", "chain-k2-L3-components", "fig1-verify-beta",
+        "chain-k2-L3-verify-gamble"])
+def test_cli_stdout_golden_hash(tmp_path, capsys, model, argv, scheduler, code, sha256):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(docs.serialize_model(model), encoding="utf-8")
+    argv = [argv[0], str(model_path), *argv[1:]]
+    if scheduler is not None:
+        bound, schedule = scheduler
+        mt = transform(model, bound)
+        document = docs.serialize_scheduler(ComposedScheduler(mt, schedule(mt), []),
+                                            Fraction(4, 5), None)
+        sched_path = tmp_path / "sched.json"
+        sched_path.write_text(document, encoding="utf-8")
+        argv.insert(2, str(sched_path))
+    got, out, err = _run(argv, capsys)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256, out
 
 
 @functools.cache

@@ -127,7 +127,7 @@ def _stationary_system(k: int, L: int, R: int):
     builds them: integer coefficients, one unknown fixed to 1."""
     mt = transform(chain_model(k, L), R)
     chain = induce_chain(mt, gamble_scheduler(mt), mt.initial)
-    (comp,) = bottom_sccs(chain.succ_lists())
+    (comp,) = bottom_sccs(chain.nums)
     col = {s: i for i, s in enumerate(comp)}
     rows = [{i: chain.dens[s]} for i, s in enumerate(comp)]
     for t in comp:
@@ -203,7 +203,7 @@ def test_verify_matches_the_fraction_chain_analysis():
         want = fraction_reference.verify_resilient(mt, sched, threshold).render(mt, threshold)
         assert report.render(mt, threshold) == want
         chain = induce_chain(mt, sched, mt.initial)
-        comps = bottom_sccs(chain.succ_lists())
+        comps = bottom_sccs(chain.nums)
         recurrent = {e for e in report.per_error if any(chain.index[e] in c for c in comps)}
         shapes |= {shape for shape, seen in [
             ("errors in and outside the bottom SCCs", set(report.per_error) > recurrent > set()),
@@ -240,7 +240,8 @@ def test_verify_matches_the_fraction_chain_analysis_with_an_error_in_each_bottom
         fraction_reference.verify_resilient(mt, sched, threshold).render(mt, threshold)
     assert [report.per_error[mt.index[e]].res_probability for e in ("ea", "eb")] == \
         [Fraction(3, 4), Fraction(1, 3)]
-    assert report.mp[mt.index["ea"]] > 0 > report.mp[mt.index["eb"]]
+    ea, eb = (report.per_error[mt.index[e]] for e in ("ea", "eb"))
+    assert ea.weight_mean > 0 > eb.weight_mean
     chain = induce_chain(mt, sched, mt.initial)
     assert len(chain.bsccs) == 2 and not any(0 in comp for comp in chain.bsccs)
 
@@ -253,7 +254,7 @@ def test_verify_matches_the_fraction_chain_analysis_on_the_chain_family(k, L, R)
     assert verify_resilient(mt, sched, threshold).render(mt, threshold) == \
         fraction_reference.verify_resilient(mt, sched, threshold).render(mt, threshold)
     chain = induce_chain(mt, sched, mt.initial)
-    (comp,) = bottom_sccs(chain.succ_lists())
+    (comp,) = bottom_sccs(chain.nums)
     states, _, rows = fraction_reference.induce_rows(mt, sched, mt.initial)
     assert chain.states == states and chain_rows(chain) == rows
     want = fraction_reference.stationary_distribution(rows, comp)

@@ -192,7 +192,7 @@ def test_goal_program_matches_paper_goal_mdp_program():
         assert result.feasible == (got.status == OPTIMAL)
         if result.feasible:
             assert result.availability == got.objective_value
-            reference = reference_goal_mdp(mt, result.components)
+            reference = reference_goal_mdp(mt, result.goal_mdp.comps)
             assert expected_total_reward(reference, goal_mr_scheduler(reference, result.solution),
                                          mt.initial) == result.availability
         seen[got.status] += 1
@@ -222,9 +222,9 @@ def test_extracted_scheduler_fig1(fig1):
     result = synthesize(fig1, Fraction(4, 5), 2)
     mt = result.scheduler.mt
     mr = result.scheduler.mr
-    assert mr.dist(mt.index["error#rep#1"])["β"] == Fraction(4, 5)
-    assert mr.dist(mt.index["error#rep#1"])["α"] == Fraction(1, 5)
-    assert mr.dist(mt.index["error#rep#0"])["β"] == 1
+    assert mr.choices[mt.index["error#rep#1"]]["β"] == Fraction(4, 5)
+    assert mr.choices[mt.index["error#rep#1"]]["α"] == Fraction(1, 5)
+    assert mr.choices[mt.index["error#rep#0"]]["β"] == 1
     assert result.availability == Fraction(9, 10)
     assert result.report.ok
 
@@ -240,7 +240,7 @@ def test_synthesize_value_identity(fig1):
     # paper's goal model under the scheduler of the program's flow agree
     # exactly, computed by three independent routes.
     result = synthesize(fig1, Fraction(4, 5), 2)
-    n = reference_goal_mdp(result.goal_mdp.mt, result.components)
+    n = reference_goal_mdp(result.goal_mdp.mt, result.goal_mdp.comps)
     tr = expected_total_reward(n, goal_mr_scheduler(n, result.solution),
                                n.mt.initial)
     assert result.availability == result.solution.objective_value == tr
@@ -258,7 +258,7 @@ def test_same_value_from_every_component_state():
         result = synthesize(m, Fraction(1, 2), bound)
         if not result.feasible:
             continue
-        n = reference_goal_mdp(result.goal_mdp.mt, result.components)
+        n = reference_goal_mdp(result.goal_mdp.mt, result.goal_mdp.comps)
         rn = goal_mr_scheduler(n, result.solution)
         chain = induce_chain(n, rn, n.mt.initial)
         for comp in result.scheduler.components:
@@ -287,9 +287,9 @@ def test_unreachable_transient_states_defaulted(fig1):
 
 def test_rendered_memory_matches_annotated_walk(fig1):
     result = synthesize(fig1, Fraction(4, 5), 2)
-    fm = result.scheduler.render()
     mt = result.scheduler.mt
     mr = result.scheduler.mr
+    fm = FiniteMemoryScheduler(mt, mr)
     m = fig1
     # (error, cost) pairs plus at most the single pending marker.
     assert len(set(mt.memory) - {None}) <= sum(
@@ -301,7 +301,7 @@ def test_rendered_memory_matches_annotated_walk(fig1):
         mem = fm.initial_memory
         for _ in range(15):
             assert mem == state_t
-            assert fm.decide(s, mem) == mr.dist(state_t)
+            assert fm.decide(s, mem) == mr.choices[state_t]
             acts = mt.enabled(state_t)
             a = rng.choice(acts)
             succ_t = rng.choice([t for t, p in mt.actions[state_t][a] if p > 0])
@@ -345,7 +345,8 @@ def test_rendered_scheduler_runs_from_an_initial_error():
                  "e")
     result = synthesize(m, Fraction(1, 2), 1)
     assert result.availability == 1
-    stats = simulate(m, result.scheduler.render(), steps=50, trials=4, seed=0, cost_bound=1)
+    policy = FiniteMemoryScheduler(result.scheduler.mt, result.scheduler.mr)
+    stats = simulate(m, policy, steps=50, trials=4, seed=0, cost_bound=1)
     assert stats.repair_episodes == 4
 
 
@@ -378,7 +379,7 @@ def test_parking_in_clean_repair_component_is_feasible():
     assert result.availability == 0
     assert result.report.ok
     mt = result.scheduler.mt
-    assert result.scheduler.mr.dist(mt.initial)["b"] == 1
+    assert result.scheduler.mr.choices[mt.initial]["b"] == 1
     from resilient_mdp import brute_force_optimum
     assert brute_force_optimum(mt, Fraction(1)).best_availability == 0
 
